@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import io
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import Dataset, make_dataset
+from .problems import Dataset, csr_dataset
 
 
 class ParseError(ValueError):
@@ -46,11 +47,13 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
     {0,1}-labeled files come out right.  Lines starting with '#' are
     comments.  The feature dimension is the largest index seen.
     """
-    text = _read_text(source)
     report = ParseReport()
-    rows = []
+    indptr = [0]
+    indices = array("q")
+    values = array("d")
     labels = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # entries go straight into flat arrays; the text itself is not kept
+    for line_no, raw in enumerate(_read_text(source).splitlines(), start=1):
         if raw.startswith("#"):
             continue
         line = raw.strip()
@@ -66,8 +69,6 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
                 (line_no, f"unusual label {tokens[0]} mapped to {'+1' if label > 0 else '-1'}")
             )
         labels.append(1 if label > 0.0 else -1)
-        idx = []
-        val = []
         prev = 0
         for tok in tokens[1:]:
             part = tok.split(":")
@@ -83,14 +84,17 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
             if j <= prev:
                 raise ParseError(line_no, "indices not increasing")
             prev = j
-            idx.append(j - 1)
-            val.append(x)
+            indices.append(j - 1)
+            values.append(x)
         report.max_index_seen = max(report.max_index_seen, prev)
-        rows.append((np.array(idx, dtype=np.int64), np.array(val)))
-    if not rows:
+        indptr.append(len(indices))
+    if not labels:
         raise ParseError(0, "empty file: no examples found")
-    report.rows_read = len(rows)
-    dataset = make_dataset(rows, labels, d=report.max_index_seen)
+    report.rows_read = len(labels)
+    dataset = csr_dataset(
+        indptr, np.frombuffer(indices, dtype=np.int64), np.frombuffer(values), labels,
+        d=report.max_index_seen,
+    )
     return dataset, report
 
 
@@ -103,10 +107,13 @@ def write_libsvm(dataset: Dataset, sink) -> None:
     else:
         fh = sink
     try:
-        for i in range(dataset.n):
-            idx, val = dataset.rows[i]
-            label = "+1" if dataset.labels[i] > 0 else "-1"
-            feats = " ".join(f"{int(j) + 1}:{float(x)!r}" for j, x in zip(idx, val))
+        bounds = dataset.indptr.tolist()
+        indices, values = dataset.indices.tolist(), dataset.data.tolist()
+        for y, lo, hi in zip(dataset.labels.tolist(), bounds, bounds[1:]):
+            label = "+1" if y > 0 else "-1"
+            feats = " ".join(
+                f"{j + 1}:{x!r}" for j, x in zip(indices[lo:hi], values[lo:hi])
+            )
             fh.write(label + (" " + feats if feats else "") + "\n")
     finally:
         if own:
@@ -127,16 +134,16 @@ def subsample(dataset: Dataset, n_keep: int, seed: int) -> Dataset:
         return dataset
     rng = np.random.default_rng(seed)
     keep = np.sort(rng.choice(dataset.n, size=n_keep, replace=False))
-    rows = [dataset.rows[i] for i in keep]
-    labels = dataset.labels[keep]
-    return make_dataset(rows, labels, d=dataset.d)
+    indptr = np.zeros(n_keep + 1, dtype=np.int64)
+    np.cumsum(np.diff(dataset.indptr)[keep], out=indptr[1:])
+    block = dataset.block(keep)
+    return csr_dataset(indptr, block.cols, block.vals, block.labels, d=dataset.d)
 
 
 def maxabs_scale(dataset: Dataset) -> Dataset:
     """Scale each feature column by 1/max|value| over its nonzeros."""
     scale = np.zeros(dataset.d)
-    for idx, val in dataset.rows:
-        np.maximum.at(scale, idx, np.abs(val))
+    np.maximum.at(scale, dataset.indices, np.abs(dataset.data))
     scale[scale == 0.0] = 1.0
-    rows = [(idx, val / scale[idx]) for idx, val in dataset.rows]
-    return make_dataset(rows, dataset.labels, d=dataset.d)
+    data = dataset.data / scale[dataset.indices]
+    return csr_dataset(dataset.indptr, dataset.indices, data, dataset.labels, dataset.d)

@@ -22,15 +22,15 @@ import numpy as np
 
 from .problems import (
     Problem,
-    _scalar_slope,
     full_gradient,
     loss_value,
+    row_slopes,
+    slopes_and_gradient,
 )
 from .sampling import SamplingScheme, compute_alpha, draw
 
 MU2 = 0.25        # step constant of the anchored method's theorem
 NU2 = 1.0 / 40.0  # rate constant of the anchored method's theorem
-MU3 = 1.0 / 3.0   # step constant of the memory method's theorem
 NU3 = 1.0 / 12.0  # rate constant of the memory method's theorem
 
 DIVERGENCE_LIMIT = 1e100
@@ -58,11 +58,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; derive_* fill theorem-mandated values.
-
-    ``beta`` is a proof-only parameter recorded for traceability; the
-    algorithms never read it.
-    """
+    """Everything a run needs; derive_* fill theorem-mandated values."""
 
     method: Method
     scheme: SamplingScheme | None
@@ -73,9 +69,6 @@ class RunConfig:
     d_refresh: float = 0.0     # expected memory-refresh size d = b/alpha
     seed: int = 0
     epsilon: float | None = None
-    mu2: float = MU2
-    nu2: float = NU2
-    beta: float = 0.0
     checkpoint_epochs: float = 1.0
     replicates: int = 1        # convex single-sample variant
     restarts: int = 0          # restart wrapper
@@ -192,149 +185,91 @@ class SvrgSnapshot:
     g: np.ndarray
 
 
-def _slopes_at(problem: Problem, x: np.ndarray) -> np.ndarray:
-    ds = problem.dataset
-    out = np.empty(ds.n)
-    for i in range(ds.n):
-        idx, val = ds.rows[i]
-        out[i] = _scalar_slope(problem.loss, float(val @ x[idx]), float(ds.labels[i]))
-    return out
+def _weighted_block(problem: Problem, p: np.ndarray, subset):
+    """The rows of ``subset``, their indices and importance weights 1/(n p_i)."""
+    rows = np.asarray(subset, dtype=np.int64)
+    return problem.dataset.block(rows), rows, 1.0 / (problem.dataset.n * p[rows])
 
 
 def take_snapshot(problem: Problem, x: np.ndarray) -> SvrgSnapshot:
-    return SvrgSnapshot(
-        x=x.copy(), slopes=_slopes_at(problem, x), g=full_gradient(problem, x)
-    )
+    return SvrgSnapshot(x.copy(), *slopes_and_gradient(problem, x))
 
 
 def svrg_direction(
     problem: Problem, p: np.ndarray, x: np.ndarray, snap: SvrgSnapshot, subset
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(anchor)) / (n p_i) + g."""
-    ds = problem.dataset
-    n = ds.n
-    acc = np.zeros(ds.d)
-    wsum = 0.0
-    for i in subset:
-        idx, val = ds.rows[int(i)]
-        slope = _scalar_slope(problem.loss, float(val @ x[idx]), float(ds.labels[i]))
-        w = 1.0 / (n * p[i])
-        acc[idx] += w * (slope - snap.slopes[i]) * val
-        wsum += w
-    v = acc + snap.g
+    block, rows, w = _weighted_block(problem, p, subset)
+    c = w * (row_slopes(problem, block, x) - snap.slopes[rows])
+    v = block.scatter(c, problem.dataset.d) + snap.g
     if problem.mu:
-        v += problem.mu * wsum * (x - snap.x)
+        v += problem.mu * w.sum() * (x - snap.x)
     return v
 
 
 @dataclass
 class SagaMemory:
-    """Anchor state held as per-component scalars.
+    """Anchor state: the loss slopes at a_i . anchor_i, which reconstruct the
+    anchor gradients of linear-composite losses exactly; the anchor vectors
+    only when the loss carries a dense mu*x term; and ``g``, the running
+    average of the anchor gradients, re-synced every n refreshes."""
 
-    ``z`` and ``slopes`` hold a_i . anchor_i and the loss slope there, which
-    reconstruct the anchor gradients of linear-composite losses exactly;
-    ``anchors`` keeps the full anchor vectors only when the loss carries a
-    dense mu*x term (the scalars are not sufficient for it).  ``g`` is the
-    running average of the anchor gradients, re-synced every n refreshes.
-    """
-
-    z: np.ndarray
     slopes: np.ndarray
     g: np.ndarray
     anchors: np.ndarray | None = None
 
 
 def init_saga_memory(problem: Problem, x: np.ndarray) -> SagaMemory:
-    ds = problem.dataset
-    z = np.empty(ds.n)
-    for i in range(ds.n):
-        idx, val = ds.rows[i]
-        z[i] = float(val @ x[idx])
-    return SagaMemory(
-        z=z,
-        slopes=_slopes_at(problem, x),
-        g=full_gradient(problem, x),
-        anchors=np.tile(x, (ds.n, 1)) if problem.mu else None,
-    )
+    anchors = np.tile(x, (problem.dataset.n, 1)) if problem.mu else None
+    return SagaMemory(*slopes_and_gradient(problem, x), anchors)
 
 
 def saga_direction(
     problem: Problem, p: np.ndarray, x: np.ndarray, mem: SagaMemory, subset
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(anchor_i)) / (n p_i) + g."""
-    ds = problem.dataset
-    n = ds.n
-    acc = np.zeros(ds.d)
-    wsum = 0.0
-    for i in subset:
-        i = int(i)
-        idx, val = ds.rows[i]
-        slope = _scalar_slope(problem.loss, float(val @ x[idx]), float(ds.labels[i]))
-        w = 1.0 / (n * p[i])
-        acc[idx] += w * (slope - mem.slopes[i]) * val
-        wsum += w
-        if problem.mu:
-            acc += problem.mu * w * (x - mem.anchors[i])
-    return acc + mem.g
+    block, rows, w = _weighted_block(problem, p, subset)
+    c = w * (row_slopes(problem, block, x) - mem.slopes[rows])
+    v = block.scatter(c, problem.dataset.d) + mem.g
+    if problem.mu:
+        v += problem.mu * np.sum(w[:, None] * (x - mem.anchors[rows]), axis=0)
+    return v
 
 
 def saga_refresh(problem: Problem, mem: SagaMemory, x: np.ndarray, refresh) -> None:
     """Move anchors j in ``refresh`` to x and update the running average."""
     ds = problem.dataset
-    n = ds.n
-    for j in refresh:
-        j = int(j)
-        idx, val = ds.rows[j]
-        z_new = float(val @ x[idx])
-        slope_new = _scalar_slope(problem.loss, z_new, float(ds.labels[j]))
-        mem.g[idx] += (slope_new - mem.slopes[j]) * val / n
-        if problem.mu:
-            mem.g += problem.mu * (x - mem.anchors[j]) / n
-            mem.anchors[j] = x
-        mem.z[j] = z_new
-        mem.slopes[j] = slope_new
+    rows = np.asarray(refresh, dtype=np.int64)
+    block = ds.block(rows)
+    slopes = row_slopes(problem, block, x)
+    mem.g += block.scatter(slopes - mem.slopes[rows], ds.d) / ds.n
+    if problem.mu:
+        mem.g += problem.mu * np.sum(x - mem.anchors[rows], axis=0) / ds.n
+        mem.anchors[rows] = x
+    mem.slopes[rows] = slopes
 
 
 def saga_recompute_average(problem: Problem, mem: SagaMemory) -> np.ndarray:
-    """Average of the anchor gradients from scratch (Kahan, index-ascending)."""
+    """Average of the anchor gradients from scratch, each coordinate summed
+    over the rows in index order by ``np.bincount`` as in ``full_gradient``
+    (fixed order, no compensation)."""
     ds = problem.dataset
-    s = np.zeros(ds.d)
-    c = np.zeros(ds.d)
-    for j in range(ds.n):
-        idx, val = ds.rows[j]
-        g = np.zeros(ds.d)
-        g[idx] = mem.slopes[j] * val
-        if problem.mu:
-            g += problem.mu * mem.anchors[j]
-        yc = g - c
-        t = s + yc
-        c = (t - s) - yc
-        s = t
-    return s / ds.n
+    g = ds.block().scatter(mem.slopes, ds.d) / ds.n
+    if problem.mu:
+        g += problem.mu * mem.anchors.sum(axis=0) / ds.n
+    return g
 
 
 def sarah_increment(
     problem: Problem, p: np.ndarray, x: np.ndarray, x_prev: np.ndarray, subset
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(x_prev)) / (n p_i)."""
-    ds = problem.dataset
-    n = ds.n
-    acc = np.zeros(ds.d)
-    wsum = 0.0
-    for i in subset:
-        i = int(i)
-        idx, val = ds.rows[i]
-        xi = x[idx]
-        xp = x_prev[idx]
-        y = float(ds.labels[i])
-        slope = _scalar_slope(problem.loss, float(val @ xi), y)
-        slope_prev = _scalar_slope(problem.loss, float(val @ xp), y)
-        w = 1.0 / (n * p[i])
-        acc[idx] += w * (slope - slope_prev) * val
-        wsum += w
+    block, _, w = _weighted_block(problem, p, subset)
+    c = w * (row_slopes(problem, block, x) - row_slopes(problem, block, x_prev))
+    v = block.scatter(c, problem.dataset.d)
     if problem.mu:
-        acc += problem.mu * wsum * (x - x_prev)
-    return acc
+        v += problem.mu * w.sum() * (x - x_prev)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -552,17 +487,16 @@ def run_gd_wrapper(
     if scheme is None or scheme.n != problem.dataset.n:
         raise ConfigError("config.scheme must match the problem size")
     n = problem.dataset.n
-    t0 = time.perf_counter_ns()
+    rec = _Recorder(problem)  # holds the per-restart rows only
     evals = 0
-    rows = []
     gaps = []
 
     def note(xk):
         f = loss_value(problem, xk)
         problem.note_value(f)
         g = full_gradient(problem, xk)
-        rows.append(
-            (evals / n, f, float(g @ g), evals, time.perf_counter_ns() - t0)
+        rec.rows.append(
+            (evals / n, f, float(g @ g), evals, time.perf_counter_ns() - rec.t0)
         )
         best = problem.best_f_seen if math.isfinite(problem.best_f_seen) else 0.0
         gaps.append(f - best)
@@ -580,17 +514,7 @@ def run_gd_wrapper(
         x = t.x_a
         evals += t.total_sgrad_evals
         note(x)
-    cols = list(zip(*rows))
-    trace = RunTrace(
-        epoch=np.array(cols[0]),
-        loss=np.array(cols[1]),
-        grad_norm_sq=np.array(cols[2]),
-        sgrad_evals=np.array(cols[3], dtype=np.int64),
-        wall_ns=np.array(cols[4], dtype=np.int64),
-        x_a=x,
-        total_sgrad_evals=evals,
-    )
-    return trace, np.array(gaps)
+    return rec.trace(x, evals), np.array(gaps)
 
 
 def _wrapper_inner_config(
@@ -649,6 +573,24 @@ def _budget_outer(total_evals: float, per_outer: float) -> int:
     return max(1, int(total_evals // per_outer))
 
 
+def _theorem_constants(problem: Problem, scheme: SamplingScheme) -> tuple:
+    """(alpha, Lbar, b) after checking the anchored and memory theorems'
+    preconditions: alpha > 0 and b <= alpha n^(2/3)."""
+    cc = compute_alpha(problem.L, scheme)
+    if cc.alpha <= 0.0:
+        raise ConfigError(
+            "sampling has zero variance constant (full batch); "
+            "the theorem step size is undefined"
+        )
+    bound = cc.alpha * problem.dataset.n ** (2.0 / 3.0)
+    if scheme.b > bound * (1.0 + 1e-12):
+        raise ConfigError(
+            f"minibatch size b = {scheme.b:g} violates the precondition "
+            f"b <= alpha n^(2/3) = {bound:g}"
+        )
+    return cc.alpha, cc.Lbar, scheme.b
+
+
 def derive_svrg_config(
     problem: Problem,
     scheme: SamplingScheme,
@@ -662,19 +604,7 @@ def derive_svrg_config(
     m = floor(n alpha / (3 b mu2)); the outer count comes from an explicit
     epochs budget or from the eps target via predict_complexity."""
     n = problem.dataset.n
-    cc = compute_alpha(problem.L, scheme)
-    alpha, Lbar, b = cc.alpha, cc.Lbar, scheme.b
-    if alpha <= 0.0:
-        raise ConfigError(
-            "sampling has zero variance constant (full batch); "
-            "the theorem step size is undefined"
-        )
-    bound = alpha * n ** (2.0 / 3.0)
-    if b > bound * (1.0 + 1e-12):
-        raise ConfigError(
-            f"minibatch size b = {b:g} violates the precondition "
-            f"b <= alpha n^(2/3) = {bound:g}"
-        )
+    alpha, Lbar, b = _theorem_constants(problem, scheme)
     eta = MU2 * b / (alpha * Lbar * n ** (2.0 / 3.0))
     if m is None:
         m = math.floor(n * alpha / (3.0 * b * MU2))
@@ -699,7 +629,6 @@ def derive_svrg_config(
         outer=outer,
         seed=seed,
         epsilon=epsilon,
-        beta=Lbar / n ** (1.0 / 3.0),
         checkpoint_epochs=checkpoint_epochs,
     )
 
@@ -715,19 +644,7 @@ def derive_saga_config(
     """Step size eta = b / (3 alpha Lbar n^(2/3)) and refresh size d = b/alpha,
     d clipped into (0, n]."""
     n = problem.dataset.n
-    cc = compute_alpha(problem.L, scheme)
-    alpha, Lbar, b = cc.alpha, cc.Lbar, scheme.b
-    if alpha <= 0.0:
-        raise ConfigError(
-            "sampling has zero variance constant (full batch); "
-            "the theorem step size is undefined"
-        )
-    bound = alpha * n ** (2.0 / 3.0)
-    if b > bound * (1.0 + 1e-12):
-        raise ConfigError(
-            f"minibatch size b = {b:g} violates the precondition "
-            f"b <= alpha n^(2/3) = {bound:g}"
-        )
+    alpha, Lbar, b = _theorem_constants(problem, scheme)
     eta = b / (3.0 * alpha * Lbar * n ** (2.0 / 3.0))
     d_refresh = min(b / alpha, float(n))
     per_step = b + d_refresh
@@ -748,9 +665,6 @@ def derive_saga_config(
         d_refresh=d_refresh,
         seed=seed,
         epsilon=epsilon,
-        mu2=MU3,
-        nu2=NU3,
-        beta=Lbar / n ** (1.0 / 3.0),
         checkpoint_epochs=checkpoint_epochs,
     )
 

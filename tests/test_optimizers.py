@@ -215,6 +215,90 @@ class TestEstimatorsByEnumeration:
             assert second <= bound + 1e-12
 
 
+def sparse_problem(loss=LossKind.SIGMOID_SQUARED, mu=0.0):
+    # row 2 is all-zero; the others have differing supports
+    rows = [
+        (np.array([0, 2]), np.array([1.2, -0.7])),
+        (np.array([1, 3]), np.array([0.4, 2.1])),
+        (np.array([], dtype=int), np.array([])),
+        (np.array([0, 1, 2, 3]), np.array([-0.3, 0.9, 0.5, -1.1])),
+        (np.array([3]), np.array([1.6])),
+        (np.array([1, 2]), np.array([-2.0, 0.8])),
+    ]
+    return build_problem(make_dataset(rows, [1, -1, 1, -1, 1, 1], d=4), loss, mu)
+
+
+def row_gradient_mean(prob, points):
+    """(1/n) sum_j grad f_j(points[j]), one component at a time."""
+    n = prob.dataset.n
+    return sum(component_gradient(prob, j, points[j]) for j in range(n)) / n
+
+
+def weighted_row_difference(prob, p, subset, x, others):
+    """sum_{i in S} (grad f_i(x) - grad f_i(others[i])) / (n p_i)."""
+    n, d = prob.dataset.n, prob.dataset.d
+    out = np.zeros(d)
+    for i in subset:
+        out += (component_gradient(prob, i, x) - component_gradient(prob, i, others[i])) / (
+            n * p[i]
+        )
+    return out
+
+
+class TestEstimatorsAgainstRowReference:
+    # empty subsets, an all-zero row, the dense mu*x terms of the quadratic
+    SUBSETS = ([], [2], [0, 2, 5], [1, 3, 4], [0, 1, 2, 3, 4, 5])
+    CASES = (
+        (LossKind.SIGMOID_SQUARED, 0.0),
+        (LossKind.QUADRATIC, 0.0),
+        (LossKind.QUADRATIC, 0.6),
+    )
+
+    def setup_state(self, loss, mu, seed):
+        prob = sparse_problem(loss, mu)
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.2, 1.0, size=6)
+        x, anchor, x_prev = (rng.standard_normal(4) for _ in range(3))
+        return prob, p, x, anchor, x_prev
+
+    def test_svrg_direction(self):
+        for k, (loss, mu) in enumerate(self.CASES):
+            prob, p, x, anchor, _ = self.setup_state(loss, mu, k)
+            snap = take_snapshot(prob, anchor)
+            anchors = [anchor] * 6
+            g = row_gradient_mean(prob, anchors)
+            for subset in self.SUBSETS:
+                ref = weighted_row_difference(prob, p, subset, x, anchors) + g
+                v = svrg_direction(prob, p, x, snap, subset)
+                assert np.max(np.abs(v - ref)) <= 1e-12
+
+    def test_sarah_increment(self):
+        for k, (loss, mu) in enumerate(self.CASES):
+            prob, p, x, _, x_prev = self.setup_state(loss, mu, 10 + k)
+            for subset in self.SUBSETS:
+                ref = weighted_row_difference(prob, p, subset, x, [x_prev] * 6)
+                v = sarah_increment(prob, p, x, x_prev, subset)
+                assert v.dtype == float
+                assert np.max(np.abs(v - ref)) <= 1e-12
+
+    def test_saga_refresh_and_direction(self):
+        for k, (loss, mu) in enumerate(self.CASES):
+            prob, p, x, anchor, x_prev = self.setup_state(loss, mu, 20 + k)
+            mem = init_saga_memory(prob, anchor)
+            anchors = [anchor] * 6
+            for refresh, point in (([], x_prev), ([2, 4], x_prev), ([0, 2, 3], x), ([], x)):
+                saga_refresh(prob, mem, point, refresh)
+                for j in refresh:
+                    anchors[j] = point
+                g = row_gradient_mean(prob, anchors)
+                assert np.max(np.abs(mem.g - g)) <= 1e-12
+                assert np.max(np.abs(saga_recompute_average(prob, mem) - g)) <= 1e-12
+                for subset in self.SUBSETS:
+                    ref = weighted_row_difference(prob, p, subset, x, anchors) + g
+                    v = saga_direction(prob, p, x, mem, subset)
+                    assert np.max(np.abs(v - ref)) <= 1e-12
+
+
 class TestRunSvrg:
     def test_stationary_start_stays_put(self):
         row = (np.array([0, 1]), np.array([1.0, 2.0]))

@@ -5,6 +5,7 @@ from .sampling import (
     SamplingKind,
     SamplingScheme,
     approximate_independent,
+    bernoulli_subset,
     compute_alpha,
     compute_v,
     draw,

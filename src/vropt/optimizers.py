@@ -22,6 +22,8 @@ import numpy as np
 
 from .problems import (
     Problem,
+    RowBlock,
+    _loss_slopes,
     full_gradient,
     loss_value,
     row_slopes,
@@ -34,6 +36,10 @@ NU2 = 1.0 / 40.0  # rate constant of the anchored method's theorem
 NU3 = 1.0 / 12.0  # rate constant of the memory method's theorem
 
 DIVERGENCE_LIMIT = 1e100
+
+# The runners draw steps ahead and gather their rows at once, in chunks of
+# about this many stored entries (see ``_lookahead``).
+LOOKAHEAD_ENTRIES = 1 << 13
 
 
 class Method(enum.Enum):
@@ -149,7 +155,7 @@ class _Recorder:
         self.next_at = (evals // self.stride + 1) * self.stride
 
     def guard(self, x: np.ndarray, evals: int) -> None:
-        m = float(np.max(np.abs(x))) if x.size else 0.0
+        m = float(max(x.max(), -x.min())) if x.size else 0.0  # NaN if x has one
         if not math.isfinite(m) or m > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"iterate diverged at {evals} evaluations",
@@ -172,7 +178,9 @@ class _Recorder:
 
 # ---------------------------------------------------------------------------
 # gradient estimators (pure functions of the current state, used both by the
-# runners and by the enumeration-based verification suite)
+# runners and by the enumeration-based verification suite).  The runners pass
+# the rows of ``subset`` already gathered as ``block``; without it they are
+# gathered here.
 
 
 @dataclass
@@ -185,10 +193,16 @@ class SvrgSnapshot:
     g: np.ndarray
 
 
-def _weighted_block(problem: Problem, p: np.ndarray, subset):
-    """The rows of ``subset``, their indices and importance weights 1/(n p_i)."""
+def _gathered(problem: Problem, subset, block: RowBlock | None):
+    """The indices of ``subset`` and their rows (``block`` if given)."""
     rows = np.asarray(subset, dtype=np.int64)
-    return problem.dataset.block(rows), rows, 1.0 / (problem.dataset.n * p[rows])
+    return (problem.dataset.block(rows) if block is None else block), rows
+
+
+def _weighted_block(problem: Problem, p: np.ndarray, subset, block: RowBlock | None):
+    """The rows of ``subset``, their indices and importance weights 1/(n p_i)."""
+    block, rows = _gathered(problem, subset, block)
+    return block, rows, 1.0 / (problem.dataset.n * p[rows])
 
 
 def take_snapshot(problem: Problem, x: np.ndarray) -> SvrgSnapshot:
@@ -196,10 +210,11 @@ def take_snapshot(problem: Problem, x: np.ndarray) -> SvrgSnapshot:
 
 
 def svrg_direction(
-    problem: Problem, p: np.ndarray, x: np.ndarray, snap: SvrgSnapshot, subset
+    problem: Problem, p: np.ndarray, x: np.ndarray, snap: SvrgSnapshot, subset,
+    *, block: RowBlock | None = None,
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(anchor)) / (n p_i) + g."""
-    block, rows, w = _weighted_block(problem, p, subset)
+    block, rows, w = _weighted_block(problem, p, subset, block)
     c = w * (row_slopes(problem, block, x) - snap.slopes[rows])
     v = block.scatter(c, problem.dataset.d) + snap.g
     if problem.mu:
@@ -225,10 +240,11 @@ def init_saga_memory(problem: Problem, x: np.ndarray) -> SagaMemory:
 
 
 def saga_direction(
-    problem: Problem, p: np.ndarray, x: np.ndarray, mem: SagaMemory, subset
+    problem: Problem, p: np.ndarray, x: np.ndarray, mem: SagaMemory, subset,
+    *, block: RowBlock | None = None,
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(anchor_i)) / (n p_i) + g."""
-    block, rows, w = _weighted_block(problem, p, subset)
+    block, rows, w = _weighted_block(problem, p, subset, block)
     c = w * (row_slopes(problem, block, x) - mem.slopes[rows])
     v = block.scatter(c, problem.dataset.d) + mem.g
     if problem.mu:
@@ -236,11 +252,13 @@ def saga_direction(
     return v
 
 
-def saga_refresh(problem: Problem, mem: SagaMemory, x: np.ndarray, refresh) -> None:
+def saga_refresh(
+    problem: Problem, mem: SagaMemory, x: np.ndarray, refresh,
+    *, block: RowBlock | None = None,
+) -> None:
     """Move anchors j in ``refresh`` to x and update the running average."""
     ds = problem.dataset
-    rows = np.asarray(refresh, dtype=np.int64)
-    block = ds.block(rows)
+    block, rows = _gathered(problem, refresh, block)
     slopes = row_slopes(problem, block, x)
     mem.g += block.scatter(slopes - mem.slopes[rows], ds.d) / ds.n
     if problem.mu:
@@ -261,11 +279,15 @@ def saga_recompute_average(problem: Problem, mem: SagaMemory) -> np.ndarray:
 
 
 def sarah_increment(
-    problem: Problem, p: np.ndarray, x: np.ndarray, x_prev: np.ndarray, subset
+    problem: Problem, p: np.ndarray, x: np.ndarray, x_prev: np.ndarray, subset,
+    *, block: RowBlock | None = None,
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(x_prev)) / (n p_i)."""
-    block, _, w = _weighted_block(problem, p, subset)
-    c = w * (row_slopes(problem, block, x) - row_slopes(problem, block, x_prev))
+    block, _, w = _weighted_block(problem, p, subset, block)
+    # the margins at both points as one (2, |S|) array, so one slope pass
+    z = np.concatenate((block.margins(x), block.margins(x_prev))).reshape(2, -1)
+    s = _loss_slopes(problem.loss, z, block.labels)
+    c = w * (s[0] - s[1])
     v = block.scatter(c, problem.dataset.d)
     if problem.mu:
         v += problem.mu * w.sum() * (x - x_prev)
@@ -274,6 +296,32 @@ def sarah_increment(
 
 # ---------------------------------------------------------------------------
 # runners
+
+
+def _chunk_steps(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> int:
+    """Steps per look-ahead chunk: LOOKAHEAD_ENTRIES over the expected stored
+    entries of one step's rows (its minibatch, plus each row with probability
+    ``refresh_prob`` for a refresh set)."""
+    per_step = float((p + refresh_prob) @ np.diff(problem.dataset.indptr))
+    return max(1, int(LOOKAHEAD_ENTRIES // max(per_step, 1.0)))
+
+
+def _lookahead(problem: Problem, steps: int, chunk: int, draw_step):
+    """Yield, for each of ``steps`` steps, the tuple of row-index arrays that
+    ``draw_step()`` returns and a list of their gathered rows, in that order.
+
+    The steps are drawn in order, ``chunk`` at a time, and each chunk's rows
+    are gathered by one ``Dataset.block`` call and split into per-array
+    views.  No draw depends on the iterate, so the random streams, and hence
+    the runs, are the same as when every step draws and gathers its own."""
+    for start in range(0, steps, chunk):
+        drawn = [draw_step() for _ in range(min(chunk, steps - start))]
+        sets = [s for step in drawn for s in step]
+        views = problem.dataset.block(np.concatenate(sets)).split([s.size for s in sets])
+        k = 0
+        for step in drawn:
+            yield step, views[k:k + len(step)]
+            k += len(step)
 
 
 def _start_iterate(problem: Problem, x0) -> np.ndarray:
@@ -307,14 +355,15 @@ def run_svrg(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     rec.record(0, x)
     res.offer(x)
     p = scheme.p
+    chunk = _chunk_steps(problem, p)
     evals = 0
     for _ in range(config.outer):
         snap = take_snapshot(problem, x)
         evals += n
         rec.maybe(evals, x)
-        for _ in range(config.m):
-            subset = draw(scheme, rng_draw)
-            v = svrg_direction(problem, p, x, snap, subset)
+        steps = _lookahead(problem, config.m, chunk, lambda: (draw(scheme, rng_draw),))
+        for (subset,), (block,) in steps:
+            v = svrg_direction(problem, p, x, snap, subset, block=block)
             x = x - config.eta * v
             evals += subset.size
             res.offer(x)
@@ -343,13 +392,19 @@ def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     rec.maybe(evals, x)
     p = scheme.p
     refresh_prob = min(1.0, config.d_refresh / n)
-    for t in range(config.steps):
+
+    def draw_step():
         subset = draw(scheme, rng_draw)
-        refresh = bernoulli_subset(n, refresh_prob, rng_draw)
-        v = saga_direction(problem, p, x, mem, subset)
+        return subset, bernoulli_subset(n, refresh_prob, rng_draw)
+
+    chunk = _chunk_steps(problem, p, refresh_prob)
+    steps = _lookahead(problem, config.steps, chunk, draw_step)
+    for t, ((subset, refresh), (block, refresh_block)) in enumerate(steps):
+        v = saga_direction(problem, p, x, mem, subset, block=block)
         x_prev = x
         x = x - config.eta * v
-        saga_refresh(problem, mem, x_prev, refresh)  # anchors move to the pre-step iterate
+        # anchors move to the pre-step iterate
+        saga_refresh(problem, mem, x_prev, refresh, block=refresh_block)
         evals += subset.size + refresh.size
         if (t + 1) % n == 0:
             mem.g = saga_recompute_average(problem, mem)
@@ -372,6 +427,7 @@ def run_sarah(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     rec = _Recorder(problem, config.checkpoint_epochs)
     rec.record(0, x)
     p = scheme.p
+    chunk = _chunk_steps(problem, p)
     evals = 0
     for _ in range(config.outer):
         inner = _Reservoir(rng_out)
@@ -383,9 +439,9 @@ def run_sarah(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
         inner.offer(x)
         rec.guard(x, evals)
         rec.maybe(evals, x)
-        for _ in range(1, config.m):
-            subset = draw(scheme, rng_draw)
-            v = v + sarah_increment(problem, p, x, x_prev, subset)
+        steps = _lookahead(problem, config.m - 1, chunk, lambda: (draw(scheme, rng_draw),))
+        for (subset,), (block,) in steps:
+            v = v + sarah_increment(problem, p, x, x_prev, subset, block=block)
             x_prev = x
             x = x - config.eta * v
             evals += 2 * subset.size
@@ -407,6 +463,10 @@ def _sarah_convex_once(
     rec: _Recorder | None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     n = problem.dataset.n
+    # rng.choice(n, p=p_cat)'s pick, without re-checking p and rebuilding
+    # the cdf on every step
+    cdf = np.cumsum(p_cat)
+    cdf /= cdf[-1]
     x = x0.copy()
     if rec is not None:
         rec.record(0, x)
@@ -420,7 +480,7 @@ def _sarah_convex_once(
         rec.guard(x, evals)
         rec.maybe(evals, x)
     for t in range(1, m):
-        i = int(rng.choice(n, p=p_cat))
+        i = int(cdf.searchsorted(rng.random(), side="right"))
         v = v + sarah_increment(problem, p_cat, x, x_prev, [i])
         vnorms[t] = float(v @ v)
         x_prev = x

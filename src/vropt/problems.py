@@ -90,6 +90,22 @@ class RowBlock:
         g = np.bincount(self.cols, weights=terms, minlength=d)
         return g.astype(float, copy=False)
 
+    def split(self, sizes) -> list["RowBlock"]:
+        """Consecutive sub-blocks of ``sizes[k]`` rows each, as views into
+        this block's arrays with sub-block-local row numbers; each equals
+        ``Dataset.block`` of its own rows."""
+        bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        # first entry of each sub-block (owner never decreases; rows may be empty)
+        starts = np.searchsorted(self.owner, bounds)
+        owner = self.owner - np.repeat(bounds[:-1], np.diff(starts))
+        rb, eb = bounds.tolist(), starts.tolist()
+        return [
+            RowBlock(r1 - r0, owner[e0:e1], self.cols[e0:e1], self.vals[e0:e1],
+                     self.labels[r0:r1])
+            for r0, r1, e0, e1 in zip(rb, rb[1:], eb, eb[1:])
+        ]
+
 
 @dataclass
 class Problem:
@@ -181,26 +197,32 @@ def synthesize(n: int, d: int, skew: float, seed: int) -> Dataset:
     return csr_dataset(indptr, np.tile(np.arange(d), n), A.ravel(), labels, d)
 
 
-def stable_sigmoid(z):
-    """Overflow-safe logistic function: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below."""
-    z = np.asarray(z, dtype=float)
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Overflow-safe logistic function of a float array: 1/(1+e^-z) for
+    z >= 0, e^z/(1+e^z) below."""
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def stable_sigmoid(z):
+    """The logistic function of a scalar or array (see ``_sigmoid``)."""
+    out = _sigmoid(np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
 
 
 def _loss_terms(loss: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row losses l(z_i; y_i) at the margins z_i = a_i . x."""
     if loss is LossKind.SIGMOID_SQUARED:
-        r = 1.0 - y * stable_sigmoid(z)
+        r = 1.0 - y * _sigmoid(z)
         return r * r
     return 0.5 * (z - y) ** 2
 
 
 def _loss_slopes(loss: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row derivatives dl/dz at the margins z_i = a_i . x."""
+    """Per-row derivatives dl/dz at the margins z_i = a_i . x (``z`` may
+    stack several points' margins along a leading axis; ``y`` broadcasts)."""
     if loss is LossKind.SIGMOID_SQUARED:
-        s = stable_sigmoid(z)
+        s = _sigmoid(z)
         return -2.0 * y * s * (1.0 - s) * (1.0 - y * s)
     return z - y
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vropt import optimizers
 from vropt.bruteforce import enumerate_law
 from vropt.optimizers import (
     ConfigError,
@@ -29,11 +30,13 @@ from vropt.optimizers import (
 )
 from vropt.problems import (
     LossKind,
+    _loss_slopes,
     build_problem,
     component_gradient,
     full_gradient,
     loss_value,
     make_dataset,
+    row_slopes,
     synthesize,
 )
 from vropt.sampling import (
@@ -299,6 +302,28 @@ class TestEstimatorsAgainstRowReference:
                     v = saga_direction(prob, p, x, mem, subset)
                     assert np.max(np.abs(v - ref)) <= 1e-12
 
+    def test_sarah_one_slope_pass_is_bit_equal_to_two(self):
+        # the (2, |S|) margins of x and x_prev go through one slope pass;
+        # margins of +-800 and 0 reach both sigmoid branches and saturation
+        for k, (loss, mu) in enumerate(self.CASES):
+            prob, p, x, _, x_prev = self.setup_state(loss, mu, 30 + k)
+            ds = prob.dataset
+            for a, b in ((x, x_prev), (800.0 * x, -800.0 * x), (0.0 * x, x)):
+                for subset in self.SUBSETS:
+                    block = ds.block(subset)
+                    z = np.concatenate((block.margins(a), block.margins(b)))
+                    one = _loss_slopes(loss, z.reshape(2, -1), block.labels)
+                    two = (row_slopes(prob, block, a), row_slopes(prob, block, b))
+                    assert np.array_equal(one, np.array(two).reshape(2, -1))
+                    w = 1.0 / (ds.n * p[np.asarray(subset, dtype=np.int64)])
+                    ref = block.scatter(w * (two[0] - two[1]), ds.d)
+                    if mu:
+                        ref += mu * w.sum() * (a - b)
+                    assert np.array_equal(sarah_increment(prob, p, a, b, subset), ref)
+                    assert np.array_equal(
+                        sarah_increment(prob, p, a, b, subset, block=block), ref
+                    )
+
 
 class TestRunSvrg:
     def test_stationary_start_stays_put(self):
@@ -377,6 +402,15 @@ class TestRunSvrg:
         with pytest.raises(DivergenceError) as err:
             run_svrg(prob, cfg)
         assert err.value.trace.epoch.size >= 1
+
+    def test_guard_rejects_nan_inf_and_huge_entries(self):
+        rec = optimizers._Recorder(small_problem(n=6, d=3, seed=11))
+        for bad in (np.nan, np.inf, -np.inf, 2e100, -2e100):
+            x = np.array([0.5, bad, -1.0])
+            with pytest.raises(DivergenceError):
+                rec.guard(x, 0)
+        rec.guard(np.array([1e100, -1e100, 0.0]), 0)
+        rec.guard(np.array([-np.inf, np.nan])[:0], 0)
 
     def test_divergence_guard_other_methods(self):
         prob = small_problem(n=6, d=3, seed=11, loss=LossKind.QUADRATIC)
@@ -524,7 +558,221 @@ class TestRunSarah:
         assert np.array_equal(a.x_a, b.x_a)
 
 
+def empty_row_problem(loss=LossKind.SIGMOID_SQUARED, mu=0.0, n=30, d=6, seed=0):
+    # random sparse rows; every fifth row is empty
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        idx = np.sort(rng.choice(d, size=0 if i % 5 == 2 else int(rng.integers(1, d)),
+                                 replace=False))
+        rows.append((idx, rng.standard_normal(idx.size)))
+    labels = rng.integers(0, 2, size=n) * 2 - 1
+    return build_problem(make_dataset(rows, labels, d=d), loss, mu)
+
+
+def direct_run(method, prob, cfg, sizes):
+    """The runners' arithmetic one step at a time, without look-ahead: each
+    step draws its own sets, and each estimator gathers its own rows.  Every
+    drawn set's size is appended to ``sizes``."""
+    n, eta = prob.dataset.n, cfg.eta
+    scheme, p = cfg.scheme, cfg.scheme.p
+    s_draw, s_out = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng_draw = np.random.default_rng(s_draw)
+    rng_out = np.random.default_rng(s_out)
+    rec = optimizers._Recorder(prob, cfg.checkpoint_epochs)
+    x = np.zeros(prob.dataset.d)
+    rec.record(0, x)
+    evals = 0
+
+    def drawn(rows):
+        sizes.append(rows.size)
+        return rows
+
+    if method == "svrg":
+        res = optimizers._Reservoir(rng_out)
+        res.offer(x)
+        for _ in range(cfg.outer):
+            snap = take_snapshot(prob, x)
+            evals += n
+            rec.maybe(evals, x)
+            for _ in range(cfg.m):
+                subset = drawn(draw(scheme, rng_draw))
+                x = x - eta * svrg_direction(prob, p, x, snap, subset)
+                evals += subset.size
+                res.offer(x)
+                rec.guard(x, evals)
+                rec.maybe(evals, x)
+        rec.record(evals, x)
+        return rec.trace(res.pick(), evals)
+    if method == "saga":
+        res = optimizers._Reservoir(rng_out)
+        res.offer(x)
+        mem = init_saga_memory(prob, x)
+        evals = n
+        rec.maybe(evals, x)
+        q = min(1.0, cfg.d_refresh / n)
+        for t in range(cfg.steps):
+            subset = drawn(draw(scheme, rng_draw))
+            refresh = drawn(bernoulli_subset(n, q, rng_draw))
+            v = saga_direction(prob, p, x, mem, subset)
+            x_prev = x
+            x = x - eta * v
+            saga_refresh(prob, mem, x_prev, refresh)
+            evals += subset.size + refresh.size
+            if (t + 1) % n == 0:
+                mem.g = saga_recompute_average(prob, mem)
+            res.offer(x)
+            rec.guard(x, evals)
+            rec.maybe(evals, x)
+        rec.record(evals, x)
+        return rec.trace(res.pick(), evals)
+    for _ in range(cfg.outer):
+        inner = optimizers._Reservoir(rng_out)
+        inner.offer(x)
+        v = full_gradient(prob, x)
+        evals += n
+        x_prev = x
+        x = x - eta * v
+        inner.offer(x)
+        rec.guard(x, evals)
+        rec.maybe(evals, x)
+        for _ in range(1, cfg.m):
+            subset = drawn(draw(scheme, rng_draw))
+            v = v + sarah_increment(prob, p, x, x_prev, subset)
+            x_prev = x
+            x = x - eta * v
+            evals += 2 * subset.size
+            inner.offer(x)
+            rec.guard(x, evals)
+            rec.maybe(evals, x)
+        x = inner.pick()
+    rec.record(evals, x)
+    return rec.trace(x, evals)
+
+
+def assert_same_trace(a, b):
+    for field in ("epoch", "loss", "grad_norm_sq", "sgrad_evals"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert np.array_equal(a.x_a, b.x_a, equal_nan=True)  # NaN after divergence
+    assert a.total_sgrad_evals == b.total_sgrad_evals
+
+
+def lookahead_config(method, scheme, eta=0.3, d_refresh=0.5):
+    # inner lengths and step counts are prime, so no chunk of 2-6 steps
+    # divides them
+    if method == "saga":
+        return RunConfig(Method.SAGA, scheme, eta=eta, steps=97, d_refresh=d_refresh,
+                         seed=13, checkpoint_epochs=0.4)
+    kind = Method.SVRG if method == "svrg" else Method.SARAH
+    return RunConfig(kind, scheme, eta=eta, m=23, outer=3, seed=13, checkpoint_epochs=0.4)
+
+
+class TestLookahead:
+    RUNNERS = {"svrg": run_svrg, "saga": run_saga, "sarah": run_sarah}
+
+    def set_chunk(self, monkeypatch, prob, cfg, steps):
+        """Patch LOOKAHEAD_ENTRIES so that a run's chunks hold ``steps`` steps."""
+        q = min(1.0, cfg.d_refresh / prob.dataset.n) if cfg.method is Method.SAGA else 0.0
+        per_step = float((cfg.scheme.p + q) @ np.diff(prob.dataset.indptr))
+        monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", steps * per_step + 1e-9)
+        assert optimizers._chunk_steps(prob, cfg.scheme.p, q) == steps
+
+    @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
+    @pytest.mark.parametrize("kind", ["uniform", "importance", "approx"])
+    def test_runner_matches_direct_loop(self, method, kind):
+        prob = small_problem(n=40, d=5, seed=41)
+        cfg = lookahead_config(method, scheme_zoo(prob, b=3.0)[kind], eta=0.2)
+        assert_same_trace(self.RUNNERS[method](prob, cfg), direct_run(method, prob, cfg, []))
+
+    @pytest.mark.parametrize("chunk", [1, 4, 6])
+    @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
+    @pytest.mark.parametrize("kind", ["uniform", "importance", "approx"])
+    def test_small_chunks_with_empty_sets_and_rows(self, monkeypatch, chunk, method, kind):
+        prob = empty_row_problem()
+        cfg = lookahead_config(method, scheme_zoo(prob, b=1.0)[kind])
+        self.set_chunk(monkeypatch, prob, cfg, chunk)
+        sizes = []
+        ref = direct_run(method, prob, cfg, sizes)
+        assert_same_trace(self.RUNNERS[method](prob, cfg), ref)
+        if kind == "importance" or method == "saga":
+            assert 0 in sizes  # empty subsets (or refresh sets) were drawn
+
+    @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
+    def test_divergence_mid_chunk_keeps_partial_trace(self, monkeypatch, method):
+        prob = empty_row_problem(LossKind.QUADRATIC, n=20, seed=3)
+        cfg = lookahead_config(method, uniform_minibatch(20, 2), eta=40.0, d_refresh=2.0)
+        self.set_chunk(monkeypatch, prob, cfg, 4)
+        sizes = []
+        with pytest.raises(DivergenceError) as ref:
+            direct_run(method, prob, cfg, sizes)
+        taken = len(sizes) // 2 if method == "saga" else len(sizes)
+        calls = []
+
+        def counted_draw(scheme, rng):
+            calls.append(1)
+            return draw(scheme, rng)
+
+        monkeypatch.setattr(optimizers, "draw", counted_draw)
+        with pytest.raises(DivergenceError) as got:
+            self.RUNNERS[method](prob, cfg)
+        # diverged before the end of a chunk: steps were drawn and not taken
+        assert len(calls) > taken
+        assert str(got.value) == str(ref.value)
+        assert_same_trace(got.value.trace, ref.value.trace)
+
+    def test_views_equal_block_of_each_step(self):
+        prob = empty_row_problem()
+        ds = prob.dataset
+        script = iter([
+            (np.array([0, 2, 7]), np.array([], dtype=np.int64)),
+            (np.array([], dtype=np.int64), np.array([2, 12, 29])),
+            (np.array([2]), np.array([1, 3])),
+            (np.arange(30), np.array([7])),
+            (np.array([29]), np.array([0])),
+        ])
+        steps = list(optimizers._lookahead(prob, 5, 2, lambda: next(script)))
+        assert len(steps) == 5
+        for sets, views in steps:
+            assert len(sets) == len(views) == 2
+            for rows, view in zip(sets, views):
+                want = ds.block(rows)
+                assert view.size == want.size == rows.size
+                for field in ("owner", "cols", "vals", "labels"):
+                    got, ref = getattr(view, field), getattr(want, field)
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref), field
+
+
 class TestSarahConvex:
+    def test_picks_match_rng_choice(self):
+        # the runner picks from a cdf built once; rng.choice(n, p=p_cat) on
+        # the same stream must give the same components and so the same run
+        prob = small_problem(n=40, d=3, seed=42, loss=LossKind.QUADRATIC, mu=0.5, skew=50.0)
+        n = prob.dataset.n
+        p_cat = prob.L / prob.L.sum()
+        cfg = derive_sarah_convex_config(prob, m=300, replicates=2, seed=6)
+        trace, vn = run_sarah_convex(prob, cfg)
+        vnorms = []
+        for child in np.random.SeedSequence(6).spawn(2):
+            rng = np.random.default_rng(child)
+            x = np.zeros(3)
+            v = full_gradient(prob, x)
+            norms = [float(v @ v)]
+            x_prev, x = x, x - cfg.eta * v
+            for _ in range(1, cfg.m):
+                i = int(rng.choice(n, p=p_cat))
+                v = v + sarah_increment(prob, p_cat, x, x_prev, [i])
+                norms.append(float(v @ v))
+                x_prev, x = x, x - cfg.eta * v
+            vnorms.append(norms)
+        assert np.array_equal(vn, np.mean(vnorms, axis=0))
+        assert np.array_equal(trace.x_a, x)
+        # and pick by pick, from one seed
+        cdf = np.cumsum(p_cat)
+        cdf /= cdf[-1]
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        picks = [int(cdf.searchsorted(a.random(), side="right")) for _ in range(20_000)]
+        assert picks == [int(b.choice(n, p=p_cat)) for _ in range(20_000)]
+
     def test_v0_is_exact_full_gradient(self):
         prob = small_problem(n=8, d=3, seed=23, loss=LossKind.QUADRATIC, mu=0.5)
         cfg = derive_sarah_convex_config(prob, m=5, replicates=3, seed=1)

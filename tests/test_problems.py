@@ -266,7 +266,52 @@ class TestDatasetValidation:
             build_problem(ds, LossKind.SIGMOID_SQUARED, mu=0.5)
 
 
+class TestRowBlockSplit:
+    def dataset(self):
+        # empty rows first, last and in between
+        rows = [
+            (np.array([], dtype=int), np.array([])),
+            (np.array([0, 3]), np.array([1.5, -2.0])),
+            (np.array([], dtype=int), np.array([])),
+            (np.array([1, 2, 4]), np.array([0.5, 0.25, -1.0])),
+            (np.array([4]), np.array([3.0])),
+            (np.array([], dtype=int), np.array([])),
+        ]
+        return make_dataset(rows, [1, -1, 1, 1, -1, -1], d=5)
+
+    def test_views_equal_block_of_their_rows(self):
+        ds = self.dataset()
+        sets = [[0], [], [1, 3], [5, 2, 0], [], [4], [3, 3, 1], list(range(6)), []]
+        parent = ds.block(np.concatenate([np.array(r, dtype=np.int64) for r in sets]))
+        views = parent.split([len(r) for r in sets])
+        assert len(views) == len(sets)
+        for rows, view in zip(sets, views):
+            want = ds.block(rows)
+            assert view.size == want.size == len(rows)
+            for field in ("owner", "cols", "vals", "labels"):
+                got, ref = getattr(view, field), getattr(want, field)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), field
+            # zero-copy: the entries are the parent block's own
+            assert view.cols.base is parent.cols and view.vals.base is parent.vals
+            x = np.arange(5.0) - 2.0
+            assert np.array_equal(view.margins(x), want.margins(x))
+
+    def test_split_into_nothing_and_of_empty_blocks(self):
+        ds = self.dataset()
+        assert ds.block([]).split([]) == []
+        views = ds.block([0, 2, 5]).split([0, 2, 1, 0])
+        assert [v.size for v in views] == [0, 2, 1, 0]
+        assert all(v.cols.size == 0 and v.owner.size == 0 for v in views)
+
+
 def test_stable_sigmoid_extremes():
     assert stable_sigmoid(800.0) == 1.0
     assert stable_sigmoid(-800.0) == 0.0
     assert abs(stable_sigmoid(0.0) - 0.5) <= 1e-16
+
+
+def test_stable_sigmoid_array_is_elementwise_scalar():
+    z = np.array([-800.0, -3.5, -0.0, 0.0, 1e-300, 2.25, 800.0])
+    out = stable_sigmoid(z)
+    assert out.shape == z.shape
+    assert np.array_equal(out, [stable_sigmoid(float(v)) for v in z])

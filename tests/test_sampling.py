@@ -385,11 +385,11 @@ class TestDraw:
         ]:
             rng = np.random.default_rng(3)
             P = probability_matrix(s)
-            counts = np.zeros((s.n, s.n))
-            for _ in range(trials):
-                out = draw(s, rng)
-                counts[np.ix_(out, out)] += 1.0
-            freq = counts / trials
+            # one indicator row per draw; M^T M counts how often i and j co-occur
+            M = np.zeros((trials, s.n))
+            for t in range(trials):
+                M[t, draw(s, rng)] = 1.0
+            freq = (M.T @ M) / trials
             sigma = np.sqrt(P * (1 - P) / trials)
             assert np.all(np.abs(freq - P) <= 3 * sigma + 1e-9)
 

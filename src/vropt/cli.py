@@ -83,10 +83,12 @@ class ExperimentSpec:
     timing: bool = False
 
     def validate(self) -> None:
-        if not self.methods or not self.seeds:
-            raise UsageError("method and seed lists must be non-empty")
+        if not (self.methods and self.schemes and self.batches and self.seeds):
+            raise UsageError("method, scheme, batch and seed lists must be non-empty")
         if self.epochs <= 0:
             raise UsageError("epochs budget must be positive")
+        if self.checkpoint_epochs <= 0:
+            raise UsageError("checkpoint cadence must be positive")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise UsageError("provide exactly one of --dataset or --synthetic")
 
@@ -463,24 +465,27 @@ def _names(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
+def _synthetic(text: str) -> tuple:
+    parts = _floats(text)
+    if len(parts) != 3:
+        raise UsageError("--synthetic expects n,d,skew")
+    return int(parts[0]), int(parts[1]), float(parts[2])
+
+
 def _build_spec(args) -> ExperimentSpec:
     cfg_path = getattr(args, "config", None)
     cfg = _parse_config_file(cfg_path) if cfg_path else {}
 
     def pick(name, default, conv=lambda x: x):
-        flag = getattr(args, name, None)
-        if flag is not None and flag is not False:
-            return flag
-        if name in cfg:
-            return conv(cfg[name])
-        return default
+        """The flag's value, else the config file's, else ``default``;
+        ``conv`` parses it when it is text (argparse types some flags)."""
+        value = getattr(args, name, None)
+        if value is None or value is False:
+            value = cfg.get(name)
+        if value is None:
+            return default
+        return conv(value) if isinstance(value, str) else value
 
-    synthetic = pick("synthetic", None)
-    if synthetic is not None and not isinstance(synthetic, tuple):
-        parts = _floats(synthetic)
-        if len(parts) != 3:
-            raise UsageError("--synthetic expects n,d,skew")
-        synthetic = (int(parts[0]), int(parts[1]), float(parts[2]))
     loss_name = pick("loss", "sigmoid-squared")
     try:
         loss = LossKind(loss_name)
@@ -491,28 +496,20 @@ def _build_spec(args) -> ExperimentSpec:
         schemes=pick("scheme", ["uniform", "importance"], _names),
         batches=pick("batch", [1.0], _floats),
         seeds=pick("seed", [0], _ints),
-        epochs=float(pick("epochs", 10.0, float)),
+        epochs=pick("epochs", 10.0, float),
         out_dir=pick("out", "traces"),
         loss=loss,
-        mu=float(pick("mu", 0.0, float)),
+        mu=pick("mu", 0.0, float),
         dataset_path=pick("dataset", None),
-        synthetic=synthetic,
-        data_seed=int(pick("data_seed", 0, int)),
-        scale=bool(pick("scale", False, lambda v: v in ("1", "true", "yes"))),
-        subsample_to=int(pick("subsample", 0, int)),
-        eps=float(pick("eps", 1e-4, float)),
-        checkpoint_epochs=float(pick("cadence", 1.0, float)),
-        workers=int(pick("workers", 1, int)),
+        synthetic=pick("synthetic", None, _synthetic),
+        data_seed=pick("data_seed", 0, int),
+        scale=pick("scale", False, lambda v: v in ("1", "true", "yes")),
+        subsample_to=pick("subsample", 0, int),
+        eps=pick("eps", 1e-4, float),
+        checkpoint_epochs=pick("cadence", 1.0, float),
+        workers=pick("workers", 1, int),
         timing=bool(getattr(args, "timing", False)),
     )
-    if isinstance(spec.methods, str):
-        spec.methods = _names(spec.methods)
-    if isinstance(spec.schemes, str):
-        spec.schemes = _names(spec.schemes)
-    if isinstance(spec.batches, str):
-        spec.batches = _floats(spec.batches)
-    if isinstance(spec.seeds, str):
-        spec.seeds = _ints(spec.seeds)
     for m in spec.methods:
         if m not in METHOD_NAMES:
             raise UsageError(f"unknown method {m!r} (choose from {METHOD_NAMES})")

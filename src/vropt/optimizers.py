@@ -37,6 +37,10 @@ NU3 = 1.0 / 12.0  # rate constant of the memory method's theorem
 
 DIVERGENCE_LIMIT = 1e100
 
+# Lower bound on f that gap_estimate measures from: both losses are
+# nonnegative.
+F_LOW = 0.0
+
 # The runners draw steps ahead and gather their rows at once, in chunks of
 # about this many stored entries (see ``_lookahead``).
 LOOKAHEAD_ENTRIES = 1 << 13
@@ -46,8 +50,6 @@ class Method(enum.Enum):
     SVRG = "svrg"
     SAGA = "saga"
     SARAH = "sarah"
-    SARAH_CONVEX = "sarah-convex"
-    GD_WRAPPER = "gd-wrapper"
 
 
 class ConfigError(ValueError):
@@ -66,7 +68,6 @@ class DivergenceError(RuntimeError):
 class RunConfig:
     """Everything a run needs; derive_* fill theorem-mandated values."""
 
-    method: Method
     scheme: SamplingScheme | None
     eta: float
     m: int = 1                 # inner-loop length (anchored / recursive methods)
@@ -74,7 +75,6 @@ class RunConfig:
     steps: int = 0             # total steps T (memory method)
     d_refresh: float = 0.0     # expected memory-refresh size d = b/alpha
     seed: int = 0
-    epsilon: float | None = None
     checkpoint_epochs: float = 1.0
     replicates: int = 1        # convex single-sample variant
     restarts: int = 0          # restart wrapper
@@ -148,7 +148,6 @@ class _Recorder:
                 f"objective diverged at {evals} evaluations",
                 self.trace(np.full(x.shape, np.nan), evals),
             )
-        self.problem.note_value(f)
         self.rows.append(
             (evals / self.n, f, gnorm, evals, time.perf_counter_ns() - self.t0)
         )
@@ -460,25 +459,24 @@ def _sarah_convex_once(
     p_cat: np.ndarray,
     rng: np.random.Generator,
     x0: np.ndarray,
-    rec: _Recorder | None,
-) -> tuple[np.ndarray, np.ndarray, int]:
+    checkpoint_epochs: float,
+) -> tuple[np.ndarray, RunTrace]:
     n = problem.dataset.n
     # rng.choice(n, p=p_cat)'s pick, without re-checking p and rebuilding
     # the cdf on every step
     cdf = np.cumsum(p_cat)
     cdf /= cdf[-1]
     x = x0.copy()
-    if rec is not None:
-        rec.record(0, x)
+    rec = _Recorder(problem, checkpoint_epochs)
+    rec.record(0, x)
     v = full_gradient(problem, x)
     evals = n
     vnorms = np.empty(m)
     vnorms[0] = float(v @ v)
     x_prev = x
     x = x - eta * v
-    if rec is not None:
-        rec.guard(x, evals)
-        rec.maybe(evals, x)
+    rec.guard(x, evals)
+    rec.maybe(evals, x)
     for t in range(1, m):
         i = int(cdf.searchsorted(rng.random(), side="right"))
         v = v + sarah_increment(problem, p_cat, x, x_prev, [i])
@@ -486,12 +484,10 @@ def _sarah_convex_once(
         x_prev = x
         x = x - eta * v
         evals += 2
-        if rec is not None:
-            rec.guard(x, evals)
-            rec.maybe(evals, x)
-    if rec is not None:
-        rec.record(evals, x)
-    return vnorms, x, evals
+        rec.guard(x, evals)
+        rec.maybe(evals, x)
+    rec.record(evals, x)
+    return vnorms, rec.trace(x, evals)
 
 
 def run_sarah_convex(
@@ -515,15 +511,11 @@ def run_sarah_convex(
     reps = max(1, config.replicates)
     children = np.random.SeedSequence(config.seed).spawn(reps)
     vnorms = np.empty((reps, config.m))
-    trace = None
     for r in range(reps):
         rng = np.random.default_rng(children[r])
-        rec = _Recorder(problem, config.checkpoint_epochs) if r == reps - 1 else None
-        vnorms[r], x_final, evals = _sarah_convex_once(
-            problem, config.eta, config.m, p_cat, rng, x_start, rec
+        vnorms[r], trace = _sarah_convex_once(
+            problem, config.eta, config.m, p_cat, rng, x_start, config.checkpoint_epochs
         )
-        if rec is not None:
-            trace = rec.trace(x_final, evals)
     return trace, vnorms.mean(axis=0)
 
 
@@ -534,8 +526,9 @@ def run_gd_wrapper(
 
     Runs the inner method for its theory-mandated budget, restarts from its
     randomized output, and records per-restart objective gaps against the
-    best value seen on this problem.  ``tau`` is the gradient-domination
-    constant; it parameterizes the guarantee, not the schedule.
+    lowest loss recorded so far in this call (the restart rows and every
+    inner checkpoint).  ``tau`` is the gradient-domination constant; it
+    parameterizes the guarantee, not the schedule.
     """
     if tau <= 0.0:
         raise ConfigError("tau must be positive")
@@ -546,22 +539,11 @@ def run_gd_wrapper(
     scheme = config.scheme
     if scheme is None or scheme.n != problem.dataset.n:
         raise ConfigError("config.scheme must match the problem size")
-    n = problem.dataset.n
     rec = _Recorder(problem)  # holds the per-restart rows only
     evals = 0
-    gaps = []
-
-    def note(xk):
-        f = loss_value(problem, xk)
-        problem.note_value(f)
-        g = full_gradient(problem, xk)
-        rec.rows.append(
-            (evals / n, f, float(g @ g), evals, time.perf_counter_ns() - rec.t0)
-        )
-        best = problem.best_f_seen if math.isfinite(problem.best_f_seen) else 0.0
-        gaps.append(f - best)
-
-    note(x)
+    rec.record(evals, x)
+    best = rec.rows[-1][1]
+    gaps = [0.0]
     for k in range(config.restarts):
         seed_k = _child_seed(config.seed, k)
         inner_cfg = _wrapper_inner_config(problem, inner, scheme, seed_k, config)
@@ -573,7 +555,10 @@ def run_gd_wrapper(
             t = run_sarah(problem, inner_cfg, x0=x)
         x = t.x_a
         evals += t.total_sgrad_evals
-        note(x)
+        rec.record(evals, x)
+        f = rec.rows[-1][1]
+        best = min(best, float(t.loss.min()), f)
+        gaps.append(f - best)
     return rec.trace(x, evals), np.array(gaps)
 
 
@@ -591,14 +576,14 @@ def _wrapper_inner_config(
         raise ConfigError("full-batch sampling: the restart schedule is undefined")
     if inner is Method.SVRG:
         steps = max(1, math.ceil(alpha * n ** (2.0 / 3.0) / (b * NU2)))
-        cfg = derive_svrg_config(problem, scheme, epochs=1.0, seed=seed)
+        cfg = derive_svrg_config(problem, scheme, epochs=1.0, seed=seed,
+                                 checkpoint_epochs=outer_cfg.checkpoint_epochs)
         cfg.outer = max(1, math.ceil(steps / cfg.m))
-        cfg.checkpoint_epochs = outer_cfg.checkpoint_epochs
         return cfg
     if inner is Method.SAGA:
-        cfg = derive_saga_config(problem, scheme, epochs=1.0, seed=seed)
+        cfg = derive_saga_config(problem, scheme, epochs=1.0, seed=seed,
+                                 checkpoint_epochs=outer_cfg.checkpoint_epochs)
         cfg.steps = max(1, math.ceil(alpha * n ** (2.0 / 3.0) / (b * NU3)))
-        cfg.checkpoint_epochs = outer_cfg.checkpoint_epochs
         return cfg
     # recursive method: solve m + 1 = 2 / eta(m) by fixed-point iteration,
     # with eta(m) the largest admissible step for an m-step inner loop
@@ -610,9 +595,9 @@ def _wrapper_inner_config(
             break
         m = m_next
     m_int = max(1, round(m))
-    cfg = derive_sarah_config(problem, scheme, m=m_int, epochs=1.0, seed=seed)
+    cfg = derive_sarah_config(problem, scheme, m=m_int, epochs=1.0, seed=seed,
+                              checkpoint_epochs=outer_cfg.checkpoint_epochs)
     cfg.outer = 1
-    cfg.checkpoint_epochs = outer_cfg.checkpoint_epochs
     return cfg
 
 
@@ -621,16 +606,26 @@ def _wrapper_inner_config(
 
 
 def gap_estimate(problem: Problem, x0=None) -> float:
-    """f(x0) minus the best objective value seen so far (0 if none; both
-    supported losses are nonnegative, so 0 is a valid lower bound)."""
+    """f(x0) minus F_LOW, a lower bound on f."""
     x = _start_iterate(problem, x0)
-    f0 = loss_value(problem, x)
-    best = problem.best_f_seen if math.isfinite(problem.best_f_seen) else 0.0
-    return max(f0 - min(best, f0), 1e-30)
+    return max(loss_value(problem, x) - F_LOW, 1e-30)
 
 
-def _budget_outer(total_evals: float, per_outer: float) -> int:
-    return max(1, int(total_evals // per_outer))
+def _budget(
+    problem: Problem, method: Method, alpha: float, Lbar: float, b: float,
+    per_unit: float, fixed: float, epochs: float | None, epsilon: float | None,
+) -> int:
+    """How many units (outer loops or steps) of ``per_unit`` evaluations fit
+    after a one-off cost of ``fixed`` evaluations: in an ``epochs`` budget
+    (rounded down), or in the cost predict_complexity gives for the eps
+    target (rounded up)."""
+    n = problem.dataset.n
+    if epochs is not None:
+        return max(1, int((epochs * n - fixed) // per_unit))
+    if epsilon is not None:
+        total = predict_complexity(method, n, b, alpha, Lbar, gap_estimate(problem), epsilon)
+        return max(1, math.ceil((total - fixed) / per_unit))
+    raise ConfigError("provide an epochs budget or a target epsilon")
 
 
 def _theorem_constants(problem: Problem, scheme: SamplingScheme) -> tuple:
@@ -671,24 +666,13 @@ def derive_svrg_config(
         if m < 1:
             warnings.warn("theorem inner length floored to 0; clipping m to 1")
             m = 1
-    per_outer = n + m * b
-    if epochs is not None:
-        outer = _budget_outer(epochs * n, per_outer)
-    elif epsilon is not None:
-        total = predict_complexity(
-            Method.SVRG, n, b, alpha, Lbar, gap_estimate(problem), epsilon
-        )
-        outer = max(1, math.ceil(total / per_outer))
-    else:
-        raise ConfigError("provide an epochs budget or a target epsilon")
+    outer = _budget(problem, Method.SVRG, alpha, Lbar, b, n + m * b, 0, epochs, epsilon)
     return RunConfig(
-        method=Method.SVRG,
         scheme=scheme,
         eta=eta,
         m=m,
         outer=outer,
         seed=seed,
-        epsilon=epsilon,
         checkpoint_epochs=checkpoint_epochs,
     )
 
@@ -707,24 +691,14 @@ def derive_saga_config(
     alpha, Lbar, b = _theorem_constants(problem, scheme)
     eta = b / (3.0 * alpha * Lbar * n ** (2.0 / 3.0))
     d_refresh = min(b / alpha, float(n))
-    per_step = b + d_refresh
-    if epochs is not None:
-        steps = max(1, int((epochs * n - n) // per_step))
-    elif epsilon is not None:
-        total = predict_complexity(
-            Method.SAGA, n, b, alpha, Lbar, gap_estimate(problem), epsilon
-        )
-        steps = max(1, math.ceil((total - n) / per_step))
-    else:
-        raise ConfigError("provide an epochs budget or a target epsilon")
+    # the initial pass over all n rows comes first
+    steps = _budget(problem, Method.SAGA, alpha, Lbar, b, b + d_refresh, n, epochs, epsilon)
     return RunConfig(
-        method=Method.SAGA,
         scheme=scheme,
         eta=eta,
         steps=steps,
         d_refresh=d_refresh,
         seed=seed,
-        epsilon=epsilon,
         checkpoint_epochs=checkpoint_epochs,
     )
 
@@ -749,23 +723,13 @@ def derive_sarah_config(
         raise ConfigError("m must be at least 1")
     eta = 2.0 / (Lbar * (math.sqrt(1.0 + 4.0 * alpha * m / b) + 1.0))
     per_outer = n + 2.0 * b * (m - 1)
-    if epochs is not None:
-        outer = _budget_outer(epochs * n, per_outer)
-    elif epsilon is not None:
-        total = predict_complexity(
-            Method.SARAH, n, b, alpha, Lbar, gap_estimate(problem), epsilon
-        )
-        outer = max(1, math.ceil(total / per_outer))
-    else:
-        raise ConfigError("provide an epochs budget or a target epsilon")
+    outer = _budget(problem, Method.SARAH, alpha, Lbar, b, per_outer, 0, epochs, epsilon)
     return RunConfig(
-        method=Method.SARAH,
         scheme=scheme,
         eta=eta,
         m=m,
         outer=outer,
         seed=seed,
-        epsilon=epsilon,
         checkpoint_epochs=checkpoint_epochs,
     )
 
@@ -789,7 +753,6 @@ def derive_sarah_convex_config(
     if m is None:
         m = problem.dataset.n
     return RunConfig(
-        method=Method.SARAH_CONVEX,
         scheme=None,
         eta=eta,
         m=m,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,13 +107,12 @@ class RowBlock:
         ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     """A finite-sum objective: dataset, loss model and smoothness constants.
 
-    All fields are fixed after construction except ``best_f_seen``, a
-    monotone diagnostic tracking the lowest objective value observed across
-    runs on this problem (surrogate for the unknown optimal value).
+    Immutable (``L`` is a read-only array), so runs on one problem cannot
+    affect each other.
     """
 
     dataset: Dataset
@@ -122,11 +121,6 @@ class Problem:
     L: np.ndarray
     Lbar: float
     Lmax: float
-    best_f_seen: float = field(default=math.inf, compare=False)
-
-    def note_value(self, f: float) -> None:
-        if f < self.best_f_seen:
-            self.best_f_seen = f
 
 
 def make_dataset(rows, labels, d: int | None = None) -> Dataset:
@@ -272,6 +266,7 @@ def build_problem(dataset: Dataset, loss: LossKind, mu: float = 0.0) -> Problem:
     if loss is LossKind.SIGMOID_SQUARED and mu != 0.0:
         raise ValueError("the sigmoid-squared loss takes no strong-convexity term")
     L = smoothness_constants(dataset, loss, mu)
+    L.setflags(write=False)
     return Problem(
         dataset=dataset,
         loss=loss,

@@ -9,8 +9,10 @@ from vropt.cli import (
     ExperimentSpec,
     MANIFEST_NAME,
     UsageError,
+    _build_spec,
     build_scheme,
     main,
+    make_parser,
     run_experiment,
     run_verification,
     summarize,
@@ -101,6 +103,16 @@ class TestRunExperiment:
             tiny_spec(tmp_path / "t", methods=[]).validate()
         with pytest.raises(UsageError):
             tiny_spec(tmp_path / "t", dataset_path="x").validate()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--scheme", ","], ["--batch", ","], ["--cadence", "-1"], ["--cadence", "0"]],
+        ids=["no-scheme", "no-batch", "negative-cadence", "zero-cadence"],
+    )
+    def test_empty_grid_or_cadence_is_usage_error(self, tmp_path, flags):
+        out = tmp_path / "t"
+        assert main(["run", "--synthetic", "10,3,2", "--out", str(out), *flags]) == 1
+        assert not out.exists()
 
     def test_trace_reproducible_from_manifest_alone(self, tmp_path):
         from vropt.cli import read_manifest
@@ -294,6 +306,26 @@ class TestMainEntry:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / MANIFEST_NAME).exists()
         assert not (tmp_path / "from_cfg").exists()
+
+    def test_flags_and_config_file_build_equal_specs(self, tmp_path):
+        values = {
+            "synthetic": "25,4,10", "loss": "quadratic", "mu": "0.5",
+            "method": "saga,sarah", "scheme": "uniform,approx", "batch": "2,4",
+            "seed": "3,1", "epochs": "2.5", "eps": "0.01", "cadence": "0.5",
+            "workers": "2", "subsample": "20", "data-seed": "4",
+            "out": str(tmp_path / "o"),
+        }
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "".join(f"{k} = {v}\n" for k, v in values.items()) + "scale = 1\n",
+            encoding="utf-8",
+        )
+        flags = [tok for k, v in values.items() for tok in (f"--{k}", v)]
+        parser = make_parser()
+        from_flags = _build_spec(parser.parse_args(["run", *flags, "--scale"]))
+        from_file = _build_spec(parser.parse_args(["run", "--config", str(cfg)]))
+        assert from_flags == from_file
+        assert from_file.synthetic == (25, 4, 10.0) and from_file.batches == [2.0, 4.0]
 
     def test_run_from_dataset_file(self, tmp_path):
         from vropt.dataio import write_libsvm

@@ -8,7 +8,6 @@ from vropt.bruteforce import enumerate_law
 from vropt.optimizers import (
     ConfigError,
     DivergenceError,
-    Method,
     RunConfig,
     derive_saga_config,
     derive_sarah_config,
@@ -153,6 +152,36 @@ class TestDeriveConfigs:
         prob = unit_row_problem(50)
         cfg = derive_svrg_config(prob, uniform_minibatch(50, 1), epsilon=1e-2)
         assert cfg.outer >= 1
+
+
+class TestRunsArePure:
+    """Configs and runs depend on their inputs only, not on earlier runs on
+    the same problem."""
+
+    def problem(self):
+        prob = build_problem(synthesize(200, 20, 100.0, seed=0), LossKind.SIGMOID_SQUARED)
+        return prob, independent(optimal_probabilities(prob.L, 2.0))
+
+    @pytest.mark.parametrize(
+        "derive", [derive_svrg_config, derive_saga_config, derive_sarah_config]
+    )
+    def test_epsilon_config_ignores_earlier_runs(self, derive):
+        prob, scheme = self.problem()
+        before = derive(prob, scheme, epsilon=1e-3, seed=4)
+        run_saga(prob, derive_saga_config(prob, scheme, epochs=5.0))
+        assert derive(prob, scheme, epsilon=1e-3, seed=4) == before
+
+    def test_epsilon_outer_on_fresh_problem(self):
+        prob, scheme = self.problem()
+        assert derive_svrg_config(prob, scheme, epsilon=1e-3).outer == 14_050
+
+    def test_gd_wrapper_reruns_equal(self):
+        prob = build_problem(synthesize(30, 5, 2.0, seed=10), LossKind.QUADRATIC, mu=0.5)
+        cfg = RunConfig(independent(optimal_probabilities(prob.L, 2.0)), eta=0.0, restarts=3)
+        first, first_gaps = run_gd_wrapper(prob, "svrg", 4.0, cfg)
+        second, second_gaps = run_gd_wrapper(prob, "svrg", 4.0, cfg)
+        assert_same_trace(first, second)
+        assert np.array_equal(first_gaps, second_gaps)
 
 
 class TestEstimatorsByEnumeration:
@@ -331,7 +360,7 @@ class TestRunSvrg:
         ds = make_dataset([row, row], [1, -1], d=2)
         prob = build_problem(ds, LossKind.QUADRATIC)
         scheme = uniform_minibatch(2, 1)
-        cfg = RunConfig(Method.SVRG, scheme, eta=0.05, m=4, outer=3, seed=0)
+        cfg = RunConfig(scheme, eta=0.05, m=4, outer=3, seed=0)
         trace = run_svrg(prob, cfg)
         assert np.array_equal(trace.x_a, np.zeros(2))
         assert np.all(trace.grad_norm_sq == trace.grad_norm_sq[0])
@@ -359,7 +388,7 @@ class TestRunSvrg:
         prob = small_problem(n=6, d=3, seed=10)
         n = 6
         scheme = uniform_minibatch(n, 1)
-        cfg = RunConfig(Method.SVRG, scheme, eta=0.02, m=4, outer=2, seed=77)
+        cfg = RunConfig(scheme, eta=0.02, m=4, outer=2, seed=77)
         trace = run_svrg(prob, cfg)
 
         s_draw, s_out = np.random.SeedSequence(77).spawn(2)
@@ -389,16 +418,16 @@ class TestRunSvrg:
         prob = small_problem(n=6, d=3, seed=11)
         scheme = uniform_minibatch(6, 2)
         with pytest.raises(ConfigError):
-            run_svrg(prob, RunConfig(Method.SVRG, scheme, eta=0.0, m=2, outer=1))
+            run_svrg(prob, RunConfig(scheme, eta=0.0, m=2, outer=1))
         with pytest.raises(ConfigError):
-            run_sarah(prob, RunConfig(Method.SARAH, scheme, eta=0.1, m=0, outer=1))
+            run_sarah(prob, RunConfig(scheme, eta=0.1, m=0, outer=1))
         with pytest.raises(ConfigError):
-            run_svrg(prob, RunConfig(Method.SVRG, uniform_minibatch(5, 2), eta=0.1, m=2))
+            run_svrg(prob, RunConfig(uniform_minibatch(5, 2), eta=0.1, m=2))
 
     def test_divergence_guard(self):
         prob = small_problem(n=6, d=3, seed=11, loss=LossKind.QUADRATIC)
         scheme = uniform_minibatch(6, 2)
-        cfg = RunConfig(Method.SVRG, scheme, eta=1e6, m=50, outer=100, seed=0)
+        cfg = RunConfig(scheme, eta=1e6, m=50, outer=100, seed=0)
         with pytest.raises(DivergenceError) as err:
             run_svrg(prob, cfg)
         assert err.value.trace.epoch.size >= 1
@@ -418,11 +447,11 @@ class TestRunSvrg:
         with pytest.raises(DivergenceError):
             run_saga(
                 prob,
-                RunConfig(Method.SAGA, scheme, eta=1e6, steps=5000, d_refresh=1.0, seed=0),
+                RunConfig(scheme, eta=1e6, steps=5000, d_refresh=1.0, seed=0),
             )
         with pytest.raises(DivergenceError):
             run_sarah(
-                prob, RunConfig(Method.SARAH, scheme, eta=1e6, m=50, outer=100, seed=0)
+                prob, RunConfig(scheme, eta=1e6, m=50, outer=100, seed=0)
             )
 
 
@@ -469,7 +498,7 @@ class TestRunSaga:
         n = 5
         scheme = uniform_minibatch(n, 1)
         cfg = RunConfig(
-            Method.SAGA, scheme, eta=0.03, steps=12, d_refresh=1.0, seed=99
+            scheme, eta=0.03, steps=12, d_refresh=1.0, seed=99
         )
         trace = run_saga(prob, cfg)
 
@@ -512,7 +541,7 @@ class TestRunSarah:
     def test_m_equal_one_is_full_gradient_restart(self):
         prob = small_problem(n=6, d=3, seed=18)
         scheme = uniform_minibatch(6, 2)
-        cfg = RunConfig(Method.SARAH, scheme, eta=0.05, m=1, outer=1, seed=3)
+        cfg = RunConfig(scheme, eta=0.05, m=1, outer=1, seed=3)
         trace = run_sarah(prob, cfg)
         x1 = -0.05 * full_gradient(prob, np.zeros(3))
         assert np.array_equal(trace.x_a, np.zeros(3)) or np.array_equal(trace.x_a, x1)
@@ -661,10 +690,9 @@ def lookahead_config(method, scheme, eta=0.3, d_refresh=0.5):
     # inner lengths and step counts are prime, so no chunk of 2-6 steps
     # divides them
     if method == "saga":
-        return RunConfig(Method.SAGA, scheme, eta=eta, steps=97, d_refresh=d_refresh,
+        return RunConfig(scheme, eta=eta, steps=97, d_refresh=d_refresh,
                          seed=13, checkpoint_epochs=0.4)
-    kind = Method.SVRG if method == "svrg" else Method.SARAH
-    return RunConfig(kind, scheme, eta=eta, m=23, outer=3, seed=13, checkpoint_epochs=0.4)
+    return RunConfig(scheme, eta=eta, m=23, outer=3, seed=13, checkpoint_epochs=0.4)
 
 
 class TestLookahead:
@@ -672,7 +700,7 @@ class TestLookahead:
 
     def set_chunk(self, monkeypatch, prob, cfg, steps):
         """Patch LOOKAHEAD_ENTRIES so that a run's chunks hold ``steps`` steps."""
-        q = min(1.0, cfg.d_refresh / prob.dataset.n) if cfg.method is Method.SAGA else 0.0
+        q = min(1.0, cfg.d_refresh / prob.dataset.n)  # d_refresh is 0 unless SAGA
         per_step = float((cfg.scheme.p + q) @ np.diff(prob.dataset.indptr))
         monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", steps * per_step + 1e-9)
         assert optimizers._chunk_steps(prob, cfg.scheme.p, q) == steps
@@ -827,20 +855,20 @@ class TestGdWrapper:
     def test_zero_restarts_identity(self):
         prob = small_problem(n=6, d=3, seed=26, loss=LossKind.QUADRATIC, mu=0.4)
         scheme = uniform_minibatch(6, 2)
-        cfg = RunConfig(Method.GD_WRAPPER, scheme, eta=0.0, restarts=0, seed=0)
+        cfg = RunConfig(scheme, eta=0.0, restarts=0, seed=0)
         trace, gaps = run_gd_wrapper(prob, "svrg", tau=2.0 / 0.4, config=cfg)
         assert np.array_equal(trace.x_a, np.zeros(3))
         assert gaps.size == 1
 
     def test_tau_must_be_positive(self):
         prob = small_problem(n=6, d=3, seed=27, loss=LossKind.QUADRATIC, mu=0.4)
-        cfg = RunConfig(Method.GD_WRAPPER, uniform_minibatch(6, 2), eta=0.0, restarts=1)
+        cfg = RunConfig(uniform_minibatch(6, 2), eta=0.0, restarts=1)
         with pytest.raises(ConfigError):
             run_gd_wrapper(prob, "svrg", tau=0.0, config=cfg)
 
     def test_unknown_inner_method(self):
         prob = small_problem(n=6, d=3, seed=28, loss=LossKind.QUADRATIC, mu=0.4)
-        cfg = RunConfig(Method.GD_WRAPPER, uniform_minibatch(6, 2), eta=0.0, restarts=1)
+        cfg = RunConfig(uniform_minibatch(6, 2), eta=0.0, restarts=1)
         with pytest.raises((ConfigError, ValueError)):
             run_gd_wrapper(prob, "sarah-convex", tau=1.0, config=cfg)
 
@@ -854,7 +882,7 @@ class TestGdWrapper:
         tau = 2.0 / prob.mu
         finals = []
         for seed in (1, 2, 3):
-            cfg = RunConfig(Method.GD_WRAPPER, scheme, eta=0.0, restarts=25, seed=seed)
+            cfg = RunConfig(scheme, eta=0.0, restarts=25, seed=seed)
             trace, gaps = run_gd_wrapper(prob, inner, tau, cfg)
             drops = np.diff(trace.loss)
             # median-of-seeds monotonicity: allow isolated stochastic upticks
@@ -869,7 +897,7 @@ class TestGdWrapper:
             synthesize(30, 5, 2.0, seed=10), LossKind.QUADRATIC, mu=0.5
         )
         scheme = independent(optimal_probabilities(prob.L, 2.0))
-        cfg = RunConfig(Method.GD_WRAPPER, scheme, eta=0.0, restarts=5, seed=0)
+        cfg = RunConfig(scheme, eta=0.0, restarts=5, seed=0)
         trace, gaps = run_gd_wrapper(prob, "sarah", tau=2.0 / prob.mu, config=cfg)
         assert trace.loss[-1] <= trace.loss[0]
 
@@ -918,21 +946,21 @@ class TestEvalAccounting:
         # cardinality law the total is exactly M (n + m b)
         prob = small_problem(n=10, d=3, seed=30)
         scheme = uniform_minibatch(10, 2)
-        cfg = RunConfig(Method.SVRG, scheme, eta=0.01, m=3, outer=4, seed=1)
+        cfg = RunConfig(scheme, eta=0.01, m=3, outer=4, seed=1)
         trace = run_svrg(prob, cfg)
         assert trace.total_sgrad_evals == 4 * (10 + 3 * 2)
 
     def test_sarah_epoch_cost(self):
         prob = small_problem(n=10, d=3, seed=31)
         scheme = uniform_minibatch(10, 2)
-        cfg = RunConfig(Method.SARAH, scheme, eta=0.01, m=4, outer=3, seed=1)
+        cfg = RunConfig(scheme, eta=0.01, m=4, outer=3, seed=1)
         trace = run_sarah(prob, cfg)
         assert trace.total_sgrad_evals == 3 * (10 + 2 * 2 * 3)
 
     def test_saga_counts_realized_sets(self):
         prob = small_problem(n=10, d=3, seed=32)
         scheme = independent(np.full(10, 0.3))
-        cfg = RunConfig(Method.SAGA, scheme, eta=0.01, steps=20, d_refresh=2.0, seed=1)
+        cfg = RunConfig(scheme, eta=0.01, steps=20, d_refresh=2.0, seed=1)
         trace = run_saga(prob, cfg)
         # init pass plus at least one eval accounted per drawn element
         assert trace.total_sgrad_evals >= 10

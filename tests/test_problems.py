@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -264,6 +265,13 @@ class TestDatasetValidation:
         ds = synthesize(3, 2, 1.0, seed=16)
         with pytest.raises(ValueError):
             build_problem(ds, LossKind.SIGMOID_SQUARED, mu=0.5)
+
+    def test_problem_is_immutable(self):
+        prob = build_problem(synthesize(3, 2, 1.0, seed=16), LossKind.QUADRATIC)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.mu = 1.0
+        with pytest.raises(ValueError):
+            prob.L[0] = 1.0
 
 
 class TestRowBlockSplit:

@@ -1,7 +1,8 @@
 """Experiment harness: grid runs over methods/samplings/minibatch sizes with
 reproducible CSV traces, summaries, and enumeration-backed verification.
 
-Exit codes: 0 ok, 1 usage error, 2 data error, 3 verification failure.
+Exit codes: 0 ok, 1 usage error, 2 data error, 3 verification failure,
+4 some cells of a run failed (their reasons are printed and in the manifest).
 """
 
 from __future__ import annotations
@@ -484,7 +485,14 @@ def _build_spec(args) -> ExperimentSpec:
             value = cfg.get(name)
         if value is None:
             return default
-        return conv(value) if isinstance(value, str) else value
+        if not isinstance(value, str):
+            return value
+        try:
+            return conv(value)
+        except UsageError:
+            raise
+        except ValueError:
+            raise UsageError(f"malformed {name} value {value!r}") from None
 
     loss_name = pick("loss", "sigmoid-squared")
     try:
@@ -571,7 +579,7 @@ def cmd_run(args) -> int:
     print(f"{len(rows) - len(failed)}/{len(rows)} cells ok; traces in {spec.out_dir}")
     for row in failed:
         print(f"  failed: {row['method']}/{row['scheme']}/b={row['b']}/seed={row['seed']}: {row['error']}")
-    return 0
+    return 4 if failed else 0
 
 
 def cmd_summarize(args) -> int:
@@ -588,10 +596,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_alpha(args) -> int:
-    batches = _floats(args.batch)
-    args.batch = None
     spec = _build_spec(args)
-    spec.batches = batches
+    batches = spec.batches
     dataset = load_dataset(spec)
     problem = build_problem(dataset, spec.loss, spec.mu)
     L = problem.L

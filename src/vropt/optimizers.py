@@ -25,9 +25,9 @@ from .problems import (
     RowBlock,
     _loss_slopes,
     full_gradient,
+    full_pass,
     loss_value,
     row_slopes,
-    slopes_and_gradient,
 )
 from .sampling import SamplingScheme, bernoulli_subset, compute_alpha, draw
 
@@ -140,8 +140,7 @@ class _Recorder:
     def record(self, evals: int, x: np.ndarray) -> None:
         if self.rows and evals == self.rows[-1][3]:
             return
-        f = loss_value(self.problem, x)
-        g = full_gradient(self.problem, x)
+        f, _, g = full_pass(self.problem, x)
         gnorm = float(g @ g)
         if not (math.isfinite(f) and math.isfinite(gnorm)) or abs(f) > DIVERGENCE_LIMIT:
             raise DivergenceError(
@@ -178,8 +177,9 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 # gradient estimators (pure functions of the current state, used both by the
 # runners and by the enumeration-based verification suite).  The runners pass
-# the rows of ``subset`` already gathered as ``block``; without it they are
-# gathered here.
+# the rows of ``subset`` already gathered as ``block``, with their weights
+# 1/(n p_i) as ``w`` (and, for SVRG, their anchor slopes as ``anchor``); what
+# is not passed is gathered here.
 
 
 @dataclass
@@ -192,29 +192,32 @@ class SvrgSnapshot:
     g: np.ndarray
 
 
-def _gathered(problem: Problem, subset, block: RowBlock | None):
-    """The indices of ``subset`` and their rows (``block`` if given)."""
+def _weighted_block(problem: Problem, p: np.ndarray, subset,
+                    block: RowBlock | None = None, w: np.ndarray | None = None):
+    """The rows of ``subset`` (``block`` if given), their indices and
+    importance weights 1/(n p_i) (``w`` if given)."""
     rows = np.asarray(subset, dtype=np.int64)
-    return (problem.dataset.block(rows) if block is None else block), rows
-
-
-def _weighted_block(problem: Problem, p: np.ndarray, subset, block: RowBlock | None):
-    """The rows of ``subset``, their indices and importance weights 1/(n p_i)."""
-    block, rows = _gathered(problem, subset, block)
-    return block, rows, 1.0 / (problem.dataset.n * p[rows])
+    if block is None:
+        block = problem.dataset.block(rows)
+    if w is None:
+        w = 1.0 / (problem.dataset.n * p[rows])
+    return block, rows, w
 
 
 def take_snapshot(problem: Problem, x: np.ndarray) -> SvrgSnapshot:
-    return SvrgSnapshot(x.copy(), *slopes_and_gradient(problem, x))
+    return SvrgSnapshot(x.copy(), *full_pass(problem, x, value=False)[1:])
 
 
 def svrg_direction(
     problem: Problem, p: np.ndarray, x: np.ndarray, snap: SvrgSnapshot, subset,
-    *, block: RowBlock | None = None,
+    *, block: RowBlock | None = None, w: np.ndarray | None = None,
+    anchor: np.ndarray | None = None,
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(anchor)) / (n p_i) + g."""
-    block, rows, w = _weighted_block(problem, p, subset, block)
-    c = w * (row_slopes(problem, block, x) - snap.slopes[rows])
+    block, rows, w = _weighted_block(problem, p, subset, block, w)
+    if anchor is None:
+        anchor = snap.slopes[rows]
+    c = w * (row_slopes(problem, block, x) - anchor)
     v = block.scatter(c, problem.dataset.d) + snap.g
     if problem.mu:
         v += problem.mu * w.sum() * (x - snap.x)
@@ -235,15 +238,14 @@ class SagaMemory:
 
 def init_saga_memory(problem: Problem, x: np.ndarray) -> SagaMemory:
     anchors = np.tile(x, (problem.dataset.n, 1)) if problem.mu else None
-    return SagaMemory(*slopes_and_gradient(problem, x), anchors)
+    return SagaMemory(*full_pass(problem, x, value=False)[1:], anchors)
 
 
 def saga_direction(
-    problem: Problem, p: np.ndarray, x: np.ndarray, mem: SagaMemory, subset,
-    *, block: RowBlock | None = None,
+    problem: Problem, p: np.ndarray, x: np.ndarray, mem: SagaMemory, subset
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(anchor_i)) / (n p_i) + g."""
-    block, rows, w = _weighted_block(problem, p, subset, block)
+    block, rows, w = _weighted_block(problem, p, subset)
     c = w * (row_slopes(problem, block, x) - mem.slopes[rows])
     v = block.scatter(c, problem.dataset.d) + mem.g
     if problem.mu:
@@ -251,13 +253,11 @@ def saga_direction(
     return v
 
 
-def saga_refresh(
-    problem: Problem, mem: SagaMemory, x: np.ndarray, refresh,
-    *, block: RowBlock | None = None,
-) -> None:
+def saga_refresh(problem: Problem, mem: SagaMemory, x: np.ndarray, refresh) -> None:
     """Move anchors j in ``refresh`` to x and update the running average."""
     ds = problem.dataset
-    block, rows = _gathered(problem, refresh, block)
+    rows = np.asarray(refresh, dtype=np.int64)
+    block = ds.block(rows)
     slopes = row_slopes(problem, block, x)
     mem.g += block.scatter(slopes - mem.slopes[rows], ds.d) / ds.n
     if problem.mu:
@@ -279,10 +279,10 @@ def saga_recompute_average(problem: Problem, mem: SagaMemory) -> np.ndarray:
 
 def sarah_increment(
     problem: Problem, p: np.ndarray, x: np.ndarray, x_prev: np.ndarray, subset,
-    *, block: RowBlock | None = None,
+    *, block: RowBlock | None = None, w: np.ndarray | None = None,
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(x_prev)) / (n p_i)."""
-    block, _, w = _weighted_block(problem, p, subset, block)
+    block, _, w = _weighted_block(problem, p, subset, block, w)
     # the margins at both points as one (2, |S|) array, so one slope pass
     z = np.concatenate((block.margins(x), block.margins(x_prev))).reshape(2, -1)
     s = _loss_slopes(problem.loss, z, block.labels)
@@ -305,22 +305,46 @@ def _chunk_steps(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> 
     return max(1, int(LOOKAHEAD_ENTRIES // max(per_step, 1.0)))
 
 
-def _lookahead(problem: Problem, steps: int, chunk: int, draw_step):
+def _lookahead(problem: Problem, p: np.ndarray, steps: int, chunk: int, draw_step,
+               anchor: np.ndarray | None = None):
     """Yield, for each of ``steps`` steps, the tuple of row-index arrays that
-    ``draw_step()`` returns and a list of their gathered rows, in that order.
+    ``draw_step()`` returns and what its look-ahead chunk gathered for their
+    rows, concatenated in that order: ``(sets, rows, block, bins, w, a)``.
 
-    The steps are drawn in order, ``chunk`` at a time, and each chunk's rows
-    are gathered by one ``Dataset.block`` call and split into per-array
-    views.  No draw depends on the iterate, so the random streams, and hence
-    the runs, are the same as when every step draws and gathers its own."""
+    - ``rows``: the row indices; ``block``: their entries, with row numbers
+      local to the step;
+    - ``bins``: ``block.cols`` plus j d for the entries of the step's j-th
+      set, so one ``np.bincount`` over len(sets) d bins scatters every set
+      (None when a step draws one set);
+    - ``w``: the weights 1/(n p_i); ``a``: ``anchor[rows]`` (None without
+      ``anchor``).
+
+    The steps are drawn in order, ``chunk`` at a time, and each chunk's rows,
+    weights and anchor entries are gathered once; a step slices them.  No draw
+    depends on the iterate, so the random streams, and hence the runs, are the
+    same as when every step draws and gathers its own."""
+    ds = problem.dataset
     for start in range(0, steps, chunk):
         drawn = [draw_step() for _ in range(min(chunk, steps - start))]
         sets = [s for step in drawn for s in step]
-        views = problem.dataset.block(np.concatenate(sets)).split([s.size for s in sets])
-        k = 0
-        for step in drawn:
-            yield step, views[k:k + len(step)]
-            k += len(step)
+        sizes = [s.size for s in sets]
+        rows = np.concatenate(sets)
+        full = ds.block(rows)
+        k = len(drawn[0])
+        blocks = full.split(np.reshape(sizes, (-1, k)).sum(axis=1))
+        chunk_bins = None
+        if k > 1:
+            shift = np.repeat(np.tile(np.arange(k) * ds.d, len(drawn)), sizes)
+            chunk_bins = full.cols + shift[full.owner]
+        w = 1.0 / (ds.n * p[rows])
+        a = None if anchor is None else anchor[rows]
+        r = e = 0
+        for step, block in zip(drawn, blocks):
+            r1, e1 = r + block.size, e + block.cols.size
+            yield (step, rows[r:r1], block,
+                   None if chunk_bins is None else chunk_bins[e:e1],
+                   w[r:r1], None if a is None else a[r:r1])
+            r, e = r1, e1
 
 
 def _start_iterate(problem: Problem, x0) -> np.ndarray:
@@ -360,9 +384,10 @@ def run_svrg(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
         snap = take_snapshot(problem, x)
         evals += n
         rec.maybe(evals, x)
-        steps = _lookahead(problem, config.m, chunk, lambda: (draw(scheme, rng_draw),))
-        for (subset,), (block,) in steps:
-            v = svrg_direction(problem, p, x, snap, subset, block=block)
+        steps = _lookahead(problem, p, config.m, chunk, lambda: (draw(scheme, rng_draw),),
+                           anchor=snap.slopes)
+        for (subset,), _, block, _, w, a in steps:
+            v = svrg_direction(problem, p, x, snap, subset, block=block, w=w, anchor=a)
             x = x - config.eta * v
             evals += subset.size
             res.offer(x)
@@ -370,6 +395,39 @@ def run_svrg(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
             rec.maybe(evals, x)
     rec.record(evals, x)
     return rec.trace(res.pick(), evals)
+
+
+def _saga_step(
+    problem: Problem, mem: SagaMemory, x: np.ndarray, eta: float, subset, refresh,
+    rows: np.ndarray, block: RowBlock, bins: np.ndarray, w: np.ndarray,
+) -> np.ndarray:
+    """x - eta saga_direction(x, S), then saga_refresh(x, R), from one margin
+    and slope pass over the rows of S then R (``rows``, gathered as ``block``
+    with scatter ``bins`` and weights ``w``) at the pre-step iterate x, and
+    one ``np.bincount`` over 2d bins: the direction's scatter in [0, d), the
+    refresh's change of the average in [d, 2d).  Rows in both S and R use
+    the memory slopes from before the refresh, as the two calls do; every
+    sum adds the same terms in the same order, so the result is
+    bit-identical to them."""
+    ds = problem.dataset
+    k = subset.size
+    slopes = row_slopes(problem, block, x)
+    c = slopes - mem.slopes[rows]
+    c[:k] *= w[:k]
+    terms = c[block.owner]
+    terms *= block.vals
+    out = np.bincount(bins, weights=terms, minlength=2 * ds.d).astype(float, copy=False)
+    v = out[:ds.d] + mem.g
+    if problem.mu:
+        v += problem.mu * np.sum(w[:k, None] * (x - mem.anchors[subset]), axis=0)
+    x_next = x - eta * v
+    # anchors move to the pre-step iterate
+    mem.g += out[ds.d:] / ds.n
+    if problem.mu:
+        mem.g += problem.mu * np.sum(x - mem.anchors[refresh], axis=0) / ds.n
+        mem.anchors[refresh] = x
+    mem.slopes[refresh] = slopes[k:]
+    return x_next
 
 
 def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
@@ -397,13 +455,9 @@ def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
         return subset, bernoulli_subset(n, refresh_prob, rng_draw)
 
     chunk = _chunk_steps(problem, p, refresh_prob)
-    steps = _lookahead(problem, config.steps, chunk, draw_step)
-    for t, ((subset, refresh), (block, refresh_block)) in enumerate(steps):
-        v = saga_direction(problem, p, x, mem, subset, block=block)
-        x_prev = x
-        x = x - config.eta * v
-        # anchors move to the pre-step iterate
-        saga_refresh(problem, mem, x_prev, refresh, block=refresh_block)
+    steps = _lookahead(problem, p, config.steps, chunk, draw_step)
+    for t, ((subset, refresh), rows, block, bins, w, _) in enumerate(steps):
+        x = _saga_step(problem, mem, x, config.eta, subset, refresh, rows, block, bins, w)
         evals += subset.size + refresh.size
         if (t + 1) % n == 0:
             mem.g = saga_recompute_average(problem, mem)
@@ -438,9 +492,9 @@ def run_sarah(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
         inner.offer(x)
         rec.guard(x, evals)
         rec.maybe(evals, x)
-        steps = _lookahead(problem, config.m - 1, chunk, lambda: (draw(scheme, rng_draw),))
-        for (subset,), (block,) in steps:
-            v = v + sarah_increment(problem, p, x, x_prev, subset, block=block)
+        steps = _lookahead(problem, p, config.m - 1, chunk, lambda: (draw(scheme, rng_draw),))
+        for (subset,), _, block, _, w, _ in steps:
+            v = v + sarah_increment(problem, p, x, x_prev, subset, block=block, w=w)
             x_prev = x
             x = x - config.eta * v
             evals += 2 * subset.size

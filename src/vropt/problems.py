@@ -28,7 +28,8 @@ class Dataset:
 
     Row i stores ``data[indptr[i]:indptr[i + 1]]`` at the 0-based, strictly
     increasing feature indices ``indices[indptr[i]:indptr[i + 1]]``; a row may
-    be empty.  ``labels`` holds the n labels as int64.
+    be empty.  ``labels`` holds the n labels as float64 (each -1.0 or +1.0),
+    so the loss kernels multiply by them without a dtype cast.
     """
 
     n: int
@@ -61,10 +62,12 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RowBlock:
     """The stored entries of a row subset S, flattened in CSR order: entry k
-    sits in column ``cols[k]`` of the ``owner[k]``-th row of S.
+    sits in column ``cols[k]`` of the ``owner[k]``-th row of S.  A plain
+    slotted record, cheap to build once per minibatch step; nothing changes
+    its arrays.
 
     Both products sum with ``np.bincount``, which adds each bin's terms in
     entry order, so results do not depend on threads or BLAS.
@@ -169,7 +172,7 @@ def csr_dataset(indptr, indices, data, labels, d: int | None = None) -> Dataset:
         d = max_idx + 1
     elif max_idx >= d:
         raise ValueError(f"row index {max_idx} outside feature dimension {d}")
-    y = labels.astype(np.int64)
+    y = labels.astype(float)
     for a in (indptr, indices, data, y):
         a.setflags(write=False)
     return Dataset(n=n, d=d, indptr=indptr, indices=indices, data=data, labels=y)
@@ -287,13 +290,7 @@ def _check_point(problem: Problem, x) -> np.ndarray:
 
 def loss_value(problem: Problem, x) -> float:
     """f(x) = (1/n) sum_i f_i(x), the row losses summed exactly (math.fsum)."""
-    x = _check_point(problem, x)
-    block = problem.dataset.block()
-    terms = _loss_terms(problem.loss, block.margins(x), block.labels)
-    f = math.fsum(terms.tolist()) / block.size
-    if problem.mu:
-        f += 0.5 * problem.mu * float(x @ x)
-    return f
+    return full_pass(problem, _check_point(problem, x), gradient=False)[0]
 
 
 def component_gradient(problem: Problem, i: int, x) -> np.ndarray:
@@ -318,20 +315,30 @@ def row_slopes(problem: Problem, block: RowBlock, x: np.ndarray) -> np.ndarray:
     return _loss_slopes(problem.loss, block.margins(x), block.labels)
 
 
-def slopes_and_gradient(problem: Problem, x: np.ndarray) -> tuple:
-    """The row slopes at x and the full gradient there (see ``full_gradient``),
-    from one pass over the rows."""
+def full_pass(problem: Problem, x: np.ndarray, value: bool = True,
+              gradient: bool = True) -> tuple:
+    """(f(x), the row slopes at x, grad f(x)) from one margin pass over the
+    rows; f is None unless ``value``, the slopes and gradient None unless
+    ``gradient``.  ``loss_value``, ``full_gradient`` and a checkpoint (which
+    wants both f and grad f) are all this one pass."""
     ds = problem.dataset
     block = ds.block()
-    slopes = row_slopes(problem, block, x)
-    g = block.scatter(slopes, ds.d) / ds.n
-    if problem.mu:
-        g += problem.mu * x
-    return slopes, g
+    z = block.margins(x)
+    f = slopes = g = None
+    if value:
+        f = math.fsum(_loss_terms(problem.loss, z, block.labels).tolist()) / ds.n
+        if problem.mu:
+            f += 0.5 * problem.mu * float(x @ x)
+    if gradient:
+        slopes = _loss_slopes(problem.loss, z, block.labels)
+        g = block.scatter(slopes, ds.d) / ds.n
+        if problem.mu:
+            g += problem.mu * x
+    return f, slopes, g
 
 
 def full_gradient(problem: Problem, x) -> np.ndarray:
-    """Mean of the component gradients.
+    """Mean of the component gradients, from ``full_pass``.
 
     Every coordinate is summed over the rows in index order by
     ``np.bincount``, without compensation.  The order is fixed, so reruns are
@@ -339,4 +346,4 @@ def full_gradient(problem: Problem, x) -> np.ndarray:
     the result stays within 1e-13 (relative, max-norm) of a per-coordinate
     ``math.fsum`` of the component gradients.
     """
-    return slopes_and_gradient(problem, _check_point(problem, x))[1]
+    return full_pass(problem, _check_point(problem, x), value=False)[2]

@@ -243,8 +243,26 @@ class TestVerification:
 
 
 class TestMainEntry:
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, tmp_path, capsys):
         assert main(["run", "--method", "nope", "--synthetic", "10,3,2"]) == 1
+        # malformed numbers and lists, from a flag or a config file
+        out = tmp_path / "t"
+        assert main(["run", "--synthetic", "10,3,2", "--batch", "abc", "--out", str(out)]) == 1
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("synthetic = 10,3,2\nseed = x\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["alpha", "--synthetic", "10,3,2", "--batch", "abc"]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "malformed batch value 'abc'" in err and "malformed seed value 'x'" in err
+
+    def test_failed_cells_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        flags = ["--synthetic", "10,3,2", "--scheme", "uniform", "--out", str(out)]
+        assert main(["run", *flags, "--batch", "2.5"]) == 4
+        assert "0/1 cells ok" in capsys.readouterr().out
+        assert (out / MANIFEST_NAME).exists()
+        assert main(["run", *flags, "--batch", "2"]) == 0
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as err:

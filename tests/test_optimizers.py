@@ -725,6 +725,19 @@ class TestLookahead:
         if kind == "importance" or method == "saga":
             assert 0 in sizes  # empty subsets (or refresh sets) were drawn
 
+    @pytest.mark.parametrize("chunk", [None, 4])
+    @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
+    @pytest.mark.parametrize("kind", ["uniform", "importance", "approx"])
+    def test_quadratic_with_mu_matches_direct_loop(self, monkeypatch, chunk, method, kind):
+        # the dense mu terms of every estimator, and SAGA's anchor table
+        prob = empty_row_problem(LossKind.QUADRATIC, mu=0.3)
+        cfg = lookahead_config(method, scheme_zoo(prob, b=2.0)[kind], eta=0.05, d_refresh=3.0)
+        if chunk:
+            self.set_chunk(monkeypatch, prob, cfg, chunk)
+        trace = self.RUNNERS[method](prob, cfg)
+        assert np.all(np.isfinite(trace.loss)) and trace.sgrad_evals.size > 2
+        assert_same_trace(trace, direct_run(method, prob, cfg, []))
+
     @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
     def test_divergence_mid_chunk_keeps_partial_trace(self, monkeypatch, method):
         prob = empty_row_problem(LossKind.QUADRATIC, n=20, seed=3)
@@ -758,16 +771,43 @@ class TestLookahead:
             (np.arange(30), np.array([7])),
             (np.array([29]), np.array([0])),
         ])
-        steps = list(optimizers._lookahead(prob, 5, 2, lambda: next(script)))
+        p = np.linspace(0.1, 0.9, 30)
+        anchor = np.arange(30.0) - 7.5
+        steps = list(optimizers._lookahead(prob, p, 5, 2, lambda: next(script), anchor))
         assert len(steps) == 5
-        for sets, views in steps:
-            assert len(sets) == len(views) == 2
-            for rows, view in zip(sets, views):
-                want = ds.block(rows)
-                assert view.size == want.size == rows.size
-                for field in ("owner", "cols", "vals", "labels"):
-                    got, ref = getattr(view, field), getattr(want, field)
-                    assert got.dtype == ref.dtype and np.array_equal(got, ref), field
+        for sets, rows, view, bins, w, a in steps:
+            assert len(sets) == 2
+            assert np.array_equal(rows, np.concatenate(sets))
+            want = ds.block(rows)
+            assert view.size == want.size == rows.size
+            for field in ("owner", "cols", "vals", "labels"):
+                got, ref = getattr(view, field), getattr(want, field)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), field
+            # the second set's entries scatter into bins [d, 2d)
+            second = (want.owner >= sets[0].size).astype(np.int64)
+            assert np.array_equal(bins, want.cols + ds.d * second)
+            assert np.array_equal(w, 1.0 / (ds.n * p[rows]))
+            assert np.array_equal(a, anchor[rows])
+
+
+class TestRecorder:
+    @pytest.mark.parametrize(
+        "loss, mu",
+        [(LossKind.SIGMOID_SQUARED, 0.0), (LossKind.QUADRATIC, 0.0), (LossKind.QUADRATIC, 0.6)],
+    )
+    def test_checkpoint_is_loss_value_and_full_gradient(self, loss, mu):
+        # one pass gives both; every fifth row of the problem is empty
+        prob = empty_row_problem(loss, mu)
+        rng = np.random.default_rng(5)
+        d = prob.dataset.d
+        rec = optimizers._Recorder(prob)
+        for k, x in enumerate((np.zeros(d), rng.standard_normal(d), 30.0 * rng.standard_normal(d))):
+            rec.record(k, x)
+            _, f, gnorm, evals, _ = rec.rows[-1]
+            g = full_gradient(prob, x)
+            assert evals == k
+            assert f == loss_value(prob, x)
+            assert gnorm == float(g @ g)
 
 
 class TestSarahConvex:

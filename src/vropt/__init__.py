@@ -32,7 +32,6 @@ from .problems import (
 from .optimizers import (
     ConfigError,
     DivergenceError,
-    Method,
     RunConfig,
     RunTrace,
     derive_saga_config,

@@ -86,10 +86,24 @@ class ExperimentSpec:
     def validate(self) -> None:
         if not (self.methods and self.schemes and self.batches and self.seeds):
             raise UsageError("method, scheme, batch and seed lists must be non-empty")
-        if self.epochs <= 0:
-            raise UsageError("epochs budget must be positive")
-        if self.checkpoint_epochs <= 0:
-            raise UsageError("checkpoint cadence must be positive")
+        for m in self.methods:
+            if m not in METHOD_NAMES:
+                raise UsageError(f"unknown method {m!r} (choose from {METHOD_NAMES})")
+        for s in self.schemes:
+            if s not in SCHEME_NAMES:
+                raise UsageError(f"unknown scheme {s!r} (choose from {SCHEME_NAMES})")
+        # batches are told apart as the trace file names print them
+        lists = (("method", self.methods), ("scheme", self.schemes),
+                 ("batch", [f"{b:g}" for b in self.batches]), ("seed", self.seeds))
+        for name, values in lists:
+            if len(set(values)) < len(values):
+                raise UsageError(f"duplicate values in the {name} list")
+        if not (math.isfinite(self.epochs) and self.epochs > 0):
+            raise UsageError("epochs budget must be positive and finite")
+        if not (math.isfinite(self.checkpoint_epochs) and self.checkpoint_epochs > 0):
+            raise UsageError("checkpoint cadence must be positive and finite")
+        if self.workers < 1:
+            raise UsageError("workers must be at least 1")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise UsageError("provide exactly one of --dataset or --synthetic")
 
@@ -107,6 +121,17 @@ def load_dataset(spec: ExperimentSpec) -> Dataset:
     return ds
 
 
+def _load_problem(spec: ExperimentSpec):
+    """The spec's problem.  Values the library rejects while building it are
+    usage errors; a malformed data file (ParseError) stays a data error."""
+    try:
+        return build_problem(load_dataset(spec), spec.loss, spec.mu)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def build_scheme(name: str, L, b: float):
     """uniform -> fixed-size minibatch; importance -> independent sampling with
     the variance-optimal probabilities; approx -> its two-stage approximation."""
@@ -118,14 +143,6 @@ def build_scheme(name: str, L, b: float):
     if name == "approx":
         return approximate_independent(p)
     raise UsageError(f"unknown scheme {name!r}")
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def write_trace_csv(path: Path, trace, timing: bool = False) -> None:
@@ -145,68 +162,32 @@ def write_trace_csv(path: Path, trace, timing: bool = False) -> None:
 def _run_cell(problem, spec: ExperimentSpec, method: str, scheme_name: str, b, seed: int):
     """Derive the theorem config and run one grid cell; returns a manifest row
     (dict) plus the trace (or None on failure)."""
-    row = {
-        "method": method,
-        "scheme": scheme_name,
-        "b": _fmt(float(b)),
-        "seed": seed,
-        "status": "ok",
-        "file": "",
-        "error": "",
-        "eta": "",
-        "m": "",
-        "outer": "",
-        "steps": "",
-        "d_refresh": "",
-        "alpha": "",
-        "K": "",
-        "Lbar": _fmt(problem.Lbar),
-        "n": problem.dataset.n,
-        "d": problem.dataset.d,
-        "loss": spec.loss.value,
-        "mu": _fmt(problem.mu),
-        "epochs": _fmt(float(spec.epochs)),
-        "eps": _fmt(float(spec.eps)),
-        "dataset": spec.dataset_path or "synthetic:%d,%d,%g" % spec.synthetic,
-        "scale": int(spec.scale),
-        "subsample": spec.subsample_to,
-        "data_seed": spec.data_seed,
-    }
+    # built per call, so wrappers swapped onto this module's names are used
+    derive, run = {
+        "svrg": (derive_svrg_config, run_svrg),
+        "saga": (derive_saga_config, run_saga),
+        "sarah": (derive_sarah_config, run_sarah),
+    }[method]
+    row = dict.fromkeys(MANIFEST_FIELDS.split(","), "")
+    row.update(
+        method=method, scheme=scheme_name, b=float(b), seed=seed, status="ok",
+        Lbar=problem.Lbar, n=problem.dataset.n, d=problem.dataset.d,
+        loss=spec.loss.value, mu=problem.mu, epochs=float(spec.epochs),
+        eps=float(spec.eps), dataset=spec.dataset_path or "synthetic:%d,%d,%g" % spec.synthetic,
+        scale=int(spec.scale), subsample=spec.subsample_to, data_seed=spec.data_seed,
+    )
     try:
         scheme = build_scheme(scheme_name, problem.L, b)
         cc = compute_alpha(problem.L, scheme)
-        row["alpha"] = _fmt(cc.alpha)
-        row["K"] = _fmt(cc.K)
-        if method == "svrg":
-            cfg = derive_svrg_config(
-                problem, scheme, epochs=spec.epochs, seed=seed,
-                checkpoint_epochs=spec.checkpoint_epochs,
-            )
-            trace = run_svrg(problem, cfg)
-        elif method == "saga":
-            cfg = derive_saga_config(
-                problem, scheme, epochs=spec.epochs, seed=seed,
-                checkpoint_epochs=spec.checkpoint_epochs,
-            )
-            trace = run_saga(problem, cfg)
-        elif method == "sarah":
-            cfg = derive_sarah_config(
-                problem, scheme, epochs=spec.epochs, seed=seed,
-                checkpoint_epochs=spec.checkpoint_epochs,
-            )
-            trace = run_sarah(problem, cfg)
-        else:
-            raise UsageError(f"unknown method {method!r}")
-        row["eta"] = _fmt(cfg.eta)
-        row["m"] = cfg.m
-        row["outer"] = cfg.outer
-        row["steps"] = cfg.steps
-        row["d_refresh"] = _fmt(cfg.d_refresh)
-        row["file"] = f"{method}_{scheme_name}_b{b:g}_seed{seed}.csv"
+        row.update(alpha=cc.alpha, K=cc.K)
+        cfg = derive(problem, scheme, epochs=spec.epochs, seed=seed,
+                     checkpoint_epochs=spec.checkpoint_epochs)
+        trace = run(problem, cfg)
+        row.update(eta=cfg.eta, m=cfg.m, outer=cfg.outer, steps=cfg.steps,
+                   d_refresh=cfg.d_refresh, file=f"{method}_{scheme_name}_b{b:g}_seed{seed}.csv")
         return row, trace
     except Exception as exc:  # cell failures must not kill the grid
-        row["status"] = "failed"
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         return row, None
 
 
@@ -214,10 +195,9 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     """Run every grid cell, write one CSV per successful cell plus a manifest
     recording all derived hyperparameters (failures included)."""
     spec.validate()
+    problem = _load_problem(spec)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = load_dataset(spec)
-    problem = build_problem(dataset, spec.loss, spec.mu)
     cells = [
         (m, s, b, seed)
         for m in spec.methods
@@ -252,7 +232,7 @@ def _write_manifest(path: Path, rows: list[dict]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
         for row in rows:
-            writer.writerow([str(row.get(name, "")) for name in fields])
+            writer.writerow([str(row[name]) for name in fields])
 
 
 def read_manifest(path) -> list[dict]:
@@ -518,12 +498,7 @@ def _build_spec(args) -> ExperimentSpec:
         workers=pick("workers", 1, int),
         timing=bool(getattr(args, "timing", False)),
     )
-    for m in spec.methods:
-        if m not in METHOD_NAMES:
-            raise UsageError(f"unknown method {m!r} (choose from {METHOD_NAMES})")
-    for s in spec.schemes:
-        if s not in SCHEME_NAMES:
-            raise UsageError(f"unknown scheme {s!r} (choose from {SCHEME_NAMES})")
+    spec.validate()
     return spec
 
 
@@ -597,14 +572,12 @@ def cmd_verify(args) -> int:
 
 def cmd_alpha(args) -> int:
     spec = _build_spec(args)
-    batches = spec.batches
-    dataset = load_dataset(spec)
-    problem = build_problem(dataset, spec.loss, spec.mu)
+    problem = _load_problem(spec)
     L = problem.L
     b_max = math.floor(L.sum() / L.max())
-    print(f"n = {dataset.n}, d = {dataset.d}, Lbar = {problem.Lbar:.6g}, "
+    print(f"n = {problem.dataset.n}, d = {problem.dataset.d}, Lbar = {problem.Lbar:.6g}, "
           f"Lmax = {problem.Lmax:.6g}, b_max = {b_max}")
-    for b in batches:
+    for b in spec.batches:
         print(f"b = {b:g}:")
         for name in SCHEME_NAMES:
             try:

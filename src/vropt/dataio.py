@@ -30,13 +30,15 @@ class ParseReport:
 def _read_text(source) -> str:
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            return fh.read().decode("utf-8")
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+            source = fh.read()
+    data = source if isinstance(source, bytes) else source.read()
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"not UTF-8 text ({exc.reason})") from None
 
 
 def parse_libsvm(source) -> tuple[Dataset, ParseReport]:

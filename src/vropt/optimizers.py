@@ -12,7 +12,6 @@ trajectory does not depend on whether an output is being selected.
 
 from __future__ import annotations
 
-import enum
 import math
 import time
 import warnings
@@ -44,12 +43,6 @@ F_LOW = 0.0
 # The runners draw steps ahead and gather their rows at once, in chunks of
 # about this many stored entries (see ``_lookahead``).
 LOOKAHEAD_ENTRIES = 1 << 13
-
-
-class Method(enum.Enum):
-    SVRG = "svrg"
-    SAGA = "saga"
-    SARAH = "sarah"
 
 
 class ConfigError(ValueError):
@@ -98,10 +91,6 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(s_draw), np.random.default_rng(s_out)
 
 
-def _child_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(seed).spawn(index + 1)[index].generate_state(1)[0])
-
-
 class _Reservoir:
     """Uniform pick over a stream of iterates in O(1) memory."""
 
@@ -122,7 +111,8 @@ class _Reservoir:
 
 
 class _Recorder:
-    """Checkpoints at epoch boundaries; metric evaluations are diagnostic and
+    """Counts a run's stochastic gradient evaluations in ``evals`` and
+    checkpoints at epoch boundaries; metric evaluations are diagnostic and
     never counted as stochastic gradient work."""
 
     def __init__(self, problem: Problem, checkpoint_epochs: float = 1.0):
@@ -132,6 +122,25 @@ class _Recorder:
         self.rows: list[tuple[float, float, float, int, int]] = []
         self.t0 = time.perf_counter_ns()
         self.next_at = 0
+        self.evals = 0
+
+    def step(self, cost: int, x: np.ndarray) -> None:
+        """A step to x that cost ``cost`` evaluations: guard x, then
+        checkpoint if one is due."""
+        self.evals += cost
+        self.guard(x, self.evals)
+        self.maybe(self.evals, x)
+
+    def charge(self, cost: int, x: np.ndarray) -> None:
+        """An anchor pass at x that cost ``cost`` evaluations: checkpoint if
+        one is due."""
+        self.evals += cost
+        self.maybe(self.evals, x)
+
+    def finish(self, x: np.ndarray, x_a: np.ndarray) -> RunTrace:
+        """The last checkpoint, at x, then the trace with output ``x_a``."""
+        self.record(self.evals, x)
+        return self.trace(x_a, self.evals)
 
     def maybe(self, evals: int, x: np.ndarray) -> None:
         if evals >= self.next_at:
@@ -178,8 +187,7 @@ class _Recorder:
 # gradient estimators (pure functions of the current state, used both by the
 # runners and by the enumeration-based verification suite).  The runners pass
 # the rows of ``subset`` already gathered as ``block``, with their weights
-# 1/(n p_i) as ``w`` (and, for SVRG, their anchor slopes as ``anchor``); what
-# is not passed is gathered here.
+# 1/(n p_i) as ``w``; what is not passed is gathered here.
 
 
 @dataclass
@@ -211,13 +219,10 @@ def take_snapshot(problem: Problem, x: np.ndarray) -> SvrgSnapshot:
 def svrg_direction(
     problem: Problem, p: np.ndarray, x: np.ndarray, snap: SvrgSnapshot, subset,
     *, block: RowBlock | None = None, w: np.ndarray | None = None,
-    anchor: np.ndarray | None = None,
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(anchor)) / (n p_i) + g."""
     block, rows, w = _weighted_block(problem, p, subset, block, w)
-    if anchor is None:
-        anchor = snap.slopes[rows]
-    c = w * (row_slopes(problem, block, x) - anchor)
+    c = w * (row_slopes(problem, block, x) - snap.slopes[rows])
     v = block.scatter(c, problem.dataset.d) + snap.g
     if problem.mu:
         v += problem.mu * w.sum() * (x - snap.x)
@@ -305,24 +310,22 @@ def _chunk_steps(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> 
     return max(1, int(LOOKAHEAD_ENTRIES // max(per_step, 1.0)))
 
 
-def _lookahead(problem: Problem, p: np.ndarray, steps: int, chunk: int, draw_step,
-               anchor: np.ndarray | None = None):
+def _lookahead(problem: Problem, p: np.ndarray, steps: int, chunk: int, draw_step):
     """Yield, for each of ``steps`` steps, the tuple of row-index arrays that
     ``draw_step()`` returns and what its look-ahead chunk gathered for their
-    rows, concatenated in that order: ``(sets, rows, block, bins, w, a)``.
+    rows, concatenated in that order: ``(sets, rows, block, bins, w)``.
 
     - ``rows``: the row indices; ``block``: their entries, with row numbers
       local to the step;
     - ``bins``: ``block.cols`` plus j d for the entries of the step's j-th
       set, so one ``np.bincount`` over len(sets) d bins scatters every set
       (None when a step draws one set);
-    - ``w``: the weights 1/(n p_i); ``a``: ``anchor[rows]`` (None without
-      ``anchor``).
+    - ``w``: the weights 1/(n p_i).
 
-    The steps are drawn in order, ``chunk`` at a time, and each chunk's rows,
-    weights and anchor entries are gathered once; a step slices them.  No draw
-    depends on the iterate, so the random streams, and hence the runs, are the
-    same as when every step draws and gathers its own."""
+    The steps are drawn in order, ``chunk`` at a time, and each chunk's rows
+    and weights are gathered once; a step slices them.  No draw depends on
+    the iterate, so the random streams, and hence the runs, are the same as
+    when every step draws and gathers its own."""
     ds = problem.dataset
     for start in range(0, steps, chunk):
         drawn = [draw_step() for _ in range(min(chunk, steps - start))]
@@ -337,13 +340,11 @@ def _lookahead(problem: Problem, p: np.ndarray, steps: int, chunk: int, draw_ste
             shift = np.repeat(np.tile(np.arange(k) * ds.d, len(drawn)), sizes)
             chunk_bins = full.cols + shift[full.owner]
         w = 1.0 / (ds.n * p[rows])
-        a = None if anchor is None else anchor[rows]
         r = e = 0
         for step, block in zip(drawn, blocks):
             r1, e1 = r + block.size, e + block.cols.size
             yield (step, rows[r:r1], block,
-                   None if chunk_bins is None else chunk_bins[e:e1],
-                   w[r:r1], None if a is None else a[r:r1])
+                   None if chunk_bins is None else chunk_bins[e:e1], w[r:r1])
             r, e = r1, e1
 
 
@@ -356,59 +357,52 @@ def _start_iterate(problem: Problem, x0) -> np.ndarray:
     return x
 
 
-def _check_config(problem: Problem, config: RunConfig, need_m: bool = False) -> None:
+def _begin(problem: Problem, config: RunConfig, x0, need_m: bool = False):
+    """Check the config and start a run: the start iterate, a ``_Recorder``
+    holding its checkpoint, and the draw and output streams."""
     if config.scheme is None or config.scheme.n != problem.dataset.n:
         raise ConfigError("config.scheme must match the problem size")
     if config.eta <= 0.0:
         raise ConfigError("step size must be positive")
     if need_m and config.m < 1:
         raise ConfigError("m must be at least 1")
+    x = _start_iterate(problem, x0)
+    rec = _Recorder(problem, config.checkpoint_epochs)
+    rec.record(0, x)
+    return (x, rec, *_streams(config.seed))
 
 
 def run_svrg(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     """Anchored variance reduction: outer loops of m importance-weighted steps
     around a full-gradient anchor; output drawn uniformly over all iterates."""
-    _check_config(problem, config, need_m=True)
-    scheme = config.scheme
-    n = problem.dataset.n
-    rng_draw, rng_out = _streams(config.seed)
-    x = _start_iterate(problem, x0)
-    rec = _Recorder(problem, config.checkpoint_epochs)
+    x, rec, rng_draw, rng_out = _begin(problem, config, x0, need_m=True)
+    scheme, p = config.scheme, config.scheme.p
     res = _Reservoir(rng_out)
-    rec.record(0, x)
     res.offer(x)
-    p = scheme.p
     chunk = _chunk_steps(problem, p)
-    evals = 0
     for _ in range(config.outer):
         snap = take_snapshot(problem, x)
-        evals += n
-        rec.maybe(evals, x)
-        steps = _lookahead(problem, p, config.m, chunk, lambda: (draw(scheme, rng_draw),),
-                           anchor=snap.slopes)
-        for (subset,), _, block, _, w, a in steps:
-            v = svrg_direction(problem, p, x, snap, subset, block=block, w=w, anchor=a)
-            x = x - config.eta * v
-            evals += subset.size
+        rec.charge(problem.dataset.n, x)
+        steps = _lookahead(problem, p, config.m, chunk, lambda: (draw(scheme, rng_draw),))
+        for (subset,), _, block, _, w in steps:
+            x = x - config.eta * svrg_direction(problem, p, x, snap, subset, block=block, w=w)
             res.offer(x)
-            rec.guard(x, evals)
-            rec.maybe(evals, x)
-    rec.record(evals, x)
-    return rec.trace(res.pick(), evals)
+            rec.step(subset.size, x)
+    return rec.finish(x, res.pick())
 
 
 def _saga_step(
-    problem: Problem, mem: SagaMemory, x: np.ndarray, eta: float, subset, refresh,
+    problem: Problem, mem: SagaMemory, x: np.ndarray, subset, refresh,
     rows: np.ndarray, block: RowBlock, bins: np.ndarray, w: np.ndarray,
 ) -> np.ndarray:
-    """x - eta saga_direction(x, S), then saga_refresh(x, R), from one margin
-    and slope pass over the rows of S then R (``rows``, gathered as ``block``
-    with scatter ``bins`` and weights ``w``) at the pre-step iterate x, and
-    one ``np.bincount`` over 2d bins: the direction's scatter in [0, d), the
-    refresh's change of the average in [d, 2d).  Rows in both S and R use
-    the memory slopes from before the refresh, as the two calls do; every
-    sum adds the same terms in the same order, so the result is
-    bit-identical to them."""
+    """Return saga_direction(x, S) and apply saga_refresh(x, R) to ``mem``,
+    from one margin and slope pass over the rows of S then R (``rows``,
+    gathered as ``block`` with scatter ``bins`` and weights ``w``) at the
+    pre-step iterate x, and one ``np.bincount`` over 2d bins: the
+    direction's scatter in [0, d), the refresh's change of the average in
+    [d, 2d).  Rows in both S and R use the memory slopes from before the
+    refresh, as the two calls do; every sum adds the same terms in the same
+    order, so the result is bit-identical to them."""
     ds = problem.dataset
     k = subset.size
     slopes = row_slopes(problem, block, x)
@@ -420,34 +414,27 @@ def _saga_step(
     v = out[:ds.d] + mem.g
     if problem.mu:
         v += problem.mu * np.sum(w[:k, None] * (x - mem.anchors[subset]), axis=0)
-    x_next = x - eta * v
     # anchors move to the pre-step iterate
     mem.g += out[ds.d:] / ds.n
     if problem.mu:
         mem.g += problem.mu * np.sum(x - mem.anchors[refresh], axis=0) / ds.n
         mem.anchors[refresh] = x
     mem.slopes[refresh] = slopes[k:]
-    return x_next
+    return v
 
 
 def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     """Memory-based variance reduction with importance-weighted minibatches
     and an independently refreshed anchor table."""
-    _check_config(problem, config)
-    scheme = config.scheme
     n = problem.dataset.n
     if not 0.0 < config.d_refresh <= n:
         raise ConfigError(f"d_refresh must lie in (0, {n}]")
-    rng_draw, rng_out = _streams(config.seed)
-    x = _start_iterate(problem, x0)
-    rec = _Recorder(problem, config.checkpoint_epochs)
+    x, rec, rng_draw, rng_out = _begin(problem, config, x0)
+    scheme, p = config.scheme, config.scheme.p
     res = _Reservoir(rng_out)
-    rec.record(0, x)
     res.offer(x)
     mem = init_saga_memory(problem, x)
-    evals = n
-    rec.maybe(evals, x)
-    p = scheme.p
+    rec.charge(n, x)
     refresh_prob = min(1.0, config.d_refresh / n)
 
     def draw_step():
@@ -456,54 +443,39 @@ def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
 
     chunk = _chunk_steps(problem, p, refresh_prob)
     steps = _lookahead(problem, p, config.steps, chunk, draw_step)
-    for t, ((subset, refresh), rows, block, bins, w, _) in enumerate(steps):
-        x = _saga_step(problem, mem, x, config.eta, subset, refresh, rows, block, bins, w)
-        evals += subset.size + refresh.size
+    for t, ((subset, refresh), rows, block, bins, w) in enumerate(steps):
+        x = x - config.eta * _saga_step(problem, mem, x, subset, refresh, rows, block, bins, w)
         if (t + 1) % n == 0:
             mem.g = saga_recompute_average(problem, mem)
         res.offer(x)
-        rec.guard(x, evals)
-        rec.maybe(evals, x)
-    rec.record(evals, x)
-    return rec.trace(res.pick(), evals)
+        rec.step(subset.size + refresh.size, x)
+    return rec.finish(x, res.pick())
 
 
 def run_sarah(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     """Recursive (biased) variance reduction; each outer loop restarts from a
     uniformly chosen iterate of the previous one, and the output is the last
     restart point."""
-    _check_config(problem, config, need_m=True)
-    scheme = config.scheme
-    n = problem.dataset.n
-    rng_draw, rng_out = _streams(config.seed)
-    x = _start_iterate(problem, x0)
-    rec = _Recorder(problem, config.checkpoint_epochs)
-    rec.record(0, x)
-    p = scheme.p
+    x, rec, rng_draw, rng_out = _begin(problem, config, x0, need_m=True)
+    scheme, p = config.scheme, config.scheme.p
     chunk = _chunk_steps(problem, p)
-    evals = 0
     for _ in range(config.outer):
         inner = _Reservoir(rng_out)
         inner.offer(x)
         v = full_gradient(problem, x)
-        evals += n
         x_prev = x
         x = x - config.eta * v
         inner.offer(x)
-        rec.guard(x, evals)
-        rec.maybe(evals, x)
+        rec.step(problem.dataset.n, x)
         steps = _lookahead(problem, p, config.m - 1, chunk, lambda: (draw(scheme, rng_draw),))
-        for (subset,), _, block, _, w, _ in steps:
+        for (subset,), _, block, _, w in steps:
             v = v + sarah_increment(problem, p, x, x_prev, subset, block=block, w=w)
             x_prev = x
             x = x - config.eta * v
-            evals += 2 * subset.size
             inner.offer(x)
-            rec.guard(x, evals)
-            rec.maybe(evals, x)
+            rec.step(2 * subset.size, x)
         x = inner.pick()
-    rec.record(evals, x)
-    return rec.trace(x, evals)
+    return rec.finish(x, x)
 
 
 def _sarah_convex_once(
@@ -515,7 +487,6 @@ def _sarah_convex_once(
     x0: np.ndarray,
     checkpoint_epochs: float,
 ) -> tuple[np.ndarray, RunTrace]:
-    n = problem.dataset.n
     # rng.choice(n, p=p_cat)'s pick, without re-checking p and rebuilding
     # the cdf on every step
     cdf = np.cumsum(p_cat)
@@ -524,24 +495,19 @@ def _sarah_convex_once(
     rec = _Recorder(problem, checkpoint_epochs)
     rec.record(0, x)
     v = full_gradient(problem, x)
-    evals = n
     vnorms = np.empty(m)
     vnorms[0] = float(v @ v)
     x_prev = x
     x = x - eta * v
-    rec.guard(x, evals)
-    rec.maybe(evals, x)
+    rec.step(problem.dataset.n, x)
     for t in range(1, m):
         i = int(cdf.searchsorted(rng.random(), side="right"))
         v = v + sarah_increment(problem, p_cat, x, x_prev, [i])
         vnorms[t] = float(v @ v)
         x_prev = x
         x = x - eta * v
-        evals += 2
-        rec.guard(x, evals)
-        rec.maybe(evals, x)
-    rec.record(evals, x)
-    return vnorms, rec.trace(x, evals)
+        rec.step(2, x)
+    return vnorms, rec.finish(x, x)
 
 
 def run_sarah_convex(
@@ -574,51 +540,45 @@ def run_sarah_convex(
 
 
 def run_gd_wrapper(
-    problem: Problem, inner: Method | str, tau: float, config: RunConfig, x0=None
+    problem: Problem, inner: str, tau: float, config: RunConfig, x0=None
 ) -> tuple[RunTrace, np.ndarray]:
     """Restart wrapper for gradient-dominated objectives.
 
-    Runs the inner method for its theory-mandated budget, restarts from its
-    randomized output, and records per-restart objective gaps against the
-    lowest loss recorded so far in this call (the restart rows and every
-    inner checkpoint).  ``tau`` is the gradient-domination constant; it
-    parameterizes the guarantee, not the schedule.
+    Runs the inner method (``"svrg"``, ``"saga"`` or ``"sarah"``) for its
+    theory-mandated budget, restarts from its randomized output, and records
+    per-restart objective gaps against the lowest loss recorded so far in
+    this call (the restart rows and every inner checkpoint).  ``tau`` is the
+    gradient-domination constant; it parameterizes the guarantee, not the
+    schedule.
     """
     if tau <= 0.0:
         raise ConfigError("tau must be positive")
-    inner = Method(inner) if not isinstance(inner, Method) else inner
-    if inner not in (Method.SVRG, Method.SAGA, Method.SARAH):
-        raise ConfigError(f"unsupported inner method: {inner}")
+    runs = {"svrg": run_svrg, "saga": run_saga, "sarah": run_sarah}
+    if inner not in runs:
+        raise ConfigError(f"unsupported inner method: {inner!r}")
     x = _start_iterate(problem, x0)
     scheme = config.scheme
     if scheme is None or scheme.n != problem.dataset.n:
         raise ConfigError("config.scheme must match the problem size")
     rec = _Recorder(problem)  # holds the per-restart rows only
-    evals = 0
-    rec.record(evals, x)
+    rec.record(0, x)
     best = rec.rows[-1][1]
     gaps = [0.0]
-    for k in range(config.restarts):
-        seed_k = _child_seed(config.seed, k)
-        inner_cfg = _wrapper_inner_config(problem, inner, scheme, seed_k, config)
-        if inner is Method.SVRG:
-            t = run_svrg(problem, inner_cfg, x0=x)
-        elif inner is Method.SAGA:
-            t = run_saga(problem, inner_cfg, x0=x)
-        else:
-            t = run_sarah(problem, inner_cfg, x0=x)
+    for child in np.random.SeedSequence(config.seed).spawn(max(0, config.restarts)):
+        seed = int(child.generate_state(1)[0])
+        t = runs[inner](problem, _wrapper_inner_config(problem, inner, scheme, seed, config), x0=x)
         x = t.x_a
-        evals += t.total_sgrad_evals
-        rec.record(evals, x)
+        rec.evals += t.total_sgrad_evals
+        rec.record(rec.evals, x)
         f = rec.rows[-1][1]
         best = min(best, float(t.loss.min()), f)
         gaps.append(f - best)
-    return rec.trace(x, evals), np.array(gaps)
+    return rec.trace(x, rec.evals), np.array(gaps)
 
 
 def _wrapper_inner_config(
     problem: Problem,
-    inner: Method,
+    inner: str,
     scheme: SamplingScheme,
     seed: int,
     outer_cfg: RunConfig,
@@ -628,13 +588,13 @@ def _wrapper_inner_config(
     alpha, Lbar, b = cc.alpha, cc.Lbar, scheme.b
     if alpha <= 0.0:
         raise ConfigError("full-batch sampling: the restart schedule is undefined")
-    if inner is Method.SVRG:
+    if inner == "svrg":
         steps = max(1, math.ceil(alpha * n ** (2.0 / 3.0) / (b * NU2)))
         cfg = derive_svrg_config(problem, scheme, epochs=1.0, seed=seed,
                                  checkpoint_epochs=outer_cfg.checkpoint_epochs)
         cfg.outer = max(1, math.ceil(steps / cfg.m))
         return cfg
-    if inner is Method.SAGA:
+    if inner == "saga":
         cfg = derive_saga_config(problem, scheme, epochs=1.0, seed=seed,
                                  checkpoint_epochs=outer_cfg.checkpoint_epochs)
         cfg.steps = max(1, math.ceil(alpha * n ** (2.0 / 3.0) / (b * NU3)))
@@ -655,6 +615,7 @@ def _wrapper_inner_config(
     return cfg
 
 
+
 # ---------------------------------------------------------------------------
 # theorem-driven configuration and cost prediction
 
@@ -666,7 +627,7 @@ def gap_estimate(problem: Problem, x0=None) -> float:
 
 
 def _budget(
-    problem: Problem, method: Method, alpha: float, Lbar: float, b: float,
+    problem: Problem, method: str, alpha: float, Lbar: float, b: float,
     per_unit: float, fixed: float, epochs: float | None, epsilon: float | None,
 ) -> int:
     """How many units (outer loops or steps) of ``per_unit`` evaluations fit
@@ -720,7 +681,7 @@ def derive_svrg_config(
         if m < 1:
             warnings.warn("theorem inner length floored to 0; clipping m to 1")
             m = 1
-    outer = _budget(problem, Method.SVRG, alpha, Lbar, b, n + m * b, 0, epochs, epsilon)
+    outer = _budget(problem, "svrg", alpha, Lbar, b, n + m * b, 0, epochs, epsilon)
     return RunConfig(
         scheme=scheme,
         eta=eta,
@@ -746,7 +707,7 @@ def derive_saga_config(
     eta = b / (3.0 * alpha * Lbar * n ** (2.0 / 3.0))
     d_refresh = min(b / alpha, float(n))
     # the initial pass over all n rows comes first
-    steps = _budget(problem, Method.SAGA, alpha, Lbar, b, b + d_refresh, n, epochs, epsilon)
+    steps = _budget(problem, "saga", alpha, Lbar, b, b + d_refresh, n, epochs, epsilon)
     return RunConfig(
         scheme=scheme,
         eta=eta,
@@ -777,7 +738,7 @@ def derive_sarah_config(
         raise ConfigError("m must be at least 1")
     eta = 2.0 / (Lbar * (math.sqrt(1.0 + 4.0 * alpha * m / b) + 1.0))
     per_outer = n + 2.0 * b * (m - 1)
-    outer = _budget(problem, Method.SARAH, alpha, Lbar, b, per_outer, 0, epochs, epsilon)
+    outer = _budget(problem, "sarah", alpha, Lbar, b, per_outer, 0, epochs, epsilon)
     return RunConfig(
         scheme=scheme,
         eta=eta,
@@ -817,7 +778,7 @@ def derive_sarah_convex_config(
 
 
 def predict_complexity(
-    method: Method | str,
+    method: str,
     n: int,
     b: float,
     alpha: float,
@@ -825,21 +786,21 @@ def predict_complexity(
     gap: float,
     epsilon: float,
 ) -> float:
-    """Closed-form stochastic-gradient-evaluation cost to reach the target
+    """Closed-form stochastic-gradient-evaluation cost of ``method``
+    (``"svrg"``, ``"saga"`` or ``"sarah"``) to reach the target
     E||grad f||^2 <= epsilon."""
     if min(n, b, Lbar, gap, epsilon) <= 0 or alpha < 0:
         raise ValueError("all predictor inputs must be positive (alpha >= 0)")
-    method = Method(method) if not isinstance(method, Method) else method
     n23 = n ** (2.0 / 3.0)
-    if method is Method.SVRG:
+    if method == "svrg":
         return max(
             float(n),
             MU2 * Lbar * n23 * gap * (1.0 + alpha / (3.0 * MU2)) / (epsilon * NU2),
         )
-    if method is Method.SAGA:
+    if method == "saga":
         return n + Lbar * n23 * gap * (1.0 + alpha) / (epsilon * NU3)
-    if method is Method.SARAH:
+    if method == "sarah":
         head = 16.0 * alpha * Lbar**2 * gap**2
         root = math.sqrt(head * head + 16.0 * epsilon**2 * Lbar**2 * gap**2 * b**2)
         return n + (head + root) / (2.0 * epsilon**2)
-    raise ValueError(f"no complexity formula for method {method}")
+    raise ValueError(f"no complexity formula for method {method!r}")

@@ -255,6 +255,36 @@ class TestMainEntry:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "malformed batch value 'abc'" in err and "malformed seed value 'x'" in err
+        # no data source; values the library rejects while building the
+        # problem; worker counts; non-finite budgets; repeated grid values
+        syn = ["--synthetic", "10,3,2"]
+        for argv in (
+            ["alpha"],
+            ["alpha", *syn, "--mu", "0.5"],
+            ["run", *syn, "--subsample", "-3"],
+            ["run", "--synthetic", "0,5,10"],
+            ["run", "--synthetic", "50,5,0.5"],
+            ["run", *syn, "--loss", "quadratic", "--mu", "-1"],
+            ["run", *syn, "--mu", "0.5"],
+            ["run", *syn, "--workers", "0"],
+            ["run", *syn, "--workers", "-2"],
+            ["run", *syn, "--epochs", "nan"],
+            ["run", *syn, "--cadence", "nan"],
+            ["run", *syn, "--seed", "1,1"],
+            ["run", *syn, "--batch", "2,2.0"],
+        ):
+            if argv[0] == "run":
+                argv = [*argv, "--out", str(out)]
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err.startswith("usage error:"), argv
+        assert not out.exists()
+        # a malformed or non-UTF-8 data file stays a data error
+        bad = tmp_path / "bad.libsvm"
+        for content in (b"1 1:0.5\n1 3:1 2:1\n", b"1 1:0.5\n\xff1 2:1\n"):
+            bad.write_bytes(content)
+            assert main(["run", "--dataset", str(bad), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("data error: line 2:")
+        assert not out.exists()
 
     def test_failed_cells_exit_code(self, tmp_path, capsys):
         out = tmp_path / "t"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ TRACE_HEADER = "epoch,loss,grad_norm_sq,sgrad_evals,wall_ns"
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_FIELDS = (
     "method,scheme,b,seed,status,file,eta,m,outer,steps,d_refresh,alpha,K,"
-    "Lbar,n,d,loss,mu,epochs,eps,dataset,scale,subsample,data_seed,error"
+    "Lbar,n,d,loss,mu,epochs,eps,cadence,dataset,scale,subsample,data_seed,error"
 )
 
 METHOD_NAMES = ("svrg", "saga", "sarah")
@@ -98,8 +99,12 @@ class ExperimentSpec:
         for name, values in lists:
             if len(set(values)) < len(values):
                 raise UsageError(f"duplicate values in the {name} list")
+        if not all(math.isfinite(b) and b > 0 for b in self.batches):
+            raise UsageError("minibatch sizes must be positive and finite")
         if not (math.isfinite(self.epochs) and self.epochs > 0):
             raise UsageError("epochs budget must be positive and finite")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise UsageError("eps target must be positive and finite")
         if not (math.isfinite(self.checkpoint_epochs) and self.checkpoint_epochs > 0):
             raise UsageError("checkpoint cadence must be positive and finite")
         if self.workers < 1:
@@ -173,7 +178,8 @@ def _run_cell(problem, spec: ExperimentSpec, method: str, scheme_name: str, b, s
         method=method, scheme=scheme_name, b=float(b), seed=seed, status="ok",
         Lbar=problem.Lbar, n=problem.dataset.n, d=problem.dataset.d,
         loss=spec.loss.value, mu=problem.mu, epochs=float(spec.epochs),
-        eps=float(spec.eps), dataset=spec.dataset_path or "synthetic:%d,%d,%g" % spec.synthetic,
+        eps=float(spec.eps), cadence=float(spec.checkpoint_epochs),
+        dataset=spec.dataset_path or "synthetic:%d,%d,%g" % spec.synthetic,
         scale=int(spec.scale), subsample=spec.subsample_to, data_seed=spec.data_seed,
     )
     try:
@@ -198,20 +204,14 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     problem = _load_problem(spec)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = [
-        (m, s, b, seed)
-        for m in spec.methods
-        for s in spec.schemes
-        for b in spec.batches
-        for seed in spec.seeds
-    ]
+    cells = list(itertools.product(spec.methods, spec.schemes, spec.batches, spec.seeds))
+    args = (itertools.repeat(problem, len(cells)), itertools.repeat(spec, len(cells)),
+            *zip(*cells))
     if spec.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(spec.workers) as pool:
-            results = list(
-                pool.map(_cell_worker, [(problem, spec, *cell) for cell in cells])
-            )
+            results = list(pool.map(_run_cell, *args))
     else:
-        results = [_cell_worker((problem, spec, *cell)) for cell in cells]
+        results = list(map(_run_cell, *args))
     rows = []
     for row, trace in results:
         if trace is not None:
@@ -219,11 +219,6 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
         rows.append(row)
     _write_manifest(out / MANIFEST_NAME, rows)
     return rows
-
-
-def _cell_worker(packed):
-    problem, spec, method, scheme_name, b, seed = packed
-    return _run_cell(problem, spec, method, scheme_name, b, seed)
 
 
 def _write_manifest(path: Path, rows: list[dict]) -> None:
@@ -256,29 +251,32 @@ def _read_trace(path: Path):
     return rows
 
 
-def summarize(trace_dir: str, epsilon: float) -> tuple[str, str]:
+def summarize(trace_dir: str, epsilon: float | None = None) -> tuple[str, str]:
     """Per-cell epochs/evaluations to first grad_norm_sq <= eps and final
     loss; medians across seeds; uniform/importance ratio per (method, b).
+    ``epsilon`` defaults to the eps the run recorded in its manifest.
 
     Returns (text table, csv text)."""
     directory = Path(trace_dir)
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {trace_dir}")
-    cells: dict[tuple, list] = {}
-    for row in read_manifest(manifest):
-        if row.get("status") == "ok":
-            trace = _read_trace(directory / row["file"])
-            hit_epoch = math.inf
-            hit_evals = math.inf
-            for epoch, _, gnorm, evals in trace:
-                if gnorm <= epsilon:
-                    hit_epoch, hit_evals = epoch, evals
-                    break
-            key = (row["method"], row["scheme"], float(row["b"]))
-            cells.setdefault(key, []).append((hit_epoch, hit_evals, trace[-1][1]))
-    if not cells:
+    rows = [row for row in read_manifest(manifest) if row.get("status") == "ok"]
+    if not rows:
         raise FileNotFoundError(f"no successful traces found in {trace_dir}")
+    if epsilon is None:
+        epsilon = float(rows[0]["eps"])
+    cells: dict[tuple, list] = {}
+    for row in rows:
+        trace = _read_trace(directory / row["file"])
+        hit_epoch = math.inf
+        hit_evals = math.inf
+        for epoch, _, gnorm, evals in trace:
+            if gnorm <= epsilon:
+                hit_epoch, hit_evals = epoch, evals
+                break
+        key = (row["method"], row["scheme"], float(row["b"]))
+        cells.setdefault(key, []).append((hit_epoch, hit_evals, trace[-1][1]))
     med = {
         key: (
             float(np.median([v[0] for v in vals])),
@@ -517,6 +515,7 @@ def make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment grid")
+    run_p.set_defaults(func=cmd_run)
     _add_problem_flags(run_p)
     run_p.add_argument("--method", help="comma list: svrg,saga,sarah")
     run_p.add_argument("--scheme", help="comma list: uniform,importance,approx")
@@ -531,18 +530,22 @@ def make_parser() -> _Parser:
     run_p.add_argument("--timing", action="store_true", help="record real wall_ns (breaks byte-identical reruns)")
 
     sum_p = sub.add_parser("summarize", help="table of epochs-to-target from traces")
+    sum_p.set_defaults(func=cmd_summarize)
     sum_p.add_argument("trace_dir")
-    sum_p.add_argument("--eps", type=float, default=1e-4)
+    sum_p.add_argument("--eps", type=float, default=None, help="target (default: the run's eps)")
     sum_p.add_argument("--csv", help="also write the summary CSV here")
 
     ver_p = sub.add_parser("verify", help="run enumeration-backed correctness suites")
+    ver_p.set_defaults(func=cmd_verify)
     ver_p.add_argument("suite", choices=("eso", "alpha", "unbiased", "all"))
 
     alpha_p = sub.add_parser("alpha", help="print variance constants for a problem")
+    alpha_p.set_defaults(func=cmd_alpha)
     _add_problem_flags(alpha_p)
     alpha_p.add_argument("--batch", help="comma list of minibatch sizes", default="1")
 
     chk_p = sub.add_parser("parse-check", help="validate a LIBSVM file")
+    chk_p.set_defaults(func=cmd_parse_check)
     chk_p.add_argument("path")
     return parser
 
@@ -609,17 +612,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "summarize":
-            return cmd_summarize(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "alpha":
-            return cmd_alpha(args)
-        if args.command == "parse-check":
-            return cmd_parse_check(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -408,9 +408,7 @@ def _saga_step(
     slopes = row_slopes(problem, block, x)
     c = slopes - mem.slopes[rows]
     c[:k] *= w[:k]
-    terms = c[block.owner]
-    terms *= block.vals
-    out = np.bincount(bins, weights=terms, minlength=2 * ds.d).astype(float, copy=False)
+    out = block.scatter(c, 2 * ds.d, bins)
     v = out[:ds.d] + mem.g
     if problem.mu:
         v += problem.mu * np.sum(w[:k, None] * (x - mem.anchors[subset]), axis=0)
@@ -452,62 +450,37 @@ def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     return rec.finish(x, res.pick())
 
 
+def _sarah_loop(problem: Problem, p: np.ndarray, x: np.ndarray, eta: float, m: int,
+                draw_step, rec: _Recorder):
+    """One outer loop of the recursive method from x: the full-gradient step,
+    then m - 1 increments over the look-ahead steps of ``draw_step``, each
+    step recorded in ``rec``.  Yields every new iterate with its v."""
+    v = full_gradient(problem, x)
+    x_prev, x = x, x - eta * v
+    rec.step(problem.dataset.n, x)
+    yield x, v
+    for (subset,), _, block, _, w in _lookahead(problem, p, m - 1, _chunk_steps(problem, p),
+                                                draw_step):
+        v = v + sarah_increment(problem, p, x, x_prev, subset, block=block, w=w)
+        x_prev, x = x, x - eta * v
+        rec.step(2 * subset.size, x)
+        yield x, v
+
+
 def run_sarah(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     """Recursive (biased) variance reduction; each outer loop restarts from a
     uniformly chosen iterate of the previous one, and the output is the last
     restart point."""
     x, rec, rng_draw, rng_out = _begin(problem, config, x0, need_m=True)
-    scheme, p = config.scheme, config.scheme.p
-    chunk = _chunk_steps(problem, p)
+    scheme = config.scheme
     for _ in range(config.outer):
         inner = _Reservoir(rng_out)
         inner.offer(x)
-        v = full_gradient(problem, x)
-        x_prev = x
-        x = x - config.eta * v
-        inner.offer(x)
-        rec.step(problem.dataset.n, x)
-        steps = _lookahead(problem, p, config.m - 1, chunk, lambda: (draw(scheme, rng_draw),))
-        for (subset,), _, block, _, w in steps:
-            v = v + sarah_increment(problem, p, x, x_prev, subset, block=block, w=w)
-            x_prev = x
-            x = x - config.eta * v
+        for x, _ in _sarah_loop(problem, scheme.p, x, config.eta, config.m,
+                                lambda: (draw(scheme, rng_draw),), rec):
             inner.offer(x)
-            rec.step(2 * subset.size, x)
         x = inner.pick()
     return rec.finish(x, x)
-
-
-def _sarah_convex_once(
-    problem: Problem,
-    eta: float,
-    m: int,
-    p_cat: np.ndarray,
-    rng: np.random.Generator,
-    x0: np.ndarray,
-    checkpoint_epochs: float,
-) -> tuple[np.ndarray, RunTrace]:
-    # rng.choice(n, p=p_cat)'s pick, without re-checking p and rebuilding
-    # the cdf on every step
-    cdf = np.cumsum(p_cat)
-    cdf /= cdf[-1]
-    x = x0.copy()
-    rec = _Recorder(problem, checkpoint_epochs)
-    rec.record(0, x)
-    v = full_gradient(problem, x)
-    vnorms = np.empty(m)
-    vnorms[0] = float(v @ v)
-    x_prev = x
-    x = x - eta * v
-    rec.step(problem.dataset.n, x)
-    for t in range(1, m):
-        i = int(cdf.searchsorted(rng.random(), side="right"))
-        v = v + sarah_increment(problem, p_cat, x, x_prev, [i])
-        vnorms[t] = float(v @ v)
-        x_prev = x
-        x = x - eta * v
-        rec.step(2, x)
-    return vnorms, rec.finish(x, x)
 
 
 def run_sarah_convex(
@@ -528,14 +501,21 @@ def run_sarah_convex(
         raise ConfigError("m must be at least 1")
     x_start = _start_iterate(problem, x0)
     p_cat = problem.L / problem.L.sum()
+    # rng.choice(n, p=p_cat)'s pick, without re-checking p and rebuilding
+    # the cdf on every step
+    cdf = np.cumsum(p_cat)
+    cdf /= cdf[-1]
     reps = max(1, config.replicates)
-    children = np.random.SeedSequence(config.seed).spawn(reps)
     vnorms = np.empty((reps, config.m))
-    for r in range(reps):
-        rng = np.random.default_rng(children[r])
-        vnorms[r], trace = _sarah_convex_once(
-            problem, config.eta, config.m, p_cat, rng, x_start, config.checkpoint_epochs
-        )
+    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(reps)):
+        rng = np.random.default_rng(child)
+        rec = _Recorder(problem, config.checkpoint_epochs)
+        rec.record(0, x_start)
+        steps = _sarah_loop(problem, p_cat, x_start, config.eta, config.m,
+                            lambda: (cdf.searchsorted(rng.random(1), side="right"),), rec)
+        for t, (x, v) in enumerate(steps):
+            vnorms[r, t] = float(v @ v)
+        trace = rec.finish(x, x)
     return trace, vnorms.mean(axis=0)
 
 

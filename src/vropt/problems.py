@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,10 +47,10 @@ class Dataset:
         return tuple((self.indices[i:j], self.data[i:j]) for i, j in zip(b, b[1:]))
 
     def block(self, rows=None) -> "RowBlock":
-        """The stored entries of the rows ``rows`` (all rows when None)."""
+        """The stored entries of the rows ``rows``; all rows when None, as one
+        block built on first use and shared after that."""
         if rows is None:
-            owner = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            return RowBlock(self.n, owner, self.indices, self.data, self.labels)
+            return self._full_block
         rows = np.asarray(rows, dtype=np.int64)
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
@@ -60,6 +61,18 @@ class Dataset:
         return RowBlock(
             rows.size, owner, self.indices[pos], self.data[pos], self.labels[rows]
         )
+
+    @functools.cached_property
+    def _full_block(self) -> "RowBlock":
+        owner = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        owner.setflags(write=False)
+        return RowBlock(self.n, owner, self.indices, self.data, self.labels)
+
+    def __getstate__(self):
+        # derived data: a worker process rebuilds the block if it needs one
+        state = dict(self.__dict__)
+        state.pop("_full_block", None)
+        return state
 
 
 @dataclass(slots=True)
@@ -86,11 +99,13 @@ class RowBlock:
         z = np.bincount(self.owner, weights=terms, minlength=self.size)
         return z.astype(float, copy=False)  # bincount gives int64 when S has no entries
 
-    def scatter(self, c: np.ndarray, d: int) -> np.ndarray:
-        """A_S^T c: the dense d-vector sum_k c_k a_k over the rows of S."""
+    def scatter(self, c: np.ndarray, d: int, bins: np.ndarray | None = None) -> np.ndarray:
+        """A_S^T c: the dense d-vector sum_k c_k a_k over the rows of S.
+        ``bins``, when given, replaces ``cols`` as the bin of each entry, so
+        that one call sums several row sets into disjoint ranges of d bins."""
         terms = c[self.owner]
         terms *= self.vals
-        g = np.bincount(self.cols, weights=terms, minlength=d)
+        g = np.bincount(self.cols if bins is None else bins, weights=terms, minlength=d)
         return g.astype(float, copy=False)
 
     def split(self, sizes) -> list["RowBlock"]:

@@ -117,7 +117,8 @@ class TestRunExperiment:
     def test_trace_reproducible_from_manifest_alone(self, tmp_path):
         from vropt.cli import read_manifest
 
-        run_experiment(tiny_spec(tmp_path / "orig", methods=["saga"], seeds=[3]))
+        run_experiment(tiny_spec(tmp_path / "orig", methods=["saga"], seeds=[3],
+                                 checkpoint_epochs=0.25))
         row = read_manifest(tmp_path / "orig" / MANIFEST_NAME)[0]
         assert row["scheme"] == "uniform" or row["scheme"] == "importance"
         n, d, skew = row["dataset"].split(":")[1].split(",")
@@ -135,6 +136,7 @@ class TestRunExperiment:
             scale=bool(int(row["scale"])),
             subsample_to=int(row["subsample"]),
             eps=float(row["eps"]),
+            checkpoint_epochs=float(row["cadence"]),
         )
         run_experiment(rebuilt)
         original = (tmp_path / "orig" / row["file"]).read_bytes()
@@ -256,7 +258,8 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "malformed batch value 'abc'" in err and "malformed seed value 'x'" in err
         # no data source; values the library rejects while building the
-        # problem; worker counts; non-finite budgets; repeated grid values
+        # problem; worker counts; non-finite budgets; repeated grid values;
+        # batch sizes and eps targets that are not positive and finite
         syn = ["--synthetic", "10,3,2"]
         for argv in (
             ["alpha"],
@@ -272,6 +275,15 @@ class TestMainEntry:
             ["run", *syn, "--cadence", "nan"],
             ["run", *syn, "--seed", "1,1"],
             ["run", *syn, "--batch", "2,2.0"],
+            ["run", *syn, "--batch", "nan"],
+            ["run", *syn, "--batch", "inf"],
+            ["run", *syn, "--batch", "0"],
+            ["run", *syn, "--batch", "-2"],
+            ["alpha", *syn, "--batch", "nan"],
+            ["run", *syn, "--eps", "-5"],
+            ["run", *syn, "--eps", "nan"],
+            ["run", *syn, "--eps", "inf"],
+            ["run", *syn, "--eps", "0"],
         ):
             if argv[0] == "run":
                 argv = [*argv, "--out", str(out)]
@@ -324,12 +336,18 @@ class TestMainEntry:
                 "--batch", "2",
                 "--seed", "1,2",
                 "--epochs", "4",
+                "--eps", "1e-2",
                 "--out", str(out),
             ]
         )
         assert code == 0
+        capsys.readouterr()
         assert main(["summarize", str(out), "--eps", "1e-2"]) == 0
-        assert "sarah" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "sarah" in text and "<= 0.01 " in text
+        # without --eps, the target is the one the run recorded
+        assert main(["summarize", str(out)]) == 0
+        assert capsys.readouterr().out == text
 
     def test_alpha_command(self, capsys):
         assert main(["alpha", "--synthetic", "20,4,50", "--batch", "1,2"]) == 0

@@ -761,6 +761,42 @@ class TestLookahead:
         assert str(got.value) == str(ref.value)
         assert_same_trace(got.value.trace, ref.value.trace)
 
+    @pytest.mark.parametrize("chunk", [1, 4, 6])
+    @pytest.mark.parametrize("loss, mu", [(LossKind.QUADRATIC, 0.3), (LossKind.SIGMOID_SQUARED, 0.0)])
+    def test_convex_sarah_matches_per_row_loop(self, monkeypatch, chunk, loss, mu):
+        # single-sample picks gathered a chunk at a time give the run that
+        # gathers one row per step
+        prob = empty_row_problem(loss, mu=mu)
+        n, d = prob.dataset.n, prob.dataset.d
+        p_cat = prob.L / prob.L.sum()
+        per_step = float(p_cat @ np.diff(prob.dataset.indptr))
+        monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", chunk * per_step + 1e-9)
+        assert optimizers._chunk_steps(prob, p_cat) == chunk
+        cfg = derive_sarah_convex_config(prob, m=97, replicates=2, seed=8, checkpoint_epochs=0.4)
+        trace, vn = run_sarah_convex(prob, cfg)
+        picks, vnorms = [], []
+        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.replicates):
+            rng = np.random.default_rng(child)
+            rec = optimizers._Recorder(prob, cfg.checkpoint_epochs)
+            x = np.zeros(d)
+            rec.record(0, x)
+            v = full_gradient(prob, x)
+            norms = [float(v @ v)]
+            x_prev, x = x, x - cfg.eta * v
+            rec.step(n, x)
+            for _ in range(1, cfg.m):
+                i = int(rng.choice(n, p=p_cat))
+                picks.append(i)
+                v = v + sarah_increment(prob, p_cat, x, x_prev, [i])
+                norms.append(float(v @ v))
+                x_prev, x = x, x - cfg.eta * v
+                rec.step(2, x)
+            vnorms.append(norms)
+        assert_same_trace(trace, rec.finish(x, x))
+        assert np.array_equal(vn, np.mean(vnorms, axis=0))
+        if mu:  # L_i >= mu, so empty rows are picked too
+            assert any(prob.dataset.indptr[i] == prob.dataset.indptr[i + 1] for i in picks)
+
     def test_views_equal_block_of_each_step(self):
         prob = empty_row_problem()
         ds = prob.dataset

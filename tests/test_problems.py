@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -310,6 +311,16 @@ class TestRowBlockSplit:
         views = ds.block([0, 2, 5]).split([0, 2, 1, 0])
         assert [v.size for v in views] == [0, 2, 1, 0]
         assert all(v.cols.size == 0 and v.owner.size == 0 for v in views)
+
+    def test_full_block_built_once_and_read_only(self):
+        ds = self.dataset()
+        full = ds.block()
+        assert full is ds.block()
+        assert np.array_equal(full.owner, [1, 1, 3, 3, 3, 4])
+        assert not full.owner.flags.writeable
+        # a copy sent to a worker process builds its own, read-only too
+        copy = pickle.loads(pickle.dumps(ds)).block()
+        assert np.array_equal(copy.owner, full.owner) and not copy.owner.flags.writeable
 
 
 def test_stable_sigmoid_extremes():

@@ -13,7 +13,7 @@ import csv
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +66,12 @@ class ExperimentSpec:
     """One experiment grid: the cross product of methods x schemes x batch
     sizes x seeds on a single problem."""
 
-    methods: list
-    schemes: list
-    batches: list
-    seeds: list
-    epochs: float
-    out_dir: str
+    methods: list = field(default_factory=lambda: ["svrg"])
+    schemes: list = field(default_factory=lambda: ["uniform", "importance"])
+    batches: list = field(default_factory=lambda: [1.0])
+    seeds: list = field(default_factory=lambda: [0])
+    epochs: float = 10.0
+    out_dir: str = "traces"
     loss: LossKind = LossKind.SIGMOID_SQUARED
     mu: float = 0.0
     dataset_path: str | None = None
@@ -244,10 +244,15 @@ def _read_trace(path: Path):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
-            raise ValueError(f"{path}: unexpected trace header {header!r}")
-        for line in fh:
-            parts = line.strip().split(",")
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])))
+            raise ParseError(1, f"{path}: unexpected trace header {header!r}")
+        for line_no, line in enumerate(fh, 2):
+            try:
+                epoch, loss, gnorm, evals, _ = line.strip().split(",")
+                rows.append((float(epoch), float(loss), float(gnorm), int(evals)))
+            except ValueError:
+                raise ParseError(line_no, f"{path}: malformed trace row {line.strip()!r}") from None
+    if not rows:
+        raise ParseError(1, f"{path}: no checkpoints after the header")
     return rows
 
 
@@ -261,22 +266,28 @@ def summarize(trace_dir: str, epsilon: float | None = None) -> tuple[str, str]:
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {trace_dir}")
-    rows = [row for row in read_manifest(manifest) if row.get("status") == "ok"]
-    if not rows:
-        raise FileNotFoundError(f"no successful traces found in {trace_dir}")
-    if epsilon is None:
-        epsilon = float(rows[0]["eps"])
     cells: dict[tuple, list] = {}
-    for row in rows:
-        trace = _read_trace(directory / row["file"])
-        hit_epoch = math.inf
-        hit_evals = math.inf
-        for epoch, _, gnorm, evals in trace:
-            if gnorm <= epsilon:
-                hit_epoch, hit_evals = epoch, evals
-                break
-        key = (row["method"], row["scheme"], float(row["b"]))
-        cells.setdefault(key, []).append((hit_epoch, hit_evals, trace[-1][1]))
+    with open(manifest, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            if row.get("status") != "ok":
+                continue
+            try:
+                key = (row["method"], row["scheme"], float(row["b"]))
+                epsilon = float(row["eps"]) if epsilon is None else epsilon
+                path = directory / row["file"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(reader.line_num, f"{manifest}: malformed row ({exc})") from None
+            trace = _read_trace(path)
+            hit_epoch = math.inf
+            hit_evals = math.inf
+            for epoch, _, gnorm, evals in trace:
+                if gnorm <= epsilon:
+                    hit_epoch, hit_evals = epoch, evals
+                    break
+            cells.setdefault(key, []).append((hit_epoch, hit_evals, trace[-1][1]))
+    if not cells:
+        raise FileNotFoundError(f"no successful traces found in {trace_dir}")
     med = {
         key: (
             float(np.median([v[0] for v in vals])),
@@ -414,120 +425,105 @@ def run_verification(suite: str, stream=None) -> bool:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        raise UsageError(message)
 
 
-def _parse_config_file(path: str) -> dict:
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise UsageError(f"malformed config line: {raw.rstrip()}")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+def _switch(text: str) -> bool:
+    if text not in ("1", "true", "yes", "0", "false", "no"):
+        raise argparse.ArgumentTypeError(f"takes 1/true/yes or 0/false/no, not {text!r}")
+    return text in ("1", "true", "yes")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
-
-
-def _names(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _list(conv):
+    """A comma list read by ``conv``; blank items are skipped."""
+    return lambda text: [conv(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _synthetic(text: str) -> tuple:
-    parts = _floats(text)
+    parts = _list(float)(text)
     if len(parts) != 3:
-        raise UsageError("--synthetic expects n,d,skew")
+        raise argparse.ArgumentTypeError(f"expects n,d,skew, not {text!r}")
     return int(parts[0]), int(parts[1]), float(parts[2])
 
 
-def _build_spec(args) -> ExperimentSpec:
-    cfg_path = getattr(args, "config", None)
-    cfg = _parse_config_file(cfg_path) if cfg_path else {}
+class _ConfigFile(argparse.Action):
+    """``--config FILE``: each ``key = value`` line is read by the same parser
+    as the flag ``--key=value`` (a bare ``key`` as ``--key``); blank lines and
+    ``#`` comments are skipped, and flags on the command line win."""
 
-    def pick(name, default, conv=lambda x: x):
-        """The flag's value, else the config file's, else ``default``;
-        ``conv`` parses it when it is text (argparse types some flags)."""
-        value = getattr(args, name, None)
-        if value is None or value is False:
-            value = cfg.get(name)
-        if value is None:
-            return default
-        if not isinstance(value, str):
-            return value
+    def __call__(self, parser, namespace, path, option_string=None):
+        tokens = []
         try:
-            return conv(value)
-        except UsageError:
-            raise
-        except ValueError:
-            raise UsageError(f"malformed {name} value {value!r}") from None
+            with open(path, encoding="utf-8") as fh:
+                for line in map(str.strip, fh):
+                    key, sep, value = (part.strip() for part in line.partition("="))
+                    if key == "config":  # a file naming itself would never end
+                        raise UsageError("a config file cannot name another")
+                    if line and not line.startswith("#"):
+                        tokens.append(f"--{key}{sep}{value}")
+            values = parser.parse_args(tokens)
+        except (UsageError, UnicodeDecodeError) as exc:
+            raise UsageError(f"{path}: {exc}") from None
+        for name, value in vars(values).items():
+            vars(namespace).setdefault(name, value)
 
-    loss_name = pick("loss", "sigmoid-squared")
-    try:
-        loss = LossKind(loss_name)
-    except ValueError:
-        raise UsageError(f"unknown loss {loss_name!r}") from None
-    spec = ExperimentSpec(
-        methods=pick("method", ["svrg"], _names),
-        schemes=pick("scheme", ["uniform", "importance"], _names),
-        batches=pick("batch", [1.0], _floats),
-        seeds=pick("seed", [0], _ints),
-        epochs=pick("epochs", 10.0, float),
-        out_dir=pick("out", "traces"),
-        loss=loss,
-        mu=pick("mu", 0.0, float),
-        dataset_path=pick("dataset", None),
-        synthetic=pick("synthetic", None, _synthetic),
-        data_seed=pick("data_seed", 0, int),
-        scale=pick("scale", False, lambda v: v in ("1", "true", "yes")),
-        subsample_to=pick("subsample", 0, int),
-        eps=pick("eps", 1e-4, float),
-        checkpoint_epochs=pick("cadence", 1.0, float),
-        workers=pick("workers", 1, int),
-        timing=bool(getattr(args, "timing", False)),
-    )
-    spec.validate()
-    return spec
+
+def _option(sub, flag: str, dest: str, conv=str, **kw):
+    """``--flag`` read into ``dest`` by ``conv``; a ValueError from ``conv``
+    becomes a usage error naming the flag and the text."""
+
+    def parse(text):
+        try:
+            return conv(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"malformed {flag} value {text!r}") from None
+
+    kw.setdefault("metavar", flag.upper().replace("-", "_"))
+    sub.add_argument(f"--{flag}", dest=dest, type=parse, **kw)
 
 
 def _add_problem_flags(sub):
-    sub.add_argument("--dataset", help="LIBSVM text file")
-    sub.add_argument("--synthetic", help="n,d,skew synthetic problem")
-    sub.add_argument("--loss", choices=[k.value for k in LossKind], default=None)
-    sub.add_argument("--mu", type=float, default=None, help="strong convexity of the quadratic loss")
-    sub.add_argument("--scale", action="store_true", help="per-feature max-abs scaling")
-    sub.add_argument("--subsample", type=int, default=None, help="keep this many random rows")
-    sub.add_argument("--data-seed", type=int, default=None)
+    _option(sub, "dataset", "dataset_path", help="LIBSVM text file")
+    _option(sub, "synthetic", "synthetic", _synthetic, help="n,d,skew synthetic problem")
+    _option(sub, "loss", "loss", LossKind,
+            metavar="{" + ",".join(k.value for k in LossKind) + "}")
+    _option(sub, "mu", "mu", float, help="strong convexity of the quadratic loss")
+    _option(sub, "scale", "scale", _switch, nargs="?", const=True,
+            help="per-feature max-abs scaling (optionally 1/true/yes or 0/false/no)")
+    _option(sub, "subsample", "subsample_to", int, help="keep this many random rows")
+    _option(sub, "data-seed", "data_seed", int)
+
+
+def _build_spec(args) -> ExperimentSpec:
+    """The spec of the options given; ExperimentSpec supplies the rest."""
+    names = {f.name for f in fields(ExperimentSpec)}
+    spec = ExperimentSpec(**{k: v for k, v in vars(args).items() if k in names})
+    spec.validate()
+    return spec
 
 
 def make_parser() -> _Parser:
     parser = _Parser(prog="vropt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment grid")
+    # options left out are left out of the namespace: ExperimentSpec holds their defaults
+    run_p = sub.add_parser("run", help="run an experiment grid",
+                           argument_default=argparse.SUPPRESS)
     run_p.set_defaults(func=cmd_run)
     _add_problem_flags(run_p)
-    run_p.add_argument("--method", help="comma list: svrg,saga,sarah")
-    run_p.add_argument("--scheme", help="comma list: uniform,importance,approx")
-    run_p.add_argument("--batch", help="comma list of minibatch sizes")
-    run_p.add_argument("--seed", help="comma list of seeds")
-    run_p.add_argument("--epochs", type=float, default=None)
-    run_p.add_argument("--eps", type=float, default=None)
-    run_p.add_argument("--out", default=None)
-    run_p.add_argument("--cadence", type=float, default=None, help="checkpoint cadence in epochs")
-    run_p.add_argument("--workers", type=int, default=None)
-    run_p.add_argument("--config", help="key = value config file; flags override")
-    run_p.add_argument("--timing", action="store_true", help="record real wall_ns (breaks byte-identical reruns)")
+    _option(run_p, "method", "methods", _list(str.strip), help="comma list: svrg,saga,sarah")
+    _option(run_p, "scheme", "schemes", _list(str.strip), help="comma list: uniform,importance,approx")
+    _option(run_p, "batch", "batches", _list(float), help="comma list of minibatch sizes")
+    _option(run_p, "seed", "seeds", _list(int), help="comma list of seeds")
+    _option(run_p, "epochs", "epochs", float)
+    _option(run_p, "eps", "eps", float)
+    _option(run_p, "out", "out_dir")
+    _option(run_p, "cadence", "checkpoint_epochs", float, help="checkpoint cadence in epochs")
+    _option(run_p, "workers", "workers", int)
+    run_p.add_argument("--config", action=_ConfigFile, help="file of key = value lines, "
+                       "each read as the flag --key=value; flags on the command line win")
+    _option(run_p, "timing", "timing", _switch, nargs="?", const=True,
+            help="record real wall_ns (breaks byte-identical reruns)")
 
     sum_p = sub.add_parser("summarize", help="table of epochs-to-target from traces")
     sum_p.set_defaults(func=cmd_summarize)
@@ -539,10 +535,11 @@ def make_parser() -> _Parser:
     ver_p.set_defaults(func=cmd_verify)
     ver_p.add_argument("suite", choices=("eso", "alpha", "unbiased", "all"))
 
-    alpha_p = sub.add_parser("alpha", help="print variance constants for a problem")
+    alpha_p = sub.add_parser("alpha", help="print variance constants for a problem",
+                             argument_default=argparse.SUPPRESS)
     alpha_p.set_defaults(func=cmd_alpha)
     _add_problem_flags(alpha_p)
-    alpha_p.add_argument("--batch", help="comma list of minibatch sizes", default="1")
+    _option(alpha_p, "batch", "batches", _list(float), help="comma list of minibatch sizes")
 
     chk_p = sub.add_parser("parse-check", help="validate a LIBSVM file")
     chk_p.set_defaults(func=cmd_parse_check)

@@ -118,6 +118,9 @@ class _Recorder:
     def __init__(self, problem: Problem, checkpoint_epochs: float = 1.0):
         self.problem = problem
         self.n = problem.dataset.n
+        if not (math.isfinite(checkpoint_epochs) and checkpoint_epochs > 0):
+            raise ConfigError("checkpoint cadence must be positive and finite")
+        # a cadence under half a row still checkpoints once per evaluation
         self.stride = max(1, int(round(checkpoint_epochs * self.n)))
         self.rows: list[tuple[float, float, float, int, int]] = []
         self.t0 = time.perf_counter_ns()
@@ -362,7 +365,7 @@ def _begin(problem: Problem, config: RunConfig, x0, need_m: bool = False):
     holding its checkpoint, and the draw and output streams."""
     if config.scheme is None or config.scheme.n != problem.dataset.n:
         raise ConfigError("config.scheme must match the problem size")
-    if config.eta <= 0.0:
+    if not config.eta > 0.0:
         raise ConfigError("step size must be positive")
     if need_m and config.m < 1:
         raise ConfigError("m must be at least 1")
@@ -497,17 +500,20 @@ def run_sarah_convex(
         raise ConfigError(
             f"eta = {config.eta:g} violates eta < 2/Lbar = {2.0 / problem.Lbar:g}"
         )
+    if not config.eta > 0.0:
+        raise ConfigError("step size must be positive")
     if config.m < 1:
         raise ConfigError("m must be at least 1")
+    if config.replicates < 1:
+        raise ConfigError("replicates must be at least 1")
     x_start = _start_iterate(problem, x0)
     p_cat = problem.L / problem.L.sum()
     # rng.choice(n, p=p_cat)'s pick, without re-checking p and rebuilding
     # the cdf on every step
     cdf = np.cumsum(p_cat)
     cdf /= cdf[-1]
-    reps = max(1, config.replicates)
-    vnorms = np.empty((reps, config.m))
-    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(reps)):
+    vnorms = np.empty((config.replicates, config.m))
+    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.replicates)):
         rng = np.random.default_rng(child)
         rec = _Recorder(problem, config.checkpoint_epochs)
         rec.record(0, x_start)
@@ -533,6 +539,8 @@ def run_gd_wrapper(
     """
     if tau <= 0.0:
         raise ConfigError("tau must be positive")
+    if config.restarts < 0:
+        raise ConfigError("restarts must be nonnegative")
     runs = {"svrg": run_svrg, "saga": run_saga, "sarah": run_sarah}
     if inner not in runs:
         raise ConfigError(f"unsupported inner method: {inner!r}")
@@ -544,7 +552,7 @@ def run_gd_wrapper(
     rec.record(0, x)
     best = rec.rows[-1][1]
     gaps = [0.0]
-    for child in np.random.SeedSequence(config.seed).spawn(max(0, config.restarts)):
+    for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
         seed = int(child.generate_state(1)[0])
         t = runs[inner](problem, _wrapper_inner_config(problem, inner, scheme, seed, config), x0=x)
         x = t.x_a
@@ -647,7 +655,6 @@ def derive_svrg_config(
     epsilon: float | None = None,
     epochs: float | None = None,
     seed: int = 0,
-    m: int | None = None,
     checkpoint_epochs: float = 1.0,
 ) -> RunConfig:
     """Theorem step size eta = mu2 b / (alpha Lbar n^(2/3)) and inner length
@@ -656,11 +663,10 @@ def derive_svrg_config(
     n = problem.dataset.n
     alpha, Lbar, b = _theorem_constants(problem, scheme)
     eta = MU2 * b / (alpha * Lbar * n ** (2.0 / 3.0))
-    if m is None:
-        m = math.floor(n * alpha / (3.0 * b * MU2))
-        if m < 1:
-            warnings.warn("theorem inner length floored to 0; clipping m to 1")
-            m = 1
+    m = math.floor(n * alpha / (3.0 * b * MU2))
+    if m < 1:
+        warnings.warn("theorem inner length floored to 0; clipping m to 1")
+        m = 1
     outer = _budget(problem, "svrg", alpha, Lbar, b, n + m * b, 0, epochs, epsilon)
     return RunConfig(
         scheme=scheme,

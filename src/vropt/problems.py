@@ -74,6 +74,12 @@ class Dataset:
         state.pop("_full_block", None)
         return state
 
+    def __setstate__(self, state):
+        # pickle drops numpy's read-only flag
+        for name in ("indptr", "indices", "data", "labels"):
+            state[name].setflags(write=False)
+        self.__dict__.update(state)
+
 
 @dataclass(slots=True)
 class RowBlock:
@@ -139,6 +145,10 @@ class Problem:
     L: np.ndarray
     Lbar: float
     Lmax: float
+
+    def __setstate__(self, state):
+        state["L"].setflags(write=False)  # pickle drops numpy's read-only flag
+        self.__dict__.update(state)
 
 
 def make_dataset(rows, labels, d: int | None = None) -> Dataset:
@@ -246,12 +256,13 @@ def _sigmoid_sq_curvature(z, y):
     return -2.0 * y * spp * (1.0 - y * s) + 2.0 * sp * sp
 
 
-def max_sigmoid_sq_curvature(step: float = 1e-4, zmax: float = 20.0) -> float:
-    """Re-derive SIGMOID_SQ_CURVATURE: grid scan of |l''| over [-zmax, zmax]
-    for both labels, refined by ternary search around the grid argmax."""
+def max_sigmoid_sq_curvature() -> float:
+    """Re-derive SIGMOID_SQ_CURVATURE: grid scan of |l''| over [-20, 20] at
+    step 1e-4 for both labels, refined by ternary search around the grid
+    argmax."""
     best = 0.0
     for y in (1.0, -1.0):
-        z = np.arange(-zmax, zmax + step / 2, step)
+        z = np.arange(-20.0, 20.0 + 0.5e-4, 1e-4)
         c = np.abs(_sigmoid_sq_curvature(z, y))
         i = int(np.argmax(c))
         lo = z[max(i - 1, 0)]

@@ -386,11 +386,11 @@ def draw(scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def probability_matrix(scheme: SamplingScheme, cap: int = MATRIX_CAP) -> np.ndarray:
+def probability_matrix(scheme: SamplingScheme) -> np.ndarray:
     """Dense matrix P with P_ij = Prob({i,j} in S); diagonal equals p."""
     n = scheme.n
-    if n > cap:
-        raise ValueError(f"probability matrix capped at n <= {cap}, got n = {n}")
+    if n > MATRIX_CAP:
+        raise ValueError(f"probability matrix capped at n <= {MATRIX_CAP}, got n = {n}")
     p = scheme.p
     if scheme.kind is SamplingKind.UNIFORM_MINIBATCH:
         b = scheme.b

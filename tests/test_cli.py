@@ -185,6 +185,24 @@ class TestSummarize:
         with pytest.raises(FileNotFoundError):
             summarize(str(tmp_path / "nothing"), epsilon=1e-3)
 
+    @pytest.mark.parametrize("target", ["trace", "manifest"])
+    def test_malformed_file_is_data_error(self, tmp_path, capsys, target):
+        run_experiment(tiny_spec(tmp_path / "t", schemes=["uniform"], seeds=[1]))
+        if target == "trace":
+            path = tmp_path / "t" / "svrg_uniform_b2_seed1.csv"
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[2] = "1.0,abc,3,4,5\n"
+            line_no = 3
+        else:
+            path = tmp_path / "t" / MANIFEST_NAME
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[1] = lines[1].replace("svrg,uniform,2.0,", "svrg,uniform,xyz,", 1)
+            line_no = 2
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["summarize", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: line {line_no}: {path}")
+
     def test_reports_exact_crossing_epoch(self, tmp_path):
         # hand-written single trace crossing the target at epoch 7.5
         d = tmp_path / "t"
@@ -306,10 +324,9 @@ class TestMainEntry:
         assert (out / MANIFEST_NAME).exists()
         assert main(["run", *flags, "--batch", "2"]) == 0
 
-    def test_missing_subcommand(self):
-        with pytest.raises(SystemExit) as err:
-            main([])
-        assert err.value.code == 1
+    def test_missing_subcommand(self, capsys):
+        assert main([]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
 
     def test_parse_check_ok(self, tmp_path, capsys):
         path = tmp_path / "toy.libsvm"
@@ -392,6 +409,47 @@ class TestMainEntry:
         from_file = _build_spec(parser.parse_args(["run", "--config", str(cfg)]))
         assert from_flags == from_file
         assert from_file.synthetic == (25, 4, 10.0) and from_file.batches == [2.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "argv, config, reason",
+        [
+            (["--epochs", "abc"], None, "argument --epochs: malformed epochs value 'abc'"),
+            (["--batchs", "3"], None, "unrecognized arguments: --batchs 3"),
+            ([], "batchs = 3\n", "exp.cfg: unrecognized arguments: --batchs=3"),
+            ([], "scale = banana\n", "exp.cfg: argument --scale: takes 1/true/yes or 0/false/no"),
+            ([], "# comment\n\nepochs 3\n", "exp.cfg: unrecognized arguments: --epochs 3"),
+            ([], "config = exp.cfg\n", "exp.cfg: a config file cannot name another"),
+            ([], "out = \udcff\n", "exp.cfg: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["bad-number", "unknown-flag", "unknown-key", "bad-switch", "bare-line", "nested",
+             "not-utf8"],
+    )
+    def test_usage_errors_carry_their_reason(self, tmp_path, capsys, monkeypatch,
+                                             argv, config, reason):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            Path("exp.cfg").write_text("synthetic = 10,3,2\n" + config, encoding="utf-8",
+                                       errors="surrogateescape")
+            argv = [*argv, "--config", "exp.cfg"]
+        assert main(["run", "--synthetic", "10,3,2", "--out", "t", *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {reason}")
+        assert not Path("t").exists()
+
+    def test_switch_words(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        parse = make_parser().parse_args
+        for word, value in [("1", True), ("true", True), ("yes", True),
+                            ("0", False), ("false", False), ("no", False)]:
+            cfg.write_text(f"scale = {word}\ntiming = {word}\n", encoding="utf-8")
+            spec = _build_spec(parse(["run", "--synthetic", "10,3,2", "--config", str(cfg)]))
+            assert spec.scale is value and spec.timing is value
+            # flags on the command line win, before or after --config
+            spec = _build_spec(parse(["run", "--synthetic", "10,3,2", f"--scale={1 - value}",
+                                      "--config", str(cfg), f"--timing={1 - value}"]))
+            assert spec.scale is not value and spec.timing is not value
+        assert _build_spec(parse(["run", "--synthetic", "10,3,2", "--scale"])).scale is True
+        assert _build_spec(parse(["run", "--synthetic", "10,3,2"])) == ExperimentSpec(
+            synthetic=(10, 3, 2.0))
 
     def test_run_from_dataset_file(self, tmp_path):
         from vropt.dataio import write_libsvm

@@ -925,6 +925,38 @@ class TestSarahConvex:
         assert fitted <= weak * 1.05
 
 
+@pytest.mark.parametrize(
+    "runner, fields",
+    [
+        ("svrg", dict(eta=math.nan)),
+        ("saga", dict(eta=math.nan)),
+        ("sarah", dict(eta=math.nan)),
+        ("convex", dict(eta=0.0)),
+        ("convex", dict(eta=-0.5)),
+        ("convex", dict(eta=math.nan)),
+        ("convex", dict(replicates=0)),
+        ("convex", dict(replicates=-3)),
+        ("wrapper", dict(restarts=-2)),
+        ("svrg", dict(checkpoint_epochs=-1.0)),
+        ("saga", dict(checkpoint_epochs=0.0)),
+        ("sarah", dict(checkpoint_epochs=math.nan)),
+        ("convex", dict(checkpoint_epochs=math.inf)),
+    ],
+)
+def test_bad_config_rejected_before_running(runner, fields):
+    prob = small_problem(n=6, d=3, seed=11, loss=LossKind.QUADRATIC, mu=0.4)
+    base = dict(scheme=uniform_minibatch(6, 2), eta=1e-3, m=2, outer=1, steps=4,
+                d_refresh=1.0, replicates=1, restarts=1)
+    cfg = RunConfig(**{**base, **fields})
+    runs = {
+        "svrg": run_svrg, "saga": run_saga, "sarah": run_sarah,
+        "convex": run_sarah_convex,
+        "wrapper": lambda prob, cfg: run_gd_wrapper(prob, "svrg", 1.0, cfg),
+    }
+    with pytest.raises(ConfigError):
+        runs[runner](prob, cfg)
+
+
 class TestGdWrapper:
     def test_zero_restarts_identity(self):
         prob = small_problem(n=6, d=3, seed=26, loss=LossKind.QUADRATIC, mu=0.4)

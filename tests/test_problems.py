@@ -322,6 +322,15 @@ class TestRowBlockSplit:
         copy = pickle.loads(pickle.dumps(ds)).block()
         assert np.array_equal(copy.owner, full.owner) and not copy.owner.flags.writeable
 
+    def test_arrays_stay_read_only_through_pickle(self):
+        problem = build_problem(self.dataset(), LossKind.QUADRATIC, 0.3)
+        copy = pickle.loads(pickle.dumps(problem))
+        for name in ("indptr", "indices", "data", "labels"):
+            got = getattr(copy.dataset, name)
+            assert np.array_equal(got, getattr(problem.dataset, name)), name
+            assert not got.flags.writeable, name
+        assert np.array_equal(copy.L, problem.L) and not copy.L.flags.writeable
+
 
 def test_stable_sigmoid_extremes():
     assert stable_sigmoid(800.0) == 1.0

@@ -9,15 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .common import ParseError
 from .problems import Dataset, csr_dataset
-
-
-class ParseError(ValueError):
-    """Malformed LIBSVM input; carries the 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 @dataclass

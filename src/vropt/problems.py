@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .common import LossKind
 from .sampling import floor_smoothness
 
 # Largest |second derivative| of z -> (1 - y*sigmoid(z))^2 over z in R and
@@ -16,11 +16,6 @@ from .sampling import floor_smoothness
 # by max_sigmoid_sq_curvature() (dense grid scan refined by ternary search)
 # and re-derived in the test suite.
 SIGMOID_SQ_CURVATURE = 0.30836848257227656
-
-
-class LossKind(enum.Enum):
-    SIGMOID_SQUARED = "sigmoid-squared"
-    QUADRATIC = "quadratic"
 
 
 @dataclass(frozen=True)

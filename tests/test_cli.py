@@ -1,18 +1,24 @@
 import io
+import multiprocessing
+import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vropt import cli
 from vropt.cli import (
     ExperimentSpec,
     MANIFEST_NAME,
     UsageError,
     _build_spec,
+    _run_cell,
     build_scheme,
     main,
     make_parser,
+    read_manifest,
     run_experiment,
     run_verification,
     summarize,
@@ -41,6 +47,20 @@ def read_bytes_map(directory):
     return {
         p.name: p.read_bytes() for p in sorted(Path(directory).glob("*.csv"))
     }
+
+
+def _run_cell_killing_seed_3(problem, spec, method, scheme, b, seed):
+    """_run_cell, except that seed 3 kills its worker process once seeds 1 and
+    2 have written their traces, and seed 4 waits until the broken pool
+    stops it."""
+    if seed == 3:
+        deadline = time.monotonic() + 30
+        while len(list(Path(spec.out_dir).glob("*.csv"))) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os._exit(1)
+    if seed == 4:
+        time.sleep(30)
+    return _run_cell(problem, spec, method, scheme, b, seed)
 
 
 class TestRunExperiment:
@@ -92,6 +112,21 @@ class TestRunExperiment:
         run_experiment(tiny_spec(tmp_path / "seq"))
         run_experiment(tiny_spec(tmp_path / "par", workers=2))
         assert read_bytes_map(tmp_path / "seq") == read_bytes_map(tmp_path / "par")
+
+    def test_files_are_replaced_whole(self, tmp_path):
+        out = tmp_path / "t"
+        run_experiment(tiny_spec(out, workers=2))
+        written = read_bytes_map(out)
+        assert len(written) == 5 and not list(out.glob("*.tmp"))
+
+        def fails_part_way(fh):
+            fh.write("method,scheme\n")
+            raise OSError("disk full")
+
+        # a write that fails leaves the previous file and no temp file
+        with pytest.raises(OSError, match="disk full"):
+            cli._replace_file(out / MANIFEST_NAME, fails_part_way)
+        assert read_bytes_map(out) == written and not list(out.glob("*.tmp"))
 
     def test_uniform_non_integer_batch_fails_cell(self, tmp_path):
         spec = tiny_spec(tmp_path / "t", schemes=["uniform"], batches=[2.5])
@@ -324,6 +359,30 @@ class TestMainEntry:
         assert (out / MANIFEST_NAME).exists()
         assert main(["run", *flags, "--batch", "2"]) == 0
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched cell function reaches the workers by fork")
+    def test_worker_killed_mid_grid(self, tmp_path, capsys, monkeypatch):
+        flags = ["--synthetic", "25,4,10", "--method", "sarah", "--scheme", "uniform",
+                 "--batch", "2", "--epochs", "2"]
+        out = tmp_path / "t"
+        monkeypatch.setattr(cli, "_run_cell", _run_cell_killing_seed_3)
+        assert main(["run", *flags, "--seed", "1,2,3,4", "--workers", "2",
+                     "--out", str(out)]) == 4
+        printed = capsys.readouterr().out
+        assert "2/4 cells ok" in printed and printed.count(": BrokenProcessPool: ") == 2
+        rows = read_manifest(out / MANIFEST_NAME)
+        assert [row["status"] for row in rows] == ["ok", "ok", "failed", "failed"]
+        assert all(row["error"].startswith("BrokenProcessPool: ") for row in rows[2:])
+        assert rows[3]["seed"] == "4" and rows[3]["n"] == "25" and rows[3]["file"] == ""
+        # the cells that returned keep their traces, as a clean run writes them
+        monkeypatch.undo()
+        assert main(["run", *flags, "--seed", "1,2", "--out", str(tmp_path / "clean")]) == 0
+        traces = read_bytes_map(out)
+        clean = read_bytes_map(tmp_path / "clean")
+        del traces[MANIFEST_NAME], clean[MANIFEST_NAME]
+        assert traces == clean and len(traces) == 2
+        assert not list(out.glob("*.tmp"))
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
@@ -420,9 +479,13 @@ class TestMainEntry:
             ([], "# comment\n\nepochs 3\n", "exp.cfg: unrecognized arguments: --epochs 3"),
             ([], "config = exp.cfg\n", "exp.cfg: a config file cannot name another"),
             ([], "out = \udcff\n", "exp.cfg: 'utf-8' codec can't decode byte 0xff"),
+            (["--synthetic", "12.9,3,2"], None,
+             "argument --synthetic: expects n,d,skew with whole n and d, not '12.9,3,2'"),
+            ([], "synthetic = 12,inf,2\n",
+             "exp.cfg: argument --synthetic: expects n,d,skew with whole n and d"),
         ],
         ids=["bad-number", "unknown-flag", "unknown-key", "bad-switch", "bare-line", "nested",
-             "not-utf8"],
+             "not-utf8", "fractional-size", "infinite-size"],
     )
     def test_usage_errors_carry_their_reason(self, tmp_path, capsys, monkeypatch,
                                              argv, config, reason):

@@ -2,7 +2,8 @@
 reproducible CSV traces, summaries, and enumeration-backed verification.
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 verification failure,
-4 some cells of a run failed (their reasons are printed and in the manifest).
+4 some cells of a run failed or diverged (their reasons are printed and in the
+manifest).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _SOURCES = {
     "bruteforce": (".bruteforce", None),
     **{name: (".dataio", name) for name in ("maxabs_scale", "parse_libsvm", "subsample")},
     **{name: (".optimizers", name) for name in (
-        "derive_saga_config", "derive_sarah_config", "derive_svrg_config",
+        "DivergenceError", "derive_saga_config", "derive_sarah_config", "derive_svrg_config",
         "run_saga", "run_sarah", "run_svrg")},
     **{name: (".problems", name) for name in (
         "build_problem", "component_gradient", "full_gradient", "synthesize")},
@@ -217,12 +218,13 @@ def _failed(row: dict, exc: Exception) -> tuple:
 
 # what _run_cell calls, besides build_scheme
 _CELL_NAMES = ("derive_svrg_config", "run_svrg", "derive_saga_config", "run_saga",
-               "derive_sarah_config", "run_sarah", "compute_alpha")
+               "derive_sarah_config", "run_sarah", "compute_alpha", "DivergenceError")
 
 
 def _run_cell(problem, spec: ExperimentSpec, method: str, scheme_name: str, b, seed: int):
     """Derive the theorem config and run one grid cell; returns a manifest row
-    (dict) plus the trace (or None on failure)."""
+    (dict) plus the trace (or None on failure).  A run that diverges keeps
+    its checkpoints up to the last finite one, with status ``diverged``."""
     _load(*_CELL_NAMES)
     # built per call, so wrappers swapped onto this module's names are used
     derive, run = {
@@ -237,7 +239,11 @@ def _run_cell(problem, spec: ExperimentSpec, method: str, scheme_name: str, b, s
         row.update(alpha=cc.alpha, K=cc.K)
         cfg = derive(problem, scheme, epochs=spec.epochs, seed=seed,
                      checkpoint_epochs=spec.checkpoint_epochs)
-        trace = run(problem, cfg)
+        try:
+            trace = run(problem, cfg)
+        except DivergenceError as exc:
+            trace = exc.trace
+            row.update(status="diverged", error=f"{type(exc).__name__}: {exc}")
         row.update(eta=cfg.eta, m=cfg.m, outer=cfg.outer, steps=cfg.steps,
                    d_refresh=cfg.d_refresh, file=f"{method}_{scheme_name}_b{b:g}_seed{seed}.csv")
         return row, trace
@@ -626,7 +632,8 @@ def cmd_run(args) -> int:
     failed = [r for r in rows if r["status"] != "ok"]
     print(f"{len(rows) - len(failed)}/{len(rows)} cells ok; traces in {spec.out_dir}")
     for row in failed:
-        print(f"  failed: {row['method']}/{row['scheme']}/b={row['b']}/seed={row['seed']}: {row['error']}")
+        cell = f"{row['method']}/{row['scheme']}/b={row['b']}/seed={row['seed']}"
+        print(f"  {row['status']}: {cell}: {row['error']}")
     return 4 if failed else 0
 
 

@@ -41,7 +41,8 @@ DIVERGENCE_LIMIT = 1e100
 F_LOW = 0.0
 
 # The runners draw steps ahead and gather their rows at once, in chunks of
-# about this many stored entries (see ``_lookahead``).
+# about this many stored entries (see ``_lookahead``).  A chunk's sets come
+# from one draw call, so a run's draws depend on this value.
 LOOKAHEAD_ENTRIES = 1 << 13
 
 
@@ -313,10 +314,11 @@ def _chunk_steps(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> 
     return max(1, int(LOOKAHEAD_ENTRIES // max(per_step, 1.0)))
 
 
-def _lookahead(problem: Problem, p: np.ndarray, steps: int, chunk: int, draw_step):
-    """Yield, for each of ``steps`` steps, the tuple of row-index arrays that
-    ``draw_step()`` returns and what its look-ahead chunk gathered for their
-    rows, concatenated in that order: ``(sets, rows, block, bins, w)``.
+def _lookahead(problem: Problem, p: np.ndarray, steps: int, chunk: int, draw_chunk):
+    """Yield, for each of ``steps`` steps, the tuple of its row-index arrays,
+    one per set that ``draw_chunk(k)`` draws for k steps at a time as CSR
+    ``(indptr, indices)`` pairs, and what the chunk gathered for the step's
+    rows, all sets in that order: ``(sets, rows, block, bins, w)``.
 
     - ``rows``: the row indices; ``block``: their entries, with row numbers
       local to the step;
@@ -325,30 +327,39 @@ def _lookahead(problem: Problem, p: np.ndarray, steps: int, chunk: int, draw_ste
       (None when a step draws one set);
     - ``w``: the weights 1/(n p_i).
 
-    The steps are drawn in order, ``chunk`` at a time, and each chunk's rows
-    and weights are gathered once; a step slices them.  No draw depends on
-    the iterate, so the random streams, and hence the runs, are the same as
-    when every step draws and gathers its own."""
+    The steps are drawn ``chunk`` at a time, and each chunk's rows and
+    weights are gathered once; a step slices them.  No draw depends on the
+    iterate, so drawing ahead does not change a run; the draws do depend on
+    ``chunk``."""
     ds = problem.dataset
     for start in range(0, steps, chunk):
-        drawn = [draw_step() for _ in range(min(chunk, steps - start))]
-        sets = [s for step in drawn for s in step]
-        sizes = [s.size for s in sets]
-        rows = np.concatenate(sets)
-        full = ds.block(rows)
-        k = len(drawn[0])
-        blocks = full.split(np.reshape(sizes, (-1, k)).sum(axis=1))
-        chunk_bins = None
-        if k > 1:
-            shift = np.repeat(np.tile(np.arange(k) * ds.d, len(drawn)), sizes)
+        k = min(chunk, steps - start)
+        drawn = draw_chunk(k)
+        sizes = np.diff([ptr for ptr, _ in drawn])  # (sets, k)
+        if len(drawn) == 1:
+            rows = drawn[0][1]
+            full, chunk_bins = ds.block(rows), None
+        else:
+            # each step's rows, set after set: one stable sort on (step, set)
+            step = np.repeat(np.tile(np.arange(k), len(drawn)), sizes.ravel())
+            order = np.argsort(step, kind="stable")
+            rows = np.concatenate([idx for _, idx in drawn])[order]
+            shift = np.repeat(np.arange(len(drawn)) * ds.d, sizes.sum(axis=1))[order]
+            full = ds.block(rows)
             chunk_bins = full.cols + shift[full.owner]
         w = 1.0 / (ds.n * p[rows])
-        r = e = 0
-        for step, block in zip(drawn, blocks):
-            r1, e1 = r + block.size, e + block.cols.size
-            yield (step, rows[r:r1], block,
-                   None if chunk_bins is None else chunk_bins[e:e1], w[r:r1])
-            r, e = r1, e1
+        # bounds[s]: where step s starts in rows, and where each of its sets ends
+        bounds = np.zeros((k, len(drawn) + 1), dtype=np.int64)
+        np.cumsum(sizes.T, axis=1, out=bounds[:, 1:])
+        bounds += sum(ptr[:-1, None] for ptr, _ in drawn)
+        e = 0
+        for cut, block in zip(bounds.tolist(), full.split(sizes.sum(axis=0))):
+            r, r1 = cut[0], cut[-1]
+            e1 = e + block.cols.size
+            here = rows[r:r1]
+            sets = (here,) if len(cut) == 2 else tuple(rows[a:z] for a, z in zip(cut, cut[1:]))
+            yield (sets, here, block, None if chunk_bins is None else chunk_bins[e:e1], w[r:r1])
+            e = e1
 
 
 def _start_iterate(problem: Problem, x0) -> np.ndarray:
@@ -386,7 +397,8 @@ def run_svrg(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     for _ in range(config.outer):
         snap = take_snapshot(problem, x)
         rec.charge(problem.dataset.n, x)
-        steps = _lookahead(problem, p, config.m, chunk, lambda: (draw(scheme, rng_draw),))
+        steps = _lookahead(problem, p, config.m, chunk,
+                           lambda k: (draw(scheme, rng_draw, steps=k),))
         for (subset,), _, block, _, w in steps:
             x = x - config.eta * svrg_direction(problem, p, x, snap, subset, block=block, w=w)
             res.offer(x)
@@ -438,12 +450,12 @@ def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     rec.charge(n, x)
     refresh_prob = min(1.0, config.d_refresh / n)
 
-    def draw_step():
-        subset = draw(scheme, rng_draw)
-        return subset, bernoulli_subset(n, refresh_prob, rng_draw)
+    def draw_chunk(k):
+        subsets = draw(scheme, rng_draw, steps=k)
+        return subsets, bernoulli_subset(n, refresh_prob, rng_draw, steps=k)
 
     chunk = _chunk_steps(problem, p, refresh_prob)
-    steps = _lookahead(problem, p, config.steps, chunk, draw_step)
+    steps = _lookahead(problem, p, config.steps, chunk, draw_chunk)
     for t, ((subset, refresh), rows, block, bins, w) in enumerate(steps):
         x = x - config.eta * _saga_step(problem, mem, x, subset, refresh, rows, block, bins, w)
         if (t + 1) % n == 0:
@@ -454,16 +466,16 @@ def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
 
 
 def _sarah_loop(problem: Problem, p: np.ndarray, x: np.ndarray, eta: float, m: int,
-                draw_step, rec: _Recorder):
+                draw_chunk, rec: _Recorder):
     """One outer loop of the recursive method from x: the full-gradient step,
-    then m - 1 increments over the look-ahead steps of ``draw_step``, each
+    then m - 1 increments over the look-ahead steps of ``draw_chunk``, each
     step recorded in ``rec``.  Yields every new iterate with its v."""
     v = full_gradient(problem, x)
     x_prev, x = x, x - eta * v
     rec.step(problem.dataset.n, x)
     yield x, v
     for (subset,), _, block, _, w in _lookahead(problem, p, m - 1, _chunk_steps(problem, p),
-                                                draw_step):
+                                                draw_chunk):
         v = v + sarah_increment(problem, p, x, x_prev, subset, block=block, w=w)
         x_prev, x = x, x - eta * v
         rec.step(2 * subset.size, x)
@@ -480,7 +492,7 @@ def run_sarah(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
         inner = _Reservoir(rng_out)
         inner.offer(x)
         for x, _ in _sarah_loop(problem, scheme.p, x, config.eta, config.m,
-                                lambda: (draw(scheme, rng_draw),), rec):
+                                lambda k: (draw(scheme, rng_draw, steps=k),), rec):
             inner.offer(x)
         x = inner.pick()
     return rec.finish(x, x)
@@ -508,8 +520,8 @@ def run_sarah_convex(
         raise ConfigError("replicates must be at least 1")
     x_start = _start_iterate(problem, x0)
     p_cat = problem.L / problem.L.sum()
-    # rng.choice(n, p=p_cat)'s pick, without re-checking p and rebuilding
-    # the cdf on every step
+    # rng.choice(n, p=p_cat)'s picks, without re-checking p and rebuilding
+    # the cdf on every step; k doubles in one call are those of k calls
     cdf = np.cumsum(p_cat)
     cdf /= cdf[-1]
     vnorms = np.empty((config.replicates, config.m))
@@ -517,8 +529,10 @@ def run_sarah_convex(
         rng = np.random.default_rng(child)
         rec = _Recorder(problem, config.checkpoint_epochs)
         rec.record(0, x_start)
-        steps = _sarah_loop(problem, p_cat, x_start, config.eta, config.m,
-                            lambda: (cdf.searchsorted(rng.random(1), side="right"),), rec)
+        def draw_chunk(k, rng=rng):
+            return ((np.arange(k + 1), cdf.searchsorted(rng.random(k), side="right")),)
+
+        steps = _sarah_loop(problem, p_cat, x_start, config.eta, config.m, draw_chunk, rec)
         for t, (x, v) in enumerate(steps):
             vnorms[r, t] = float(v @ v)
         trace = rec.finish(x, x)

@@ -6,15 +6,29 @@ the independent sampling.  Each carries a vector ``v`` certifying the matrix
 inequality ``P - p p^T <= Diag(p * v)``, which is what makes the variance
 constants ``K`` and ``alpha`` computable in closed form.
 
-Every draw costs O(b) expected work, not O(n), with the exact law of its
-kind: a scheme builds its index plan once, at construction, and each draw
-uses only exact ``Generator`` primitives (``choice``, ``geometric`` and
-uniforms compared against a probability).  The uniform law is Floyd's
-algorithm (``Generator.choice`` without replacement); the independent law is
-a Bernoulli process with geometric skips inside a few classes of similar
-p_i, thinned to each p_i; the two-stage law is a uniform a-subset of the
-fractional indices, thinned.  ``bernoulli_subset`` draws the i.i.d.
-Bernoulli(q) subsets that refresh the memory method's anchors the same way.
+``draw(scheme, rng, steps=k)`` draws k independent subsets in one call and
+returns them as CSR ``(indptr, indices)``, each subset sorted; a single
+``draw`` is the k = 1 case.  A call costs O(k b) expected work, not O(k n),
+with the exact law of its kind, and pays numpy's fixed per-call cost once
+for all k subsets.  A scheme builds its index plan once, at construction,
+and every draw uses only exact ``Generator`` primitives (integers,
+``choice``, ``geometric`` and uniforms compared against a probability):
+
+- uniform: k x b integers, each row sorted, and the rows holding a repeat
+  drawn again (rejection); for a single subset, or above
+  ``REJECTION_LIMIT`` on b(b-1)/2n where rejection would retry too often,
+  Floyd's algorithm (``Generator.choice``) per subset;
+- independent: per class of similar p_i, one Bernoulli process with
+  geometric skips (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+  ch. VI) over k x (class size) positions, whose quotient by the class size
+  is the subset; then one thinning to each p_i, and one sort by (subset,
+  index) when the classes or the p_i = 1 indices must be merged;
+- two-stage: uniform a-subsets of the fractional indices through the
+  uniform path (the limit applies to a(a-1)/2k), thinned.
+
+``bernoulli_subset`` draws the i.i.d. Bernoulli(q) subsets that refresh the
+memory method's anchors with the same walk, k subsets at a time.  ``draw``
+states the measured cost per subset.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ MATRIX_CAP = 64          # dense probability matrices are for verification only
 PSD_TOL = 1e-10          # absolute tolerance on the smallest eigenvalue
 SMOOTHNESS_FLOOR = 1e-12  # L_i below floor*max(L) are lifted before use
 CLASS_RATIO = 8.0        # a class's coin-flip candidates are <= this times its expected picks
+REJECTION_LIMIT = 0.5    # uniform subsets by rejection while b(b-1)/2n is at most this
 
 
 class SamplingKind(enum.Enum):
@@ -317,73 +332,152 @@ def _draw_plan(scheme: SamplingScheme) -> DrawPlan:
     return DrawPlan(_index_array(frac), _readonly(scheme.k * p[frac] / scheme.a), full)
 
 
-def _bernoulli_walk(start: int, stop: int, q: float, rng: np.random.Generator) -> np.ndarray:
-    """Sorted positions in [start, stop), each included independently with
+def _bernoulli_walk(m: int, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions in [0, m), each included independently with
     probability q: a Bernoulli process walked by geometric skips, so the
-    work is O((stop - start) q) expected, not O(stop - start).  Skips are
-    drawn a batch at a time until the walk passes ``stop``; the batch is
-    4 standard deviations above the mean count, so a second round is rare."""
-    m = stop - start
+    work is O(m q) expected, not O(m).  Skips are drawn a batch at a time
+    until the walk passes m; the batch is 4 standard deviations above the
+    mean count, so a second round is rare."""
     if q >= 1.0:
-        return np.arange(start, stop)
+        return np.arange(m)
     mean = m * q
     batch = int(mean + 4.0 * math.sqrt(mean)) + 4
     parts = []
-    last = start - 1
+    last = -1
     while True:
         gaps = rng.geometric(q, size=batch)
         # a gap beyond the end ends the walk; clipping keeps the sums from overflowing
         np.minimum(gaps, m + 1, out=gaps)
         gaps[0] += last
         pos = np.cumsum(gaps)
-        if pos[-1] >= stop:
-            parts.append(pos[: pos.searchsorted(stop)])
+        if pos[-1] >= m:
+            parts.append(pos[: pos.searchsorted(m)])
             break
         parts.append(pos)
         last = int(pos[-1])
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def bernoulli_subset(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
-    """Each of the indices {0,...,n-1} independently with probability q,
-    as a sorted int64 array; O(n q) expected work (q = 1 gives them all)."""
+def _by_step(steps: int, n: int, step: np.ndarray, idx: np.ndarray, full: np.ndarray,
+             ordered: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The picks ``idx[j]`` of step ``step[j]``, plus the indices ``full`` in
+    every one of ``steps`` steps, as (step, index) arrays in (step, index)
+    order.  ``ordered`` says the picks already run in that order; otherwise
+    one sort of the keys step * n + index puts them there."""
+    if full.size or not ordered:
+        key = step * n + idx
+        if full.size:
+            key = np.concatenate((key, (np.arange(steps)[:, None] * n + full).ravel()))
+        key.sort()
+        step, idx = np.divmod(key, n)
+    return step, idx
+
+
+def _uniform_rows(n: int, b: int, steps: int, rng: np.random.Generator) -> np.ndarray:
+    """A (steps, b) array of independent uniform b-subsets of {0,...,n-1},
+    each row sorted.
+
+    Each row is b uniform integers, sorted; a row that holds a repeat is
+    drawn again, so a kept row is uniform over the sorted b-subsets
+    (rejection).  A row is kept with probability prod_{j<b} (1 - j/n), about
+    exp(-b(b-1)/2n), so when b(b-1)/2n exceeds REJECTION_LIMIT the rows are
+    drawn one at a time by Floyd's algorithm (``Generator.choice``) instead;
+    so is a lone row, for which one ``choice`` call costs less than one
+    round of rejection.
+    """
+    if steps == 1 or b * (b - 1) > 2.0 * REJECTION_LIMIT * n:
+        out = np.empty((steps, b), dtype=np.int64)
+        for row in out:
+            row[:] = rng.choice(n, b, replace=False, shuffle=False)
+        out.sort(axis=1)
+        return out
+    out = rng.integers(0, n, size=(steps, b), dtype=np.int64)
+    out.sort(axis=1)
+    repeats = out[:, 1:] == out[:, :-1]
+    if repeats.any():
+        redo = np.flatnonzero(repeats.any(axis=1))
+        while redo.size:
+            rows = rng.integers(0, n, size=(redo.size, b), dtype=np.int64)
+            rows.sort(axis=1)
+            out[redo] = rows
+            redo = redo[(rows[:, 1:] == rows[:, :-1]).any(axis=1)]
+    return out
+
+
+def _class_walks(plan: DrawPlan, steps: int, rng: np.random.Generator):
+    """The candidates of ``steps`` independent draws as (step, position in
+    ``plan.members``) arrays: per class, one Bernoulli(rate) walk over
+    steps x (class size) positions, each split by ``divmod`` into its step
+    and its member; classes follow one another."""
+    if not plan.classes:
+        return _NO_INDICES, _NO_INDICES
+    walks = []
+    for rate, start, stop in plan.classes:
+        step, j = np.divmod(_bernoulli_walk(steps * (stop - start), rate, rng), stop - start)
+        if start:
+            j += start
+        walks.append((step, j))
+    if len(walks) == 1:
+        return walks[0]
+    step, j = zip(*walks)
+    return np.concatenate(step), np.concatenate(j)
+
+
+def bernoulli_subset(n: int, q: float, rng: np.random.Generator, steps: int | None = None):
+    """Each of the indices {0,...,n-1} independently with probability q, as a
+    sorted int64 array; O(n q) expected work (q = 1 gives them all).
+
+    With ``steps=k``, k independent such subsets as CSR ``(indptr, indices)``:
+    step s holds ``indices[indptr[s]:indptr[s + 1]]``.  They come from one
+    Bernoulli walk over k n positions, each position split by ``divmod`` into
+    its step and index; a single subset is the k = 1 case."""
     if not 0.0 < q <= 1.0:
         raise ValueError(f"inclusion probability must lie in (0, 1], got {q}")
-    return _bernoulli_walk(0, n, q, rng)
+    count = 1 if steps is None else steps
+    step, idx = np.divmod(_bernoulli_walk(count * n, q, rng), n)
+    return idx if steps is None else (np.searchsorted(step, np.arange(count + 1)), idx)
 
 
-def draw(scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
+def draw(scheme: SamplingScheme, rng: np.random.Generator, steps: int | None = None):
     """Draw one subset; returns a sorted int64 array of included indices.
 
-    Expected work is O(b) per draw (plus O(number of classes) for the
-    independent kind), so the time hardly moves with n.  Measured on a
-    2-vCPU Xeon VM (numpy 2.4) at b = 8, with importance probabilities
-    spread 100x: uniform ~11 us, independent ~14-15 us, two-stage ~15 us
-    per draw, at n = 10^4 and at n = 10^5 alike; numpy's fixed per-call
-    cost (about 1 us a call) dominates.
+    With ``steps=k``, draws k independent subsets at once and returns them as
+    CSR ``(indptr, indices)``: step s holds the sorted
+    ``indices[indptr[s]:indptr[s + 1]]``.  A single draw is the k = 1 case,
+    so both calls run the same code.  The k sets of one call follow the law
+    of k single draws but use the stream differently, so the sets drawn
+    depend on how many steps each call draws.
+
+    Expected work is O(k b) (plus O(number of classes) for the independent
+    kind), so the time hardly moves with n, and numpy's fixed per-call cost
+    (about 1 us a call) is paid once per call, not once per set.  Measured
+    on a 2-vCPU VM (numpy 2.4) at b = 8, n = 2 * 10^4 and 2 * 10^5, with
+    importance probabilities spread 100x, per set in 64-set calls: uniform
+    ~0.3 us, independent ~1.7-2.3 us, two-stage ~1.4-1.8 us; a single draw
+    takes ~11, ~14-15 and ~18-20 us.
 
     The caller owns the random stream; schemes themselves are immutable, so
     concurrent draws with independent streams are safe.
     """
+    count = 1 if steps is None else steps
     plan = scheme.plan
     if scheme.kind is SamplingKind.UNIFORM_MINIBATCH:
-        out = rng.choice(scheme.n, int(scheme.b), replace=False, shuffle=False)
-        out.sort()
-        return out
+        b = int(scheme.b)
+        indices = _uniform_rows(scheme.n, b, count, rng).ravel()
+        return indices if steps is None else (np.arange(0, count * b + 1, b), indices)
     if scheme.kind is SamplingKind.INDEPENDENT:
-        if not plan.classes:
-            return plan.full.copy()
-        cand = [_bernoulli_walk(start, stop, rate, rng) for rate, start, stop in plan.classes]
-        cand = cand[0] if len(cand) == 1 else np.concatenate(cand)
+        step, cand = _class_walks(plan, count, rng)
+        kept = rng.random(cand.size) < plan.keep[cand]
+        # a lone class holds the fractional indices in index order
+        step, indices = _by_step(count, scheme.n, step[kept], plan.members[cand[kept]],
+                                 plan.full, len(plan.classes) == 1)
     else:
-        # uniform a-subset of the k fractional indices; order is irrelevant
-        # because every candidate gets its own coin and the result is sorted
-        cand = rng.choice(scheme.k, scheme.a, replace=False, shuffle=False)
-    out = plan.members[cand[rng.random(cand.size) < plan.keep[cand]]]
-    if plan.full.size:
-        out = np.concatenate((out, plan.full))
-    out.sort()
-    return out
+        # a uniform a-subset of the k fractional indices per step, thinned
+        cand = _uniform_rows(scheme.k, scheme.a, count, rng).ravel()
+        kept = rng.random(cand.size) < plan.keep[cand]
+        step, indices = _by_step(count, scheme.n, np.flatnonzero(kept) // scheme.a,
+                                 plan.members[cand[kept]], plan.full, True)
+    return indices if steps is None else (np.searchsorted(step, np.arange(count + 1)), indices)
 
 
 def probability_matrix(scheme: SamplingScheme) -> np.ndarray:

@@ -359,6 +359,43 @@ class TestMainEntry:
         assert (out / MANIFEST_NAME).exists()
         assert main(["run", *flags, "--batch", "2"]) == 0
 
+    def test_diverged_cell_keeps_its_finite_checkpoints(self, tmp_path, capsys, monkeypatch):
+        cli._load(*cli._CELL_NAMES)
+        derive = cli.derive_svrg_config
+
+        def blown_up(*args, **kwargs):
+            # a step size far above the theorem's: the quadratic loss blows up
+            cfg = derive(*args, **kwargs)
+            cfg.eta *= 1e4
+            return cfg
+
+        monkeypatch.setitem(vars(cli), "derive_svrg_config", blown_up)
+        out = tmp_path / "t"
+        flags = ["run", "--synthetic", "30,4,10", "--loss", "quadratic", "--method", "svrg,sarah",
+                 "--scheme", "uniform", "--batch", "2", "--epochs", "6", "--cadence", "0.5"]
+        assert main([*flags, "--out", str(out)]) == 4
+        printed = capsys.readouterr().out
+        assert "1/2 cells ok" in printed and "  diverged: svrg/uniform/b=2.0/seed=0: " in printed
+        diverged, ok = read_manifest(out / MANIFEST_NAME)
+        assert (diverged["status"], ok["status"]) == ("diverged", "ok")
+        assert diverged["error"].startswith("DivergenceError: objective diverged at ")
+        assert float(diverged["eta"]) > 0 and diverged["file"] == "svrg_uniform_b2_seed0.csv"
+        # the trace the error carries: every checkpoint before the blow-up
+        spec = _build_spec(make_parser().parse_args([*flags, "--out", str(tmp_path / "ref")]))
+        problem = cli._load_problem(spec)
+        cfg = blown_up(problem, build_scheme("uniform", problem.L, 2.0), epochs=6.0, seed=0,
+                       checkpoint_epochs=0.5)
+        with pytest.raises(cli.DivergenceError) as err:
+            cli.run_svrg(problem, cfg)
+        cli.write_trace_csv(tmp_path / "want.csv", err.value.trace)
+        written = (out / diverged["file"]).read_text(encoding="utf-8")
+        assert written == (tmp_path / "want.csv").read_text(encoding="utf-8")
+        losses = [float(line.split(",")[1]) for line in written.splitlines()[1:]]
+        assert len(losses) >= 2 and all(np.isfinite(losses))
+        # summarize reads only the cells that are ok
+        text, csv_text = summarize(str(out))
+        assert csv_text.count("\n") == 2 and "\nsarah,uniform," in csv_text
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the patched cell function reaches the workers by fork")
     def test_worker_killed_mid_grid(self, tmp_path, capsys, monkeypatch):

@@ -404,11 +404,11 @@ class TestRunSvrg:
 
         x = np.zeros(3)
         offer(x)
+        chunk = optimizers._chunk_steps(prob, scheme.p)
         for _ in range(2):
             anchor = x.copy()
             g = full_gradient(prob, anchor)
-            for _ in range(4):
-                (i,) = draw(scheme, rng_draw)
+            for ((i,),) in chunked(lambda k: (draw(scheme, rng_draw, steps=k),), 4, chunk):
                 v = component_gradient(prob, i, x) - component_gradient(prob, i, anchor) + g
                 x = x - 0.02 * v
                 offer(x)
@@ -517,9 +517,12 @@ class TestRunSaga:
         offer(x)
         anchors = [np.zeros(3) for _ in range(n)]
         g = full_gradient(prob, x)
-        for _ in range(12):
-            (i,) = draw(scheme, rng_draw)
-            refresh = bernoulli_subset(n, 1.0 / n, rng_draw)
+
+        def draw_chunk(k):
+            return draw(scheme, rng_draw, steps=k), bernoulli_subset(n, 1.0 / n, rng_draw, steps=k)
+
+        chunk = optimizers._chunk_steps(prob, scheme.p, 1.0 / n)
+        for (i,), refresh in chunked(draw_chunk, 12, chunk):
             v = (
                 component_gradient(prob, i, x)
                 - component_gradient(prob, i, anchors[i])
@@ -599,12 +602,25 @@ def empty_row_problem(loss=LossKind.SIGMOID_SQUARED, mu=0.0, n=30, d=6, seed=0):
     return build_problem(make_dataset(rows, labels, d=d), loss, mu)
 
 
+def chunked(draw_chunk, steps, chunk):
+    """Each of ``steps`` steps' tuple of sets, from ``draw_chunk(k)`` called
+    ``chunk`` steps at a time as the look-ahead calls it, one CSR pair per
+    set."""
+    for start in range(0, steps, chunk):
+        drawn = draw_chunk(min(chunk, steps - start))
+        for s in range(drawn[0][0].size - 1):
+            yield tuple(idx[ptr[s]:ptr[s + 1]] for ptr, idx in drawn)
+
+
 def direct_run(method, prob, cfg, sizes):
-    """The runners' arithmetic one step at a time, without look-ahead: each
-    step draws its own sets, and each estimator gathers its own rows.  Every
-    drawn set's size is appended to ``sizes``."""
+    """The runners' arithmetic one step at a time, without look-ahead
+    gathering: each estimator gathers its own rows.  The sets are drawn in
+    chunks of the runner's length, as the runners draw them.  Every taken
+    step's set sizes are appended to ``sizes``."""
     n, eta = prob.dataset.n, cfg.eta
     scheme, p = cfg.scheme, cfg.scheme.p
+    q = min(1.0, cfg.d_refresh / n)
+    chunk = optimizers._chunk_steps(prob, p, q if method == "saga" else 0.0)
     s_draw, s_out = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_draw = np.random.default_rng(s_draw)
     rng_out = np.random.default_rng(s_out)
@@ -624,8 +640,8 @@ def direct_run(method, prob, cfg, sizes):
             snap = take_snapshot(prob, x)
             evals += n
             rec.maybe(evals, x)
-            for _ in range(cfg.m):
-                subset = drawn(draw(scheme, rng_draw))
+            for (subset,) in chunked(lambda k: (draw(scheme, rng_draw, steps=k),), cfg.m, chunk):
+                subset = drawn(subset)
                 x = x - eta * svrg_direction(prob, p, x, snap, subset)
                 evals += subset.size
                 res.offer(x)
@@ -639,10 +655,12 @@ def direct_run(method, prob, cfg, sizes):
         mem = init_saga_memory(prob, x)
         evals = n
         rec.maybe(evals, x)
-        q = min(1.0, cfg.d_refresh / n)
-        for t in range(cfg.steps):
-            subset = drawn(draw(scheme, rng_draw))
-            refresh = drawn(bernoulli_subset(n, q, rng_draw))
+
+        def draw_chunk(k):
+            return draw(scheme, rng_draw, steps=k), bernoulli_subset(n, q, rng_draw, steps=k)
+
+        for t, (subset, refresh) in enumerate(chunked(draw_chunk, cfg.steps, chunk)):
+            subset, refresh = drawn(subset), drawn(refresh)
             v = saga_direction(prob, p, x, mem, subset)
             x_prev = x
             x = x - eta * v
@@ -665,8 +683,8 @@ def direct_run(method, prob, cfg, sizes):
         inner.offer(x)
         rec.guard(x, evals)
         rec.maybe(evals, x)
-        for _ in range(1, cfg.m):
-            subset = drawn(draw(scheme, rng_draw))
+        for (subset,) in chunked(lambda k: (draw(scheme, rng_draw, steps=k),), cfg.m - 1, chunk):
+            subset = drawn(subset)
             v = v + sarah_increment(prob, p, x, x_prev, subset)
             x_prev = x
             x = x - eta * v
@@ -741,7 +759,7 @@ class TestLookahead:
     @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
     def test_divergence_mid_chunk_keeps_partial_trace(self, monkeypatch, method):
         prob = empty_row_problem(LossKind.QUADRATIC, n=20, seed=3)
-        cfg = lookahead_config(method, uniform_minibatch(20, 2), eta=40.0, d_refresh=2.0)
+        cfg = lookahead_config(method, uniform_minibatch(20, 2), eta=50.0, d_refresh=2.0)
         self.set_chunk(monkeypatch, prob, cfg, 4)
         sizes = []
         with pytest.raises(DivergenceError) as ref:
@@ -749,15 +767,17 @@ class TestLookahead:
         taken = len(sizes) // 2 if method == "saga" else len(sizes)
         calls = []
 
-        def counted_draw(scheme, rng):
-            calls.append(1)
-            return draw(scheme, rng)
+        def counted_draw(scheme, rng, steps):
+            calls.append(steps)
+            return draw(scheme, rng, steps=steps)
 
         monkeypatch.setattr(optimizers, "draw", counted_draw)
         with pytest.raises(DivergenceError) as got:
             self.RUNNERS[method](prob, cfg)
-        # diverged before the end of a chunk: steps were drawn and not taken
-        assert len(calls) > taken
+        # one draw per chunk; diverged before the end of a chunk: steps were
+        # drawn and not taken
+        assert max(calls) == 4
+        assert sum(calls) > taken
         assert str(got.value) == str(ref.value)
         assert_same_trace(got.value.trace, ref.value.trace)
 
@@ -808,10 +828,19 @@ class TestLookahead:
             (np.array([29]), np.array([0])),
         ])
         p = np.linspace(0.1, 0.9, 30)
-        steps = list(optimizers._lookahead(prob, p, 5, 2, lambda: next(script)))
+        wanted = []
+
+        def draw_chunk(k):
+            # the script's next k steps, each set kind as one CSR pair
+            wanted.extend(next(script) for _ in range(k))
+            return tuple((np.cumsum([0] + [s.size for s in sets]), np.concatenate(sets))
+                         for sets in zip(*wanted[-k:]))
+
+        steps = list(optimizers._lookahead(prob, p, 5, 2, draw_chunk))
         assert len(steps) == 5
-        for sets, rows, view, bins, w in steps:
+        for (sets, rows, view, bins, w), want_sets in zip(steps, wanted):
             assert len(sets) == 2
+            assert all(np.array_equal(a, b) for a, b in zip(sets, want_sets))
             assert np.array_equal(rows, np.concatenate(sets))
             want = ds.block(rows)
             assert view.size == want.size == rows.size
@@ -990,8 +1019,10 @@ class TestGdWrapper:
         for seed in (1, 2, 3):
             cfg = RunConfig(scheme, eta=0.0, restarts=25, seed=seed)
             trace, gaps = run_gd_wrapper(prob, inner, tau, cfg)
-            drops = np.diff(trace.loss)
-            # median-of-seeds monotonicity: allow isolated stochastic upticks
+            # median-of-seeds monotonicity: allow isolated stochastic upticks.
+            # A restart that starts at the minimum to within rounding moves
+            # the loss by 0 or an ulp either way, so those restarts are left out
+            drops = np.diff(trace.loss)[trace.loss[:-1] - fstar > 1e-12]
             assert np.median(drops) < 0
             finals.append(trace.loss[-1] - fstar)
         # regression fixture: both inner methods drive the gap below 1e-6
@@ -1014,12 +1045,12 @@ class TestGdWrapper:
         scheme = independent(optimal_probabilities(prob.L, 2.0))
         cfg = RunConfig(scheme, eta=0.0, restarts=3, seed=8)
         trace, gaps = run_gd_wrapper(prob, "svrg", tau=2.0 / prob.mu, config=cfg)
-        assert trace.sgrad_evals.tolist() == [0, 651, 1318, 1962]
+        assert trace.sgrad_evals.tolist() == [0, 629, 1287, 1940]
         assert gaps.tolist() == pytest.approx(
-            [0.0, 3.0873627064997855e-05, 4.1128698391457164e-08, 6.115996598055062e-12],
+            [0.0, 2.3542703527557052e-05, 2.9596991801827954e-08, 3.4045544161642738e-12],
             rel=1e-9, abs=0.0,
         )
-        assert trace.loss[-1] == pytest.approx(0.46591370661492704, rel=1e-9)
+        assert trace.loss[-1] == pytest.approx(0.4659137066061407, rel=1e-9)
 
 
 class TestPredictComplexity:

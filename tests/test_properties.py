@@ -1,14 +1,19 @@
 """Property tests: the LIBSVM round trip, the optimal probabilities' KKT
-form, and the ESO certificate of every sampling scheme, on random inputs."""
+form, the ESO certificate of every sampling scheme, and the CSR shape of
+chunk draws, on random inputs."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vropt.dataio import dumps_libsvm, parse_libsvm
 from vropt.problems import csr_dataset
+from vropt import sampling
 from vropt.sampling import (
+    SamplingKind,
     approximate_independent,
+    bernoulli_subset,
+    draw,
     independent,
     optimal_probabilities,
     probability_matrix,
@@ -74,3 +79,70 @@ def small_scheme(draw):
 @given(small_scheme())
 def test_eso_holds_for_every_scheme(scheme):
     assert verify_eso(probability_matrix(scheme), scheme.p, scheme.v)
+
+
+def assert_csr_sets(indptr, indices, steps, n):
+    """indptr runs from 0 to indices.size without falling, one step at a
+    time; each step's indices are sorted, distinct and in [0, n)."""
+    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.size == steps + 1 and indptr[0] == 0 and indptr[-1] == indices.size
+    assert np.all(np.diff(indptr) >= 0)
+    for a, z in zip(indptr[:-1], indptr[1:]):
+        step = indices[a:z]
+        assert np.all(np.diff(step) > 0)
+        assert step.size == 0 or (step[0] >= 0 and step[-1] < n)
+
+
+@st.composite
+def chunk_scheme(draw_from):
+    """Any scheme up to n = 40: p spread over up to four decades, so an
+    independent plan often has several classes, and p_i = 1 entries."""
+    n = draw_from(st.integers(1, 40))
+    kind = draw_from(st.sampled_from(["uniform", "independent", "approx"]))
+    if kind == "uniform":
+        return uniform_minibatch(n, draw_from(st.integers(1, n)))
+    p = 10.0 ** -np.array(draw_from(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n)))
+    return independent(p) if kind == "independent" else approximate_independent(p)
+
+
+# the fallback side of the rejection limit, several classes with certain
+# entries, one step, and steps that draw nothing
+@example(scheme=uniform_minibatch(10, 9), steps=3, seed=0)
+@example(scheme=uniform_minibatch(40, 3), steps=1, seed=0)
+@example(scheme=approximate_independent([0.7, 0.3, 0.3, 0.3, 0.3, 1.0]), steps=4, seed=1)
+@example(scheme=independent([1.0, 1e-4, 0.5, 1.0] + [1e-3] * 30), steps=6, seed=2)
+@example(scheme=independent([1e-3] * 8), steps=5, seed=3)
+@PROPERTY
+@given(chunk_scheme(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_chunk_draws_are_csr_sets(scheme, steps, seed):
+    indptr, indices = draw(scheme, np.random.default_rng(seed), steps=steps)
+    assert_csr_sets(indptr, indices, steps, scheme.n)
+    if scheme.kind is SamplingKind.UNIFORM_MINIBATCH:
+        assert np.all(np.diff(indptr) == scheme.b)
+    certain = np.flatnonzero(scheme.p == 1.0)
+    for a, z in zip(indptr[:-1], indptr[1:]):
+        assert np.isin(certain, indices[a:z]).all()
+
+
+def test_chunk_examples_cover_their_cases():
+    # what the examples above are there for
+    assert 9 * 8 > 2 * sampling.REJECTION_LIMIT * 10
+    s = approximate_independent([0.7, 0.3, 0.3, 0.3, 0.3, 1.0])
+    assert s.kind is SamplingKind.APPROX_INDEPENDENT
+    assert s.a * (s.a - 1) > 2 * sampling.REJECTION_LIMIT * s.k
+    s = independent([1.0, 1e-4, 0.5, 1.0] + [1e-3] * 30)
+    assert len(s.plan.classes) >= 2 and s.plan.full.tolist() == [0, 3]
+    indptr, _ = draw(s, np.random.default_rng(2), steps=6)
+    assert np.any(np.diff(indptr) == 2)  # a step with the certain entries alone
+    indptr, _ = draw(independent([1e-3] * 8), np.random.default_rng(3), steps=5)
+    assert indptr.tolist() == [0] * 6  # five empty steps
+
+
+@PROPERTY
+@given(st.integers(1, 30), st.floats(1e-3, 1.0, exclude_min=False), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_refresh_chunks_are_csr_sets(n, q, steps, seed):
+    indptr, indices = bernoulli_subset(n, q, np.random.default_rng(seed), steps=steps)
+    assert_csr_sets(indptr, indices, steps, n)
+    if q == 1.0:
+        assert np.array_equal(indices, np.tile(np.arange(n), steps))

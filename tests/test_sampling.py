@@ -436,11 +436,10 @@ class TestDrawPlans:
             def geometric(self, q, size):
                 return self.rng.geometric(q, size=1)
 
-        # positions [3, 9), as a class that does not start at 0 walks them
         law = enumerate_law(independent(np.full(6, 0.3)))
         assert_outcomes_match_law(
             law,
-            lambda rng: sampling._bernoulli_walk(3, 9, 0.3, OneSkipPerRound(rng)) - 3,
+            lambda rng: sampling._bernoulli_walk(6, 0.3, OneSkipPerRound(rng)),
             40_000,
             np.random.default_rng(126),
         )
@@ -492,6 +491,124 @@ class TestDrawPlans:
         assert out.dtype == np.int64
         assert np.all(np.diff(out) > 0)
         assert out.size == 0 or (out[0] >= 0 and out[-1] < n)
+
+
+def chunk_masks(sample_chunk, steps, trials, rng):
+    """``trials`` consecutive sets of ``sample_chunk(rng, steps)`` chunks, each
+    as the bit mask sum_i 2^i over its indices (exact in floats for n <= 16).
+    Consecutive sets come from the same chunk or from the chunks on each side
+    of a boundary."""
+    sizes, indices = [], []
+    for _ in range(-(-trials // steps)):
+        indptr, idx = sample_chunk(rng, steps)
+        assert indptr.size == steps + 1 and indptr[-1] == idx.size
+        sizes.append(np.diff(indptr))
+        indices.append(idx)
+    sizes = np.concatenate(sizes)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    masks = np.bincount(owner, weights=2.0 ** np.concatenate(indices), minlength=sizes.size)
+    return masks[:trials].astype(np.int64)
+
+
+def assert_masks_match(probs, masks):
+    """Mask frequencies against exact outcome probabilities ``{mask: prob}``:
+    the support must match and each outcome lies within 4 sigma."""
+    values, counts = np.unique(masks, return_counts=True)
+    assert set(values.tolist()) <= probs.keys()  # support must match exactly
+    seen = dict(zip(values.tolist(), counts.tolist()))
+    for mask, prob in probs.items():
+        sigma = np.sqrt(prob * (1 - prob) / masks.size)
+        assert abs(seen.get(mask, 0) / masks.size - prob) <= 4 * sigma + 1e-9
+
+
+def law_masks(law):
+    return {sum(1 << i for i in subset): prob for subset, prob in law.outcomes}
+
+
+def assert_chunks_match_law(law, sample_chunk, steps, trials, rng):
+    """Each set of the chunk draws against the law, and for consecutive sets
+    S, S', how often i is in S and j in S' against p_i p_j: sets in a chunk,
+    and on each side of a chunk boundary, are independent.  A pair (i, j)
+    expected fewer than 5 times is not tested, since the normal approximation
+    behind the 4 sigma rule fails there."""
+    masks = chunk_masks(sample_chunk, steps, trials, rng)
+    assert_masks_match(law_masks(law), masks)
+    bits = (masks.reshape(-1, 2, 1) >> np.arange(law.n)) & 1
+    joint = bits[:, 0].T @ bits[:, 1] / (trials // 2)
+    want = np.outer(law.p, law.p)
+    sigma = np.sqrt(want * (1 - want) / (trials // 2))
+    tested = want * (trials // 2) >= 5
+    assert np.all(np.abs(joint - want)[tested] <= 4 * sigma[tested] + 1e-9)
+
+
+def draw_chunk(scheme):
+    return lambda rng, steps: draw(scheme, rng, steps=steps)
+
+
+class TestChunkDraws:
+    """Each chunk path against the enumerated law: 40 000 sets, taken also as
+    20 000 pairs of consecutive sets, from chunks of 7 sets, so every position
+    in a chunk is tested and the pairs fall within chunks and across their
+    ends."""
+
+    @pytest.mark.parametrize("n, b, limit", [
+        (4, 2, None),   # b(b-1)/2n = 0.25: rejection
+        (6, 3, None),   # 0.5, at the limit: rejection
+        (5, 4, None),   # 1.2: Floyd's algorithm per set
+        (4, 2, 0.0),    # the first law again, through Floyd's algorithm
+    ])
+    def test_uniform_both_sides_of_the_rejection_limit(self, monkeypatch, n, b, limit):
+        if limit is not None:
+            monkeypatch.setattr(sampling, "REJECTION_LIMIT", limit)
+        s = uniform_minibatch(n, b)
+        assert_chunks_match_law(enumerate_law(s), draw_chunk(s), 7, 40_000,
+                                np.random.default_rng(130))
+
+    def test_independent_one_class_with_certain_entries(self):
+        s = independent([0.3, 1.0, 0.6, 0.8, 1.0])
+        assert len(s.plan.classes) == 1 and s.plan.full.tolist() == [1, 4]
+        assert_chunks_match_law(enumerate_law(s), draw_chunk(s), 7, 40_000,
+                                np.random.default_rng(131))
+
+    def test_independent_several_classes(self, monkeypatch):
+        monkeypatch.setattr(sampling, "CLASS_RATIO", 1.2)
+        s = independent([0.5, 1.0, 0.5, 0.12, 1.0, 1e-3])
+        assert len(s.plan.classes) >= 3
+        assert_chunks_match_law(enumerate_law(s), draw_chunk(s), 7, 40_000,
+                                np.random.default_rng(132))
+
+    @pytest.mark.parametrize("p", [
+        [0.5, 0.5, 0.4, 0.3],             # a = 2 of k = 4: rejection
+        [0.7, 0.3, 0.3, 0.3, 0.3, 1.0],   # a = 4 of k = 5: Floyd's algorithm
+    ])
+    def test_approx_both_sides_of_the_rejection_limit(self, p):
+        s = approximate_independent(p)
+        assert s.kind is SamplingKind.APPROX_INDEPENDENT
+        over = s.a * (s.a - 1) > 2 * sampling.REJECTION_LIMIT * s.k
+        assert over == (len(p) == 6)
+        assert_chunks_match_law(enumerate_law(s), draw_chunk(s), 7, 40_000,
+                                np.random.default_rng(133))
+
+    @pytest.mark.parametrize("n, q", [(6, 0.3), (5, 1.0), (1, 0.4)])
+    def test_bernoulli_subset(self, n, q):
+        law = enumerate_law(independent(np.full(n, q)))
+        sample = lambda rng, k: bernoulli_subset(n, q, rng, steps=k)  # noqa: E731
+        assert_chunks_match_law(law, sample, 7, 40_000, np.random.default_rng(134))
+
+    @pytest.mark.parametrize("name", ["uniform", "importance", "approx"])
+    def test_single_draw_is_the_one_step_chunk(self, name):
+        n, b = 50, 4
+        p = optimal_probabilities(np.geomspace(1.0, 100.0, n), b)
+        s = {"uniform": uniform_minibatch(n, b), "importance": independent(p),
+             "approx": approximate_independent(p)}[name]
+        a, c = np.random.default_rng(136), np.random.default_rng(136)
+        for _ in range(50):
+            indptr, indices = draw(s, a, steps=1)
+            assert indptr.tolist() == [0, indices.size]
+            assert np.array_equal(draw(s, c), indices)
+        a, c = np.random.default_rng(137), np.random.default_rng(137)
+        indptr, indices = bernoulli_subset(n, 0.1, a, steps=1)
+        assert np.array_equal(bernoulli_subset(n, 0.1, c), indices)
 
 
 class TestSerialization:

@@ -111,6 +111,8 @@ class ExperimentSpec:
         for name, values in lists:
             if len(set(values)) < len(values):
                 raise UsageError(f"duplicate values in the {name} list")
+        if min(self.seeds) < 0:
+            raise UsageError("seeds must be non-negative")
         if not all(math.isfinite(b) and b > 0 for b in self.batches):
             raise UsageError("minibatch sizes must be positive and finite")
         if not (math.isfinite(self.epochs) and self.epochs > 0):
@@ -272,9 +274,9 @@ def _run_cells(problem, spec: ExperimentSpec, cells):
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
-    """Run every grid cell, write one CSV per successful cell as it finishes,
-    then a manifest recording all derived hyperparameters (failures
-    included)."""
+    """Run every grid cell and write one CSV per successful cell as it
+    finishes; after each cell, rewrite the manifest recording the derived
+    hyperparameters of every cell finished so far (failures included)."""
     spec.validate()
     # before the problem and before any worker forks: forked workers inherit
     # the modules, and on the benchmark grid, loading them after the problem
@@ -289,7 +291,7 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
         if trace is not None:
             write_trace_csv(out / row["file"], trace, timing=spec.timing)
         rows.append(row)
-    _write_manifest(out / MANIFEST_NAME, rows)
+        _write_manifest(out / MANIFEST_NAME, rows)
     return rows
 
 
@@ -641,8 +643,7 @@ def cmd_summarize(args) -> int:
     text, csv_text = summarize(args.trace_dir, args.eps)
     print(text, end="")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
+        _replace_file(Path(args.csv), lambda fh: fh.write(csv_text))
     return 0
 
 

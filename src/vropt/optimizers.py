@@ -238,7 +238,7 @@ class SagaMemory:
     """Anchor state: the loss slopes at a_i . anchor_i, which reconstruct the
     anchor gradients of linear-composite losses exactly; the anchor vectors
     only when the loss carries a dense mu*x term; and ``g``, the running
-    average of the anchor gradients, re-synced every n refreshes."""
+    average of the anchor gradients, re-synced by ``run_saga`` every n steps."""
 
     slopes: np.ndarray
     g: np.ndarray
@@ -314,52 +314,49 @@ def _chunk_steps(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> 
     return max(1, int(LOOKAHEAD_ENTRIES // max(per_step, 1.0)))
 
 
-def _lookahead(problem: Problem, p: np.ndarray, steps: int, chunk: int, draw_chunk):
-    """Yield, for each of ``steps`` steps, the tuple of its row-index arrays,
-    one per set that ``draw_chunk(k)`` draws for k steps at a time as CSR
-    ``(indptr, indices)`` pairs, and what the chunk gathered for the step's
-    rows, all sets in that order: ``(sets, rows, block, bins, w)``.
+def _lookahead(problem: Problem, p: np.ndarray, steps: int, draw_chunk,
+               refresh_prob: float = 0.0):
+    """Yield one flat record ``(rows, k, block, bins, w)`` for each of
+    ``steps`` steps, from the sets that ``draw_chunk(c)`` draws for c steps
+    at a time, one CSR ``(indptr, indices)`` pair per set:
 
-    - ``rows``: the row indices; ``block``: their entries, with row numbers
-      local to the step;
+    - ``rows``: the step's row indices, set after set, and ``k``: the size
+      of its first set;
+    - ``block``: their entries, with row numbers local to the step;
     - ``bins``: ``block.cols`` plus j d for the entries of the step's j-th
-      set, so one ``np.bincount`` over len(sets) d bins scatters every set
-      (None when a step draws one set);
+      set, so one ``np.bincount`` over (number of sets) x d bins scatters
+      every set (None when a step draws one set);
     - ``w``: the weights 1/(n p_i).
 
-    The steps are drawn ``chunk`` at a time, and each chunk's rows and
-    weights are gathered once; a step slices them.  No draw depends on the
-    iterate, so drawing ahead does not change a run; the draws do depend on
-    ``chunk``."""
+    The steps are drawn ``_chunk_steps(problem, p, refresh_prob)`` at a
+    time, and each chunk's rows and weights are gathered once; a step slices
+    them.  No draw depends on the iterate, so drawing ahead does not change a
+    run; the draws do depend on the chunk length."""
     ds = problem.dataset
+    chunk = _chunk_steps(problem, p, refresh_prob)
     for start in range(0, steps, chunk):
-        k = min(chunk, steps - start)
-        drawn = draw_chunk(k)
-        sizes = np.diff([ptr for ptr, _ in drawn])  # (sets, k)
+        c = min(chunk, steps - start)
+        drawn = draw_chunk(c)
+        sizes = np.diff([ptr for ptr, _ in drawn])  # (sets, c)
         if len(drawn) == 1:
             rows = drawn[0][1]
             full, chunk_bins = ds.block(rows), None
         else:
             # each step's rows, set after set: one stable sort on (step, set)
-            step = np.repeat(np.tile(np.arange(k), len(drawn)), sizes.ravel())
+            step = np.repeat(np.tile(np.arange(c), len(drawn)), sizes.ravel())
             order = np.argsort(step, kind="stable")
             rows = np.concatenate([idx for _, idx in drawn])[order]
             shift = np.repeat(np.arange(len(drawn)) * ds.d, sizes.sum(axis=1))[order]
             full = ds.block(rows)
             chunk_bins = full.cols + shift[full.owner]
         w = 1.0 / (ds.n * p[rows])
-        # bounds[s]: where step s starts in rows, and where each of its sets ends
-        bounds = np.zeros((k, len(drawn) + 1), dtype=np.int64)
-        np.cumsum(sizes.T, axis=1, out=bounds[:, 1:])
-        bounds += sum(ptr[:-1, None] for ptr, _ in drawn)
-        e = 0
-        for cut, block in zip(bounds.tolist(), full.split(sizes.sum(axis=0))):
-            r, r1 = cut[0], cut[-1]
+        per_step = sizes.sum(axis=0)
+        r = e = 0
+        for r1, k, block in zip(np.cumsum(per_step).tolist(), sizes[0].tolist(),
+                                full.split(per_step)):
             e1 = e + block.cols.size
-            here = rows[r:r1]
-            sets = (here,) if len(cut) == 2 else tuple(rows[a:z] for a, z in zip(cut, cut[1:]))
-            yield (sets, here, block, None if chunk_bins is None else chunk_bins[e:e1], w[r:r1])
-            e = e1
+            yield rows[r:r1], k, block, None if chunk_bins is None else chunk_bins[e:e1], w[r:r1]
+            r, e = r1, e1
 
 
 def _start_iterate(problem: Problem, x0) -> np.ndarray:
@@ -393,33 +390,31 @@ def run_svrg(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     scheme, p = config.scheme, config.scheme.p
     res = _Reservoir(rng_out)
     res.offer(x)
-    chunk = _chunk_steps(problem, p)
     for _ in range(config.outer):
         snap = take_snapshot(problem, x)
         rec.charge(problem.dataset.n, x)
-        steps = _lookahead(problem, p, config.m, chunk,
-                           lambda k: (draw(scheme, rng_draw, steps=k),))
-        for (subset,), _, block, _, w in steps:
-            x = x - config.eta * svrg_direction(problem, p, x, snap, subset, block=block, w=w)
+        steps = _lookahead(problem, p, config.m, lambda c: (draw(scheme, rng_draw, steps=c),))
+        for rows, _, block, _, w in steps:
+            x = x - config.eta * svrg_direction(problem, p, x, snap, rows, block=block, w=w)
             res.offer(x)
-            rec.step(subset.size, x)
+            rec.step(rows.size, x)
     return rec.finish(x, res.pick())
 
 
 def _saga_step(
-    problem: Problem, mem: SagaMemory, x: np.ndarray, subset, refresh,
-    rows: np.ndarray, block: RowBlock, bins: np.ndarray, w: np.ndarray,
+    problem: Problem, mem: SagaMemory, x: np.ndarray, rows: np.ndarray, k: int,
+    block: RowBlock, bins: np.ndarray, w: np.ndarray,
 ) -> np.ndarray:
     """Return saga_direction(x, S) and apply saga_refresh(x, R) to ``mem``,
-    from one margin and slope pass over the rows of S then R (``rows``,
-    gathered as ``block`` with scatter ``bins`` and weights ``w``) at the
-    pre-step iterate x, and one ``np.bincount`` over 2d bins: the
+    for S = ``rows[:k]`` and R = ``rows[k:]``, from one margin and slope pass
+    over ``rows`` (gathered as ``block`` with scatter ``bins`` and weights
+    ``w``) at the pre-step iterate x, and one ``np.bincount`` over 2d bins: the
     direction's scatter in [0, d), the refresh's change of the average in
     [d, 2d).  Rows in both S and R use the memory slopes from before the
     refresh, as the two calls do; every sum adds the same terms in the same
     order, so the result is bit-identical to them."""
     ds = problem.dataset
-    k = subset.size
+    subset, refresh = rows[:k], rows[k:]
     slopes = row_slopes(problem, block, x)
     c = slopes - mem.slopes[rows]
     c[:k] *= w[:k]
@@ -450,18 +445,17 @@ def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
     rec.charge(n, x)
     refresh_prob = min(1.0, config.d_refresh / n)
 
-    def draw_chunk(k):
-        subsets = draw(scheme, rng_draw, steps=k)
-        return subsets, bernoulli_subset(n, refresh_prob, rng_draw, steps=k)
+    def draw_chunk(c):
+        subsets = draw(scheme, rng_draw, steps=c)
+        return subsets, bernoulli_subset(n, refresh_prob, rng_draw, steps=c)
 
-    chunk = _chunk_steps(problem, p, refresh_prob)
-    steps = _lookahead(problem, p, config.steps, chunk, draw_chunk)
-    for t, ((subset, refresh), rows, block, bins, w) in enumerate(steps):
-        x = x - config.eta * _saga_step(problem, mem, x, subset, refresh, rows, block, bins, w)
+    steps = _lookahead(problem, p, config.steps, draw_chunk, refresh_prob)
+    for t, (rows, k, block, bins, w) in enumerate(steps):
+        x = x - config.eta * _saga_step(problem, mem, x, rows, k, block, bins, w)
         if (t + 1) % n == 0:
             mem.g = saga_recompute_average(problem, mem)
         res.offer(x)
-        rec.step(subset.size + refresh.size, x)
+        rec.step(rows.size, x)
     return rec.finish(x, res.pick())
 
 
@@ -474,11 +468,10 @@ def _sarah_loop(problem: Problem, p: np.ndarray, x: np.ndarray, eta: float, m: i
     x_prev, x = x, x - eta * v
     rec.step(problem.dataset.n, x)
     yield x, v
-    for (subset,), _, block, _, w in _lookahead(problem, p, m - 1, _chunk_steps(problem, p),
-                                                draw_chunk):
-        v = v + sarah_increment(problem, p, x, x_prev, subset, block=block, w=w)
+    for rows, _, block, _, w in _lookahead(problem, p, m - 1, draw_chunk):
+        v = v + sarah_increment(problem, p, x, x_prev, rows, block=block, w=w)
         x_prev, x = x, x - eta * v
-        rec.step(2 * subset.size, x)
+        rec.step(2 * rows.size, x)
         yield x, v
 
 

@@ -430,12 +430,13 @@ def bernoulli_subset(n: int, q: float, rng: np.random.Generator, steps: int | No
     With ``steps=k``, k independent such subsets as CSR ``(indptr, indices)``:
     step s holds ``indices[indptr[s]:indptr[s + 1]]``.  They come from one
     Bernoulli walk over k n positions, each position split by ``divmod`` into
-    its step and index; a single subset is the k = 1 case."""
+    its step and index; a single subset is the indices of the k = 1 case."""
+    if steps is None:
+        return bernoulli_subset(n, q, rng, steps=1)[1]
     if not 0.0 < q <= 1.0:
         raise ValueError(f"inclusion probability must lie in (0, 1], got {q}")
-    count = 1 if steps is None else steps
-    step, idx = np.divmod(_bernoulli_walk(count * n, q, rng), n)
-    return idx if steps is None else (np.searchsorted(step, np.arange(count + 1)), idx)
+    step, idx = np.divmod(_bernoulli_walk(steps * n, q, rng), n)
+    return np.searchsorted(step, np.arange(steps + 1)), idx
 
 
 def draw(scheme: SamplingScheme, rng: np.random.Generator, steps: int | None = None):
@@ -443,10 +444,10 @@ def draw(scheme: SamplingScheme, rng: np.random.Generator, steps: int | None = N
 
     With ``steps=k``, draws k independent subsets at once and returns them as
     CSR ``(indptr, indices)``: step s holds the sorted
-    ``indices[indptr[s]:indptr[s + 1]]``.  A single draw is the k = 1 case,
-    so both calls run the same code.  The k sets of one call follow the law
-    of k single draws but use the stream differently, so the sets drawn
-    depend on how many steps each call draws.
+    ``indices[indptr[s]:indptr[s + 1]]``.  A single draw returns the indices
+    of the k = 1 case, so both calls run the same code.  The k sets of one
+    call follow the law of k single draws but use the stream differently, so
+    the sets drawn depend on how many steps each call draws.
 
     Expected work is O(k b) (plus O(number of classes) for the independent
     kind), so the time hardly moves with n, and numpy's fixed per-call cost
@@ -459,25 +460,25 @@ def draw(scheme: SamplingScheme, rng: np.random.Generator, steps: int | None = N
     The caller owns the random stream; schemes themselves are immutable, so
     concurrent draws with independent streams are safe.
     """
-    count = 1 if steps is None else steps
+    if steps is None:
+        return draw(scheme, rng, steps=1)[1]
     plan = scheme.plan
     if scheme.kind is SamplingKind.UNIFORM_MINIBATCH:
         b = int(scheme.b)
-        indices = _uniform_rows(scheme.n, b, count, rng).ravel()
-        return indices if steps is None else (np.arange(0, count * b + 1, b), indices)
+        return np.arange(0, steps * b + 1, b), _uniform_rows(scheme.n, b, steps, rng).ravel()
     if scheme.kind is SamplingKind.INDEPENDENT:
-        step, cand = _class_walks(plan, count, rng)
+        step, cand = _class_walks(plan, steps, rng)
         kept = rng.random(cand.size) < plan.keep[cand]
         # a lone class holds the fractional indices in index order
-        step, indices = _by_step(count, scheme.n, step[kept], plan.members[cand[kept]],
+        step, indices = _by_step(steps, scheme.n, step[kept], plan.members[cand[kept]],
                                  plan.full, len(plan.classes) == 1)
     else:
         # a uniform a-subset of the k fractional indices per step, thinned
-        cand = _uniform_rows(scheme.k, scheme.a, count, rng).ravel()
+        cand = _uniform_rows(scheme.k, scheme.a, steps, rng).ravel()
         kept = rng.random(cand.size) < plan.keep[cand]
-        step, indices = _by_step(count, scheme.n, np.flatnonzero(kept) // scheme.a,
+        step, indices = _by_step(steps, scheme.n, np.flatnonzero(kept) // scheme.a,
                                  plan.members[cand[kept]], plan.full, True)
-    return indices if steps is None else (np.searchsorted(step, np.arange(count + 1)), indices)
+    return np.searchsorted(step, np.arange(steps + 1)), indices
 
 
 def probability_matrix(scheme: SamplingScheme) -> np.ndarray:

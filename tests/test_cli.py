@@ -1,6 +1,7 @@
 import io
 import multiprocessing
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -23,6 +24,7 @@ from vropt.cli import (
     run_verification,
     summarize,
 )
+from vropt.dataio import ParseError
 from vropt.problems import LossKind
 from vropt.sampling import SamplingKind
 
@@ -327,6 +329,9 @@ class TestMainEntry:
             ["run", *syn, "--epochs", "nan"],
             ["run", *syn, "--cadence", "nan"],
             ["run", *syn, "--seed", "1,1"],
+            ["run", *syn, "--seed", "-1"],
+            ["run", *syn, "--seed", "2,-3"],
+            ["run", *syn, "--data-seed", "-1"],
             ["run", *syn, "--batch", "2,2.0"],
             ["run", *syn, "--batch", "nan"],
             ["run", *syn, "--batch", "inf"],
@@ -419,6 +424,73 @@ class TestMainEntry:
         del traces[MANIFEST_NAME], clean[MANIFEST_NAME]
         assert traces == clean and len(traces) == 2
         assert not list(out.glob("*.tmp"))
+
+    def test_interrupted_grid_keeps_manifest_of_finished_cells(self, tmp_path, monkeypatch):
+        flags = ["--synthetic", "25,4,10", "--method", "sarah", "--scheme", "uniform",
+                 "--batch", "2", "--epochs", "2", "--workers", "1"]
+        calls = []
+
+        def interrupted_third(*cell):
+            calls.append(cell)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return _run_cell(*cell)
+
+        monkeypatch.setattr(cli, "_run_cell", interrupted_third)
+        out = tmp_path / "t"
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", *flags, "--seed", "1,2,3,4", "--out", str(out)])
+        rows = read_manifest(out / MANIFEST_NAME)
+        assert [(row["seed"], row["status"]) for row in rows] == [("1", "ok"), ("2", "ok")]
+        assert all((out / row["file"]).is_file() for row in rows)
+        assert not list(out.glob("*.tmp"))
+        # the manifest and traces of a clean run of the finished cells
+        monkeypatch.undo()
+        assert main(["run", *flags, "--seed", "1,2", "--out", str(tmp_path / "clean")]) == 0
+        assert read_bytes_map(out) == read_bytes_map(tmp_path / "clean")
+
+    def test_summarize_csv_file(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        run_experiment(tiny_spec(out))
+        target = tmp_path / "summary.csv"
+        assert main(["summarize", str(out), "--csv", str(target)]) == 0
+        assert target.read_bytes() == summarize(str(out))[1].encode("utf-8")
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "case, exc, code, fragment",
+        [
+            ("scheme", UsageError, 1, "unknown scheme 'nope'"),
+            ("header", ParseError, 2, "unexpected trace header 'epoch,loss'"),
+            ("no rows", ParseError, 2, "no checkpoints after the header"),
+            ("no ok rows", FileNotFoundError, 2, "no successful traces found in"),
+        ],
+    )
+    def test_input_checks(self, tmp_path, capsys, case, exc, code, fragment):
+        out = tmp_path / "t"
+        if case == "scheme":
+            argv = ["run", "--synthetic", "10,3,2", "--scheme", "uniform,nope", "--out", str(out)]
+        else:
+            run_experiment(tiny_spec(out, schemes=["uniform"], seeds=[1]))
+            trace, manifest = out / "svrg_uniform_b2_seed1.csv", out / MANIFEST_NAME
+            if case == "header":
+                trace.write_text("epoch,loss\n0.0,1.0\n", encoding="utf-8")
+            elif case == "no rows":
+                trace.write_text(cli.TRACE_HEADER + "\n", encoding="utf-8")
+            else:
+                text = manifest.read_text(encoding="utf-8")
+                manifest.write_text(text.replace(",ok,", ",failed,", 1), encoding="utf-8")
+            argv = ["summarize", str(out)]
+        args = make_parser().parse_args(argv)
+        with pytest.raises(exc, match=re.escape(fragment)):
+            args.func(args)
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:" if code == 1 else "data error:")
+        assert fragment in err
+        if case == "scheme":
+            assert not out.exists()
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ class TestParse:
     def test_unusual_label_warns(self):
         _, report = parse_libsvm(b"3.5 1:1\n")
         assert report.warnings and report.warnings[0][0] == 1
+
+    @pytest.mark.parametrize(
+        "token, fragment",
+        [("1:2:3", "bad feature token '1:2:3'"), ("0:1.0", "feature index 0 below 1")],
+    )
+    def test_feature_token_checks(self, token, fragment):
+        with pytest.raises(ParseError, match=re.escape(fragment)) as err:
+            parse_libsvm(f"1 1:0.5\n-1 {token}\n".encode())
+        assert err.value.line_no == 2
 
     def test_accepts_path_and_stream(self, tmp_path):
         path = tmp_path / "toy.libsvm"

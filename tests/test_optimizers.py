@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -352,6 +353,28 @@ class TestEstimatorsAgainstRowReference:
                     assert np.array_equal(
                         sarah_increment(prob, p, a, b, subset, block=block), ref
                     )
+
+
+@pytest.mark.parametrize(
+    "call, exc, fragment",
+    [
+        (lambda prob, s: run_saga(prob, RunConfig(s, eta=0.1, steps=2, d_refresh=0.0)),
+         ConfigError, "d_refresh must lie in (0, 6]"),
+        (lambda prob, s: run_saga(prob, RunConfig(s, eta=0.1, steps=2, d_refresh=6.5)),
+         ConfigError, "d_refresh must lie in (0, 6]"),
+        (lambda prob, s: run_sarah_convex(prob, derive_sarah_convex_config(prob, m=0)),
+         ConfigError, "m must be at least 1"),
+        (lambda prob, s: run_gd_wrapper(prob, "svrg", 1.0,
+                                        RunConfig(uniform_minibatch(5, 2), eta=0.1, restarts=1)),
+         ConfigError, "config.scheme must match the problem size"),
+        (lambda prob, s: run_svrg(prob, RunConfig(s, eta=0.1), x0=np.zeros(4)),
+         ValueError, "x0 has the wrong dimension"),
+    ],
+)
+def test_input_checks(call, exc, fragment):
+    prob = small_problem(n=6, d=3, seed=11)
+    with pytest.raises(exc, match=re.escape(fragment)):
+        call(prob, uniform_minibatch(6, 2))
 
 
 class TestRunSvrg:
@@ -817,7 +840,7 @@ class TestLookahead:
         if mu:  # L_i >= mu, so empty rows are picked too
             assert any(prob.dataset.indptr[i] == prob.dataset.indptr[i + 1] for i in picks)
 
-    def test_views_equal_block_of_each_step(self):
+    def test_views_equal_block_of_each_step(self, monkeypatch):
         prob = empty_row_problem()
         ds = prob.dataset
         script = iter([
@@ -836,12 +859,15 @@ class TestLookahead:
             return tuple((np.cumsum([0] + [s.size for s in sets]), np.concatenate(sets))
                          for sets in zip(*wanted[-k:]))
 
-        steps = list(optimizers._lookahead(prob, p, 5, 2, draw_chunk))
+        # chunks of 2 steps, so a chunk's steps are sliced out of its rows
+        per_step = float(p @ np.diff(ds.indptr))
+        monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", 2 * per_step + 1e-9)
+        assert optimizers._chunk_steps(prob, p) == 2
+        steps = list(optimizers._lookahead(prob, p, 5, draw_chunk))
         assert len(steps) == 5
-        for (sets, rows, view, bins, w), want_sets in zip(steps, wanted):
-            assert len(sets) == 2
+        for (rows, k, view, bins, w), want_sets in zip(steps, wanted):
+            sets = (rows[:k], rows[k:])
             assert all(np.array_equal(a, b) for a, b in zip(sets, want_sets))
-            assert np.array_equal(rows, np.concatenate(sets))
             want = ds.block(rows)
             assert view.size == want.size == rows.size
             for field in ("owner", "cols", "vals", "labels"):

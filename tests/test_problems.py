@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vropt.problems import (
     LossKind,
     build_problem,
     component_gradient,
+    csr_dataset,
     full_gradient,
     loss_value,
     make_dataset,
@@ -261,6 +263,36 @@ class TestDatasetValidation:
     def test_index_beyond_dimension(self):
         with pytest.raises(ValueError):
             make_dataset([(np.array([5]), np.array([1.0]))], [1], d=3)
+
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (lambda: make_dataset([], []), "dataset needs at least one example"),
+            (lambda: make_dataset([([0, 1], [1.0])], [1]),
+             "row indices and values must be 1-d and aligned"),
+            (lambda: csr_dataset([0], [], [], []), "dataset needs at least one example"),
+            (lambda: csr_dataset([0, 1], [0], [1.0], [1, 1]),
+             "labels length does not match number of rows"),
+            (lambda: csr_dataset([0, 1], [0], [1.0], [0]), "labels must be -1 or +1"),
+            (lambda: csr_dataset([0, 1], [0], [1.0, 2.0], [1]),
+             "row indices and values must be 1-d and aligned"),
+            (lambda: csr_dataset([0, 2], [0], [1.0], [1]),
+             "row indices and values must be 1-d and aligned"),
+            (lambda: csr_dataset([1, 1], [0], [1.0], [1]),
+             "row pointers must start at 0 and never decrease"),
+            (lambda: csr_dataset([0, 2, 1], [0], [1.0], [1, 1]),
+             "row pointers must start at 0 and never decrease"),
+            (lambda: csr_dataset([0, 2], [1, 0], [1.0, 1.0], [1]),
+             "row indices must be strictly increasing and >= 0"),
+            (lambda: csr_dataset([0, 1], [-1], [1.0], [1]),
+             "row indices must be strictly increasing and >= 0"),
+            (lambda: csr_dataset([0, 1], [5], [1.0], [1], d=3),
+             "row index 5 outside feature dimension 3"),
+        ],
+    )
+    def test_input_checks(self, call, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            call()
 
     def test_sigmoid_rejects_mu(self):
         ds = synthesize(3, 2, 1.0, seed=16)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -641,6 +642,26 @@ class TestSerialization:
     def test_b_mismatch(self):
         with pytest.raises(ValueError):
             scheme_from_text("kind = independent\nn = 2\nb = 1.5\np = 0.5 0.5\n")
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: bernoulli_subset(5, 0.0, np.random.default_rng(0)),
+         "inclusion probability must lie in (0, 1], got 0.0"),
+        (lambda: bernoulli_subset(5, 1.5, np.random.default_rng(0), steps=3),
+         "inclusion probability must lie in (0, 1], got 1.5"),
+        (lambda: independent([0.5, 1.5, 0.2]), "inclusion probabilities must satisfy p_i <= 1"),
+        (lambda: scheme_from_text("kind = independent\nn 2\n"), "malformed scheme line: 'n 2'"),
+        (lambda: scheme_from_text("kind = independent\nn = 3\nb = 1.0\np = 0.5 0.5\n"),
+         "scheme block: p length does not match n"),
+        (lambda: scheme_from_text("kind = approx-independent\nn = 2\nb = 1.5\np = 1.0 0.5\n"),
+         "scheme block: approximate sampling is degenerate"),
+    ],
+)
+def test_input_checks(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
 
 
 def test_floor_smoothness():

@@ -113,6 +113,8 @@ class ExperimentSpec:
                 raise UsageError(f"duplicate values in the {name} list")
         if min(self.seeds) < 0:
             raise UsageError("seeds must be non-negative")
+        if self.data_seed < 0:
+            raise UsageError("data seed must be non-negative")
         if not all(math.isfinite(b) and b > 0 for b in self.batches):
             raise UsageError("minibatch sizes must be positive and finite")
         if not (math.isfinite(self.epochs) and self.epochs > 0):

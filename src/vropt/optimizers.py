@@ -35,6 +35,11 @@ NU2 = 1.0 / 40.0  # rate constant of the anchored method's theorem
 NU3 = 1.0 / 12.0  # rate constant of the memory method's theorem
 
 DIVERGENCE_LIMIT = 1e100
+# An iterate whose computed x . x is at most this passes the guard without
+# its exact test: an entry above DIVERGENCE_LIMIT makes the true sum of
+# squares exceed 1e200, and a dot over d < 1e15 terms rounds it down by less
+# than 12%, in any summation order.
+DIVERGENCE_SCREEN = 1e199
 
 # Lower bound on f that gap_estimate measures from: both losses are
 # nonnegative.
@@ -166,6 +171,9 @@ class _Recorder:
         self.next_at = (evals // self.stride + 1) * self.stride
 
     def guard(self, x: np.ndarray, evals: int) -> None:
+        # vdot is x @ x without numpy's overflow warning; NaN fails the test
+        if float(np.vdot(x, x)) <= DIVERGENCE_SCREEN:
+            return
         m = float(max(x.max(), -x.min())) if x.size else 0.0  # NaN if x has one
         if not math.isfinite(m) or m > DIVERGENCE_LIMIT:
             raise DivergenceError(
@@ -227,7 +235,8 @@ def svrg_direction(
     """sum_{i in S} (grad f_i(x) - grad f_i(anchor)) / (n p_i) + g."""
     block, rows, w = _weighted_block(problem, p, subset, block, w)
     c = w * (row_slopes(problem, block, x) - snap.slopes[rows])
-    v = block.scatter(c, problem.dataset.d) + snap.g
+    v = block.scatter(c, problem.dataset.d)
+    v += snap.g
     if problem.mu:
         v += problem.mu * w.sum() * (x - snap.x)
     return v
@@ -395,7 +404,9 @@ def run_svrg(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
         rec.charge(problem.dataset.n, x)
         steps = _lookahead(problem, p, config.m, lambda c: (draw(scheme, rng_draw, steps=c),))
         for rows, _, block, _, w in steps:
-            x = x - config.eta * svrg_direction(problem, p, x, snap, rows, block=block, w=w)
+            v = svrg_direction(problem, p, x, snap, rows, block=block, w=w)
+            v *= config.eta
+            x -= v
             res.offer(x)
             rec.step(rows.size, x)
     return rec.finish(x, res.pick())
@@ -419,11 +430,13 @@ def _saga_step(
     c = slopes - mem.slopes[rows]
     c[:k] *= w[:k]
     out = block.scatter(c, 2 * ds.d, bins)
-    v = out[:ds.d] + mem.g
+    v = out[:ds.d]
+    v += mem.g
     if problem.mu:
         v += problem.mu * np.sum(w[:k, None] * (x - mem.anchors[subset]), axis=0)
     # anchors move to the pre-step iterate
-    mem.g += out[ds.d:] / ds.n
+    out[ds.d:] /= ds.n
+    mem.g += out[ds.d:]
     if problem.mu:
         mem.g += problem.mu * np.sum(x - mem.anchors[refresh], axis=0) / ds.n
         mem.anchors[refresh] = x
@@ -451,7 +464,9 @@ def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
 
     steps = _lookahead(problem, p, config.steps, draw_chunk, refresh_prob)
     for t, (rows, k, block, bins, w) in enumerate(steps):
-        x = x - config.eta * _saga_step(problem, mem, x, rows, k, block, bins, w)
+        v = _saga_step(problem, mem, x, rows, k, block, bins, w)
+        v *= config.eta
+        x -= v
         if (t + 1) % n == 0:
             mem.g = saga_recompute_average(problem, mem)
         res.offer(x)
@@ -463,14 +478,21 @@ def _sarah_loop(problem: Problem, p: np.ndarray, x: np.ndarray, eta: float, m: i
                 draw_chunk, rec: _Recorder):
     """One outer loop of the recursive method from x: the full-gradient step,
     then m - 1 increments over the look-ahead steps of ``draw_chunk``, each
-    step recorded in ``rec``.  Yields every new iterate with its v."""
+    step recorded in ``rec``.  Yields every new iterate with its v.
+
+    x is only read.  The loop updates two buffers of its own in place, so the
+    next step overwrites the yielded arrays: a consumer copies what it
+    keeps."""
     v = full_gradient(problem, x)
-    x_prev, x = x, x - eta * v
+    x_prev, x = x.copy(), x - eta * v
     rec.step(problem.dataset.n, x)
     yield x, v
     for rows, _, block, _, w in _lookahead(problem, p, m - 1, draw_chunk):
-        v = v + sarah_increment(problem, p, x, x_prev, rows, block=block, w=w)
-        x_prev, x = x, x - eta * v
+        v += sarah_increment(problem, p, x, x_prev, rows, block=block, w=w)
+        # x_prev's buffer takes the new iterate x - eta v
+        np.multiply(v, eta, out=x_prev)
+        np.subtract(x, x_prev, out=x_prev)
+        x_prev, x = x, x_prev
         rec.step(2 * rows.size, x)
         yield x, v
 

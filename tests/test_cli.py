@@ -316,6 +316,8 @@ class TestMainEntry:
         # problem; worker counts; non-finite budgets; repeated grid values;
         # batch sizes and eps targets that are not positive and finite
         syn = ["--synthetic", "10,3,2"]
+        good = tmp_path / "good.libsvm"
+        good.write_text("1 1:0.5 2:1\n-1 1:1\n1 2:0.3\n", encoding="utf-8")
         for argv in (
             ["alpha"],
             ["alpha", *syn, "--mu", "0.5"],
@@ -332,6 +334,8 @@ class TestMainEntry:
             ["run", *syn, "--seed", "-1"],
             ["run", *syn, "--seed", "2,-3"],
             ["run", *syn, "--data-seed", "-1"],
+            ["run", "--dataset", str(good), "--data-seed", "-1"],
+            ["alpha", "--dataset", str(good), "--data-seed", "-1"],
             ["run", *syn, "--batch", "2,2.0"],
             ["run", *syn, "--batch", "nan"],
             ["run", *syn, "--batch", "inf"],
@@ -346,7 +350,10 @@ class TestMainEntry:
             if argv[0] == "run":
                 argv = [*argv, "--out", str(out)]
             assert main(argv) == 1, argv
-            assert capsys.readouterr().err.startswith("usage error:"), argv
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:"), argv
+            if "--data-seed" in argv:
+                assert "data seed" in err, argv
         assert not out.exists()
         # a malformed or non-UTF-8 data file stays a data error
         bad = tmp_path / "bad.libsvm"

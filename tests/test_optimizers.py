@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -612,6 +614,62 @@ class TestRunSarah:
         assert np.array_equal(a.loss, b.loss)
         assert np.array_equal(a.x_a, b.x_a)
 
+    def test_loop_only_reads_its_start(self):
+        prob = small_problem(n=12, d=3, seed=22)
+        scheme = uniform_minibatch(12, 2)
+        x = np.array([0.1, -0.2, 0.3])
+        x.setflags(write=False)
+        rec = optimizers._Recorder(prob)
+        rec.record(0, x)
+        rng = np.random.default_rng(4)
+        loop = optimizers._sarah_loop(prob, scheme.p, x, 0.05, 9,
+                                      lambda k: (draw(scheme, rng, steps=k),), rec)
+        iterates = [xt.copy() for xt, _ in loop]
+        assert len(iterates) == 9
+        assert np.array_equal(x, [0.1, -0.2, 0.3])
+        assert not np.array_equal(iterates[-1], x)
+
+
+class TestBufferOwnership:
+    @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
+    def test_kept_iterates_are_not_overwritten(self, monkeypatch, method):
+        # the runners update their iterate in place; a reservoir keeps a copy
+        kept = []
+
+        class Recording(optimizers._Reservoir):
+            def offer(self, x):
+                before = self.value
+                super().offer(x)
+                if self.value is not before:
+                    kept.append((self.value, x.copy()))
+
+        monkeypatch.setattr(optimizers, "_Reservoir", Recording)
+        prob = small_problem(n=20, d=4, seed=5)
+        cfg = lookahead_config(method, uniform_minibatch(20, 2), eta=0.2)
+        x0 = np.full(4, 0.1)
+        x0.setflags(write=False)  # the runner updates a copy of its start
+        TestLookahead.RUNNERS[method](prob, cfg, x0=x0)
+        assert len(kept) > 1
+        for value, at_offer in kept:
+            assert np.array_equal(value, at_offer)
+
+    def test_convex_replicates_equal_one_replicate_runs(self, monkeypatch):
+        # the replicates share their start, which no replicate may write into
+        prob = small_problem(n=30, d=5, seed=9, loss=LossKind.QUADRATIC, mu=0.2)
+        cfg = derive_sarah_convex_config(prob, m=25, replicates=3, seed=6, checkpoint_epochs=0.5)
+        x0 = np.linspace(-0.3, 0.4, 5)
+        trace, vn = run_sarah_convex(prob, cfg, x0=x0)
+        singles = []
+        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.replicates):
+            with monkeypatch.context() as mp:
+                # the one replicate of this run draws from ``child``
+                mp.setattr(np.random, "SeedSequence",
+                           lambda seed, child=child: SimpleNamespace(spawn=lambda k: [child]))
+                singles.append(run_sarah_convex(prob, dataclasses.replace(cfg, replicates=1), x0=x0))
+        assert_same_trace(trace, singles[-1][0])
+        assert np.array_equal(vn, np.mean([v for _, v in singles], axis=0))
+        assert np.array_equal(x0, np.linspace(-0.3, 0.4, 5))
+
 
 def empty_row_problem(loss=LossKind.SIGMOID_SQUARED, mu=0.0, n=30, d=6, seed=0):
     # random sparse rows; every fifth row is empty
@@ -897,6 +955,36 @@ class TestRecorder:
             assert evals == k
             assert f == loss_value(prob, x)
             assert gnorm == float(g @ g)
+
+    LIMIT = optimizers.DIVERGENCE_LIMIT
+
+    @pytest.mark.parametrize("x, rejected", [
+        (np.array([0.0, np.nan, 1.0]), True),
+        (np.array([np.inf]), True),
+        (np.array([2.0, -np.inf]), True),
+        (np.full(3, np.nan), True),
+        (np.array([0.5, LIMIT]), False),
+        (np.array([-LIMIT, 0.5]), False),
+        (np.array([0.5, np.nextafter(LIMIT, np.inf)]), True),
+        (np.array([np.nextafter(-LIMIT, -np.inf)]), True),
+        # the sum of squares overflows the screen; every entry is in range
+        (np.full(10**4, 0.99 * LIMIT), False),
+        (np.full(10**4, -0.99 * LIMIT), False),
+        (np.full(7, 5e-324), False),
+        (np.array([5e-324, -2.2e-308, 1e-300]), False),
+        (np.zeros(0), False),
+    ])
+    def test_guard_screen_keeps_the_exact_test(self, x, rejected):
+        # the one-dot screen passes only iterates that the exact test passes
+        assert rejected == (not np.all(np.isfinite(x)) or np.any(np.abs(x) > self.LIMIT))
+        if x.size == 10**4:
+            assert not float(x @ x) <= optimizers.DIVERGENCE_SCREEN
+        rec = optimizers._Recorder(small_problem(n=6, d=3, seed=11))
+        if rejected:
+            with pytest.raises(DivergenceError, match="^iterate diverged at 17 evaluations$"):
+                rec.guard(x, 17)
+        else:
+            rec.guard(x, 17)
 
 
 class TestSarahConvex:

@@ -1,14 +1,15 @@
 """Property tests: the LIBSVM round trip, the optimal probabilities' KKT
-form, the ESO certificate of every sampling scheme, and the CSR shape of
-chunk draws, on random inputs."""
+form, the ESO certificate of every sampling scheme, the CSR shape of chunk
+draws, and the divergence guard's screen, on random inputs."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vropt.dataio import dumps_libsvm, parse_libsvm
-from vropt.problems import csr_dataset
-from vropt import sampling
+from vropt.common import LossKind
+from vropt.problems import build_problem, csr_dataset, synthesize
+from vropt import optimizers, sampling
 from vropt.sampling import (
     SamplingKind,
     approximate_independent,
@@ -146,3 +147,25 @@ def test_refresh_chunks_are_csr_sets(n, q, steps, seed):
     assert_csr_sets(indptr, indices, steps, n)
     if q == 1.0:
         assert np.array_equal(indices, np.tile(np.arange(n), steps))
+
+
+LIMIT = optimizers.DIVERGENCE_LIMIT
+NEAR_LIMIT = st.floats(0.5 * LIMIT, 2.0 * LIMIT) | st.sampled_from(
+    [LIMIT, np.nextafter(LIMIT, np.inf), 0.99 * LIMIT])
+GUARD_ENTRIES = (st.floats() | NEAR_LIMIT | NEAR_LIMIT.map(lambda v: -v)
+                 | st.floats(-1e-300, 1e-300))
+
+
+@PROPERTY
+@given(st.lists(GUARD_ENTRIES, max_size=12), st.integers(1, 2000))
+def test_guard_screen_matches_exact_predicate(values, repeat):
+    # repeats push the sum of squares past the screen with every entry in range
+    x = np.tile(np.array(values, dtype=float), repeat)
+    rejected = not np.all(np.isfinite(x)) or bool(np.any(np.abs(x) > LIMIT))
+    rec = optimizers._Recorder(build_problem(synthesize(4, 3, 2.0, 0), LossKind.SIGMOID_SQUARED))
+    try:
+        rec.guard(x, 3)
+    except optimizers.DivergenceError as exc:
+        assert rejected and str(exc) == "iterate diverged at 3 evaluations"
+    else:
+        assert not rejected

@@ -12,9 +12,8 @@ _SOURCES = {
     **dict.fromkeys(
         (
             "ComplexityConstants", "SamplingKind", "SamplingScheme", "approximate_independent",
-            "bernoulli_subset", "compute_alpha", "compute_v", "draw", "independent",
-            "optimal_probabilities", "probability_matrix", "scheme_from_text", "scheme_to_text",
-            "uniform_minibatch", "verify_eso",
+            "bernoulli_subset", "compute_alpha", "draw", "independent", "optimal_probabilities",
+            "probability_matrix", "uniform_minibatch", "verify_eso",
         ),
         "sampling",
     ),

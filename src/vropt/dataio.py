@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import itertools
+import math
 import os
 from array import array
 from dataclasses import dataclass, field
@@ -47,8 +49,10 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
     indices = array("q")
     values = array("d")
     labels = []
-    # entries go straight into flat arrays; the text itself is not kept
-    for line_no, raw in enumerate(_read_text(source).splitlines(), start=1):
+    # entries go straight into flat arrays; the lines are dropped before the
+    # dataset is built
+    lines = _read_text(source).splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         if raw.startswith("#"):
             continue
         line = raw.strip()
@@ -60,6 +64,8 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
         except ValueError:
             raise ParseError(line_no, f"bad label token {tokens[0]!r}") from None
         if label not in (-1.0, 0.0, 1.0):
+            if not math.isfinite(label):
+                raise ParseError(line_no, f"bad label token {tokens[0]!r}")
             report.warnings.append(
                 (line_no, f"unusual label {tokens[0]} mapped to {'+1' if label > 0 else '-1'}")
             )
@@ -85,12 +91,28 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
         indptr.append(len(indices))
     if not labels:
         raise ParseError(0, "empty file: no examples found")
+    values = np.frombuffer(values)
+    if not np.isfinite(values).all():
+        raise _non_finite_value(lines, indptr, values)
+    del lines
     report.rows_read = len(labels)
     dataset = csr_dataset(
-        indptr, np.frombuffer(indices, dtype=np.int64), np.frombuffer(values), labels,
+        indptr, np.frombuffer(indices, dtype=np.int64), values, labels,
         d=report.max_index_seen,
     )
     return dataset, report
+
+
+def _non_finite_value(lines: list, indptr: list, values: np.ndarray) -> ParseError:
+    """The error naming the line and token of the first of ``values`` that
+    parsed as nan or inf."""
+    entry = int(np.isfinite(values).argmin())
+    row = int(np.searchsorted(indptr, entry, side="right")) - 1
+    data_lines = (no for no, raw in enumerate(lines, start=1)
+                  if not raw.startswith("#") and raw.strip())
+    line_no = next(itertools.islice(data_lines, row, None))
+    token = lines[line_no - 1].split()[1 + entry - indptr[row]]
+    return ParseError(line_no, f"bad feature token {token!r}")
 
 
 def write_libsvm(dataset: Dataset, sink) -> None:

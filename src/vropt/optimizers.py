@@ -617,10 +617,12 @@ def _wrapper_inner_config(
         cfg.steps = max(1, math.ceil(alpha * n ** (2.0 / 3.0) / (b * NU3)))
         return cfg
     # recursive method: solve m + 1 = 2 / eta(m) by fixed-point iteration,
-    # with eta(m) the largest admissible step for an m-step inner loop
+    # with eta(m) the largest admissible step for an m-step inner loop; each
+    # iterate is clamped at 1, since a small Lbar would otherwise drive it
+    # below -b/(4 alpha), where the square root is undefined
     m = 1.0
     for _ in range(200):
-        m_next = Lbar * (1.0 + math.sqrt(1.0 + 4.0 * alpha * m / b)) - 1.0
+        m_next = max(1.0, Lbar * (1.0 + math.sqrt(1.0 + 4.0 * alpha * m / b)) - 1.0)
         if abs(m_next - m) <= 1e-12 * max(1.0, abs(m)):
             m = m_next
             break

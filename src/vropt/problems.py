@@ -202,8 +202,8 @@ def synthesize(n: int, d: int, skew: float, seed: int) -> Dataset:
     """Seeded Gaussian rows rescaled so ||a_i||^2 spans [1, skew] geometrically."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    if skew < 1.0:
-        raise ValueError("skew must be >= 1")
+    if not 1.0 <= skew < math.inf:
+        raise ValueError("skew must be finite and >= 1")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, d))
     targets = skew ** (np.arange(n) / (n - 1.0)) if n > 1 else np.ones(1)
@@ -285,8 +285,8 @@ def smoothness_constants(dataset: Dataset, loss: LossKind, mu: float = 0.0) -> n
 
 
 def build_problem(dataset: Dataset, loss: LossKind, mu: float = 0.0) -> Problem:
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError("mu must be finite and nonnegative")
     if loss is LossKind.SIGMOID_SQUARED and mu != 0.0:
         raise ValueError("the sigmoid-squared loss takes no strong-convexity term")
     L = smoothness_constants(dataset, loss, mu)

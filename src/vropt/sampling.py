@@ -76,8 +76,9 @@ class SamplingScheme:
     ``p`` holds the marginal inclusion probabilities, ``b = sum(p)`` the
     expected minibatch size, ``k`` the number of entries with ``p_i < 1``,
     ``a`` the first-stage subset size (approximate kind only) and ``v`` the
-    separable variance certificate for the kind's closed form.  ``plan`` is
-    derived from the other fields at construction (see ``DrawPlan``).
+    separable variance certificate, in the closed form that the kind's
+    constructor states.  ``plan`` is derived from the other fields at
+    construction (see ``DrawPlan``).
     """
 
     kind: SamplingKind
@@ -130,37 +131,9 @@ def floor_smoothness(L) -> np.ndarray:
     return np.maximum(L, eps)
 
 
-def compute_v(kind: SamplingKind, p, a: int | None = None) -> np.ndarray:
-    """Closed-form variance certificate for the given sampling kind."""
-    p = np.asarray(p, dtype=float)
-    _check_proper(p)
-    n = p.size
-    if kind is SamplingKind.UNIFORM_MINIBATCH:
-        if n == 1:
-            return np.zeros(1)
-        b = float(p.sum())
-        return np.full(n, (n - b) / (n - 1.0))
-    if kind is SamplingKind.INDEPENDENT:
-        return 1.0 - p
-    if kind is SamplingKind.APPROX_INDEPENDENT:
-        frac = p < 1.0
-        k = int(frac.sum())
-        if k <= 1:
-            raise ValueError(
-                "approximate independent sampling is degenerate for k <= 1; "
-                "use an independent scheme instead"
-            )
-        if a is None:
-            a = math.ceil(k * float(p[frac].max()))
-        s = (k - a) / (a * (k - 1.0))
-        v = np.zeros(n)
-        v[frac] = 1.0 - p[frac] * (1.0 - s)
-        return v
-    raise ValueError(f"unknown sampling kind: {kind!r}")
-
-
 def uniform_minibatch(n: int, b) -> SamplingScheme:
-    """Uniform law over all b-subsets of {0,...,n-1} (fixed cardinality)."""
+    """Uniform law over all b-subsets of {0,...,n-1} (fixed cardinality),
+    with certificate v_i = (n - b)/(n - 1) (0 when n = 1)."""
     if n < 1:
         raise ValueError("n must be positive")
     if float(b) != int(b):
@@ -169,7 +142,9 @@ def uniform_minibatch(n: int, b) -> SamplingScheme:
     if not 1 <= b <= n:
         raise ValueError(f"minibatch size must lie in [1, {n}], got {b}")
     p = np.full(n, b / n)
-    v = compute_v(SamplingKind.UNIFORM_MINIBATCH, p)
+    # b is read back as sum(p), which can differ from the integer b in the
+    # last bits; the step sizes derived from v depend on those bits
+    v = np.full(n, (n - float(p.sum())) / (n - 1.0)) if n > 1 else np.zeros(1)
     return SamplingScheme(
         kind=SamplingKind.UNIFORM_MINIBATCH,
         n=n,
@@ -181,17 +156,17 @@ def uniform_minibatch(n: int, b) -> SamplingScheme:
 
 
 def independent(p) -> SamplingScheme:
-    """Independent sampling: index i included by its own coin with prob p_i."""
+    """Independent sampling: index i included by its own coin with prob p_i,
+    with certificate v_i = 1 - p_i."""
     p = np.asarray(p, dtype=float)
     _check_proper(p)
-    v = compute_v(SamplingKind.INDEPENDENT, p)
     return SamplingScheme(
         kind=SamplingKind.INDEPENDENT,
         n=p.size,
         p=_readonly(p),
         b=float(p.sum()),
         k=int((p < 1.0).sum()),
-        v=_readonly(v),
+        v=_readonly(1.0 - p),
     )
 
 
@@ -200,8 +175,10 @@ def approximate_independent(p) -> SamplingScheme:
 
     Draws a uniform a-subset of the k fractional indices and thins it with
     per-index probabilities k*p_i/a; indices with p_i = 1 are always kept.
-    Degenerate parameterizations (k <= 1, or a = k where the law coincides
-    with the independent one) fall back to an independent scheme.
+    Its certificate is v_i = 1 - p_i (1 - s) with s = (k - a)/(a (k - 1))
+    on the fractional indices and 0 on the rest.  Degenerate
+    parameterizations (k <= 1, or a = k where the law coincides with the
+    independent one) fall back to an independent scheme.
     """
     p = np.asarray(p, dtype=float)
     _check_proper(p)
@@ -212,7 +189,9 @@ def approximate_independent(p) -> SamplingScheme:
     a = math.ceil(k * float(p[frac].max()))
     if a >= k:
         return independent(p)
-    v = compute_v(SamplingKind.APPROX_INDEPENDENT, p, a)
+    s = (k - a) / (a * (k - 1.0))
+    v = np.zeros(p.size)
+    v[frac] = 1.0 - p[frac] * (1.0 - s)
     b = float(p.sum())
     if a < b + k - p.size - 1e-9:
         raise ValueError("inconsistent approximate sampling: a < b + k - n")
@@ -517,47 +496,3 @@ def verify_eso(P: np.ndarray, p, v, tol: float = PSD_TOL) -> bool:
         raise ValueError("dimension mismatch between P, p and v")
     M = np.diag(p * v) - (P - np.outer(p, p))
     return float(np.linalg.eigvalsh(M)[0]) >= -tol
-
-
-def scheme_to_text(scheme: SamplingScheme) -> str:
-    """Key-value block for run-config files; floats use shortest repr."""
-    lines = [
-        f"kind = {scheme.kind.value}",
-        f"n = {scheme.n}",
-        f"b = {float(scheme.b)!r}",
-        "p = " + " ".join(repr(float(x)) for x in scheme.p),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def scheme_from_text(text: str) -> SamplingScheme:
-    """Parse the block written by ``scheme_to_text``; exact round-trip."""
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"malformed scheme line: {raw!r}")
-        fields[key.strip()] = value.strip()
-    for required in ("kind", "n", "b", "p"):
-        if required not in fields:
-            raise ValueError(f"scheme block missing field {required!r}")
-    kind = SamplingKind(fields["kind"])
-    n = int(fields["n"])
-    b = float(fields["b"])
-    p = np.array([float(tok) for tok in fields["p"].split()])
-    if p.size != n:
-        raise ValueError("scheme block: p length does not match n")
-    if kind is SamplingKind.UNIFORM_MINIBATCH:
-        scheme = uniform_minibatch(n, b)
-    elif kind is SamplingKind.INDEPENDENT:
-        scheme = independent(p)
-    else:
-        scheme = approximate_independent(p)
-        if scheme.kind is not kind:
-            raise ValueError("scheme block: approximate sampling is degenerate")
-    if abs(scheme.b - b) > 1e-12 * max(1.0, abs(b)):
-        raise ValueError("scheme block: b does not match sum of p")
-    return scheme

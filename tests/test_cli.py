@@ -325,6 +325,13 @@ class TestMainEntry:
             ["run", "--synthetic", "0,5,10"],
             ["run", "--synthetic", "50,5,0.5"],
             ["run", *syn, "--loss", "quadratic", "--mu", "-1"],
+            ["run", *syn, "--loss", "quadratic", "--mu", "nan"],
+            ["run", *syn, "--loss", "quadratic", "--mu", "inf"],
+            ["alpha", *syn, "--loss", "quadratic", "--mu", "nan"],
+            ["alpha", *syn, "--loss", "quadratic", "--mu", "inf"],
+            ["run", "--synthetic", "10,3,nan"],
+            ["run", "--synthetic", "10,3,inf"],
+            ["alpha", "--synthetic", "10,3,nan"],
             ["run", *syn, "--mu", "0.5"],
             ["run", *syn, "--workers", "0"],
             ["run", *syn, "--workers", "-2"],

@@ -50,6 +50,17 @@ class TestParse:
         with pytest.raises(ParseError, match="label"):
             parse_libsvm(b"abc 1:1\n")
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label(self, label):
+        with pytest.raises(ParseError, match=re.escape(f"line 2: bad label token {label!r}")):
+            parse_libsvm(f"1 1:1\n{label} 1:1\n".encode())
+
+    def test_non_finite_value_named_past_comments_and_empty_rows(self):
+        text = b"# header\n1 1:0.5\n\n-1\n1 1:1 3:-inf 4:2\n-1 2:nan\n"
+        with pytest.raises(ParseError, match=re.escape("bad feature token '3:-inf'")) as err:
+            parse_libsvm(text)
+        assert err.value.line_no == 5
+
     def test_empty_file(self):
         with pytest.raises(ParseError, match="empty"):
             parse_libsvm(b"")
@@ -72,7 +83,8 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "token, fragment",
-        [("1:2:3", "bad feature token '1:2:3'"), ("0:1.0", "feature index 0 below 1")],
+        [("1:2:3", "bad feature token '1:2:3'"), ("0:1.0", "feature index 0 below 1"),
+         ("1:nan", "bad feature token '1:nan'"), ("1:inf", "bad feature token '1:inf'")],
     )
     def test_feature_token_checks(self, token, fragment):
         with pytest.raises(ParseError, match=re.escape(fragment)) as err:

@@ -35,6 +35,7 @@ from vropt.problems import (
     _loss_slopes,
     build_problem,
     component_gradient,
+    csr_dataset,
     full_gradient,
     loss_value,
     make_dataset,
@@ -1151,6 +1152,19 @@ class TestGdWrapper:
         cfg = RunConfig(scheme, eta=0.0, restarts=5, seed=0)
         trace, gaps = run_gd_wrapper(prob, "sarah", tau=2.0 / prob.mu, config=cfg)
         assert trace.loss[-1] <= trace.loss[0]
+
+    def test_sarah_inner_with_small_lbar(self):
+        # Lbar ~ 0.4 at b = 1 puts the fixed point of m + 1 = 2 / eta(m) below
+        # 1; unclamped, the iterates fell until the square root was undefined
+        ds = synthesize(50, 5, 10.0, seed=0)
+        ds = csr_dataset(ds.indptr, ds.indices, ds.data * 0.3, ds.labels, ds.d)
+        prob = build_problem(ds, LossKind.QUADRATIC, mu=0.05)
+        scheme = uniform_minibatch(50, 1)
+        cfg = RunConfig(scheme, eta=0.0, restarts=3, seed=0)
+        assert optimizers._wrapper_inner_config(prob, "sarah", scheme, 0, cfg).m == 1
+        trace, gaps = run_gd_wrapper(prob, "sarah", tau=2.0 / prob.mu, config=cfg)
+        assert trace.sgrad_evals.tolist() == [0, 50, 100, 150]
+        assert np.all(np.diff(trace.loss) < 0)
 
     def test_restart_streams_pinned(self):
         # restart k runs on the k-th child of SeedSequence(seed): a change to

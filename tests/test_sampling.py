@@ -12,14 +12,11 @@ from vropt.sampling import (
     approximate_independent,
     bernoulli_subset,
     compute_alpha,
-    compute_v,
     draw,
     floor_smoothness,
     independent,
     optimal_probabilities,
     probability_matrix,
-    scheme_from_text,
-    scheme_to_text,
     uniform_minibatch,
     verify_eso,
 )
@@ -53,19 +50,6 @@ class TestComputeV:
     def test_independent_full_batch(self):
         s = independent([1.0, 1.0, 1.0])
         assert np.array_equal(s.v, np.zeros(3))
-
-    def test_approx_with_a_equal_k_matches_independent(self):
-        p = np.array([0.2, 0.4, 0.6, 0.8])
-        v = compute_v(SamplingKind.APPROX_INDEPENDENT, p, a=4)
-        assert np.allclose(v, 1.0 - p, rtol=0, atol=1e-15)
-
-    def test_approx_degenerate_k_raises(self):
-        with pytest.raises(ValueError):
-            compute_v(SamplingKind.APPROX_INDEPENDENT, [1.0, 1.0, 0.5])
-
-    def test_improper_raises(self):
-        with pytest.raises(ValueError):
-            compute_v(SamplingKind.INDEPENDENT, [0.5, 0.0])
 
     def test_v_at_least_one_minus_p(self):
         rng = np.random.default_rng(0)
@@ -612,38 +596,6 @@ class TestChunkDraws:
         assert np.array_equal(bernoulli_subset(n, 0.1, c), indices)
 
 
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: uniform_minibatch(9, 4),
-            lambda: independent(np.random.default_rng(9).uniform(0.1, 1.0, 6)),
-            lambda: approximate_independent([0.5, 0.5, 0.5, 0.5]),
-            # heavily skewed optimal probabilities exercise extreme decimals
-            lambda: independent(
-                optimal_probabilities(np.geomspace(1e-6, 1.0, 12), 3.0)
-            ),
-        ],
-    )
-    def test_round_trip_exact(self, factory):
-        s = factory()
-        s2 = scheme_from_text(scheme_to_text(s))
-        assert s2.kind is s.kind
-        assert s2.n == s.n
-        assert np.array_equal(s2.p, s.p)
-        assert np.array_equal(s2.v, s.v)
-        assert s2.b == s.b
-        assert s2.a == s.a
-
-    def test_missing_field(self):
-        with pytest.raises(ValueError):
-            scheme_from_text("kind = independent\nn = 2\n")
-
-    def test_b_mismatch(self):
-        with pytest.raises(ValueError):
-            scheme_from_text("kind = independent\nn = 2\nb = 1.5\np = 0.5 0.5\n")
-
-
 @pytest.mark.parametrize(
     "call, fragment",
     [
@@ -652,11 +604,7 @@ class TestSerialization:
         (lambda: bernoulli_subset(5, 1.5, np.random.default_rng(0), steps=3),
          "inclusion probability must lie in (0, 1], got 1.5"),
         (lambda: independent([0.5, 1.5, 0.2]), "inclusion probabilities must satisfy p_i <= 1"),
-        (lambda: scheme_from_text("kind = independent\nn 2\n"), "malformed scheme line: 'n 2'"),
-        (lambda: scheme_from_text("kind = independent\nn = 3\nb = 1.0\np = 0.5 0.5\n"),
-         "scheme block: p length does not match n"),
-        (lambda: scheme_from_text("kind = approx-independent\nn = 2\nb = 1.5\np = 1.0 0.5\n"),
-         "scheme block: approximate sampling is degenerate"),
+        (lambda: independent([0.5, 0.0]), "sampling must be proper: all p_i > 0"),
     ],
 )
 def test_input_checks(call, fragment):

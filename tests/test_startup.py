@@ -83,13 +83,13 @@ def test_public_names_unchanged():
         "ComplexityConstants", "ConfigError", "Dataset", "DivergenceError", "LossKind",
         "ParseError", "ParseReport", "Problem", "RunConfig", "RunTrace", "SamplingKind",
         "SamplingScheme", "approximate_independent", "bernoulli_subset", "build_problem",
-        "component_gradient", "compute_alpha", "compute_v", "dataio", "derive_saga_config",
+        "component_gradient", "compute_alpha", "dataio", "derive_saga_config",
         "derive_sarah_config", "derive_sarah_convex_config", "derive_svrg_config", "draw",
         "full_gradient", "independent", "loss_value", "make_dataset", "optimal_probabilities",
         "optimizers", "parse_libsvm", "predict_complexity", "probability_matrix", "problems",
         "run_gd_wrapper", "run_saga", "run_sarah", "run_sarah_convex", "run_svrg", "sampling",
-        "scheme_from_text", "scheme_to_text", "smoothness_constants", "subsample", "synthesize",
-        "uniform_minibatch", "verify_eso", "write_libsvm",
+        "smoothness_constants", "subsample", "synthesize", "uniform_minibatch", "verify_eso",
+        "write_libsvm",
     ]
     namespace = {}
     exec("from vropt import *", namespace)

@@ -220,15 +220,20 @@ def _failed(row: dict, exc: Exception) -> tuple:
     return row, None
 
 
-# what _run_cell calls, besides build_scheme
+# what _run_group calls, besides build_scheme
 _CELL_NAMES = ("derive_svrg_config", "run_svrg", "derive_saga_config", "run_saga",
                "derive_sarah_config", "run_sarah", "compute_alpha", "DivergenceError")
 
+# Most seeds stepped together in one group, so that a group's look-ahead
+# holds at most this many times the entries of one run's (optimizers._chunks).
+GROUP_SEEDS = 8
 
-def _run_cell(problem, spec: ExperimentSpec, method: str, scheme_name: str, b, seed: int):
-    """Derive the theorem config and run one grid cell; returns a manifest row
-    (dict) plus the trace (or None on failure).  A run that diverges keeps
-    its checkpoints up to the last finite one, with status ``diverged``."""
+
+def _run_group(problem, spec: ExperimentSpec, method: str, scheme_name: str, b, seeds):
+    """Derive the theorem config of one (method, scheme, b) and run it on
+    ``seeds`` together; returns each seed's manifest row (dict) and trace
+    (None on failure).  A run that diverges keeps its checkpoints up to the
+    last finite one, with status ``diverged``."""
     _load(*_CELL_NAMES)
     # built per call, so wrappers swapped onto this module's names are used
     derive, run = {
@@ -236,47 +241,65 @@ def _run_cell(problem, spec: ExperimentSpec, method: str, scheme_name: str, b, s
         "saga": (derive_saga_config, run_saga),
         "sarah": (derive_sarah_config, run_sarah),
     }[method]
-    row = _cell_row(problem, spec, method, scheme_name, b, seed)
+    rows = [_cell_row(problem, spec, method, scheme_name, b, seed) for seed in seeds]
     try:
         scheme = build_scheme(scheme_name, problem.L, b)
         cc = compute_alpha(problem.L, scheme)
-        row.update(alpha=cc.alpha, K=cc.K)
-        cfg = derive(problem, scheme, epochs=spec.epochs, seed=seed,
+        for row in rows:
+            row.update(alpha=cc.alpha, K=cc.K)
+        cfg = derive(problem, scheme, epochs=spec.epochs, seed=seeds[0],
                      checkpoint_epochs=spec.checkpoint_epochs)
-        try:
-            trace = run(problem, cfg)
-        except DivergenceError as exc:
-            trace = exc.trace
-            row.update(status="diverged", error=f"{type(exc).__name__}: {exc}")
+        results = run(problem, cfg, seeds=seeds)
+    except Exception as exc:  # cell failures must not kill the grid
+        return [_failed(row, exc) for row in rows]
+    cells = []
+    for row, seed, trace in zip(rows, seeds, results):
+        if isinstance(trace, DivergenceError):
+            row.update(status="diverged", error=f"{type(trace).__name__}: {trace}")
+            trace = trace.trace
         row.update(eta=cfg.eta, m=cfg.m, outer=cfg.outer, steps=cfg.steps,
                    d_refresh=cfg.d_refresh, file=f"{method}_{scheme_name}_b{b:g}_seed{seed}.csv")
-        return row, trace
-    except Exception as exc:  # cell failures must not kill the grid
-        return _failed(row, exc)
+        cells.append((row, trace))
+    return cells
 
 
-def _run_cells(problem, spec: ExperimentSpec, cells):
-    """Each cell's (row, trace), in grid order, as soon as it and the cells
-    before it have finished.  A worker that dies breaks the pool: every cell
-    without a result then fails with the BrokenProcessPool error."""
+def _groups(spec: ExperimentSpec) -> list[tuple]:
+    """The grid as seed groups (method, scheme, b, seeds), in grid order:
+    the consecutive seeds of each (method, scheme, b), in as few groups of
+    at most GROUP_SEEDS as there are, split further only while there would
+    be fewer groups than workers."""
+    keys = list(itertools.product(spec.methods, spec.schemes, spec.batches))
+    seeds = spec.seeds
+    parts = max(-(-len(seeds) // GROUP_SEEDS), min(len(seeds), -(-spec.workers // len(keys))))
+    cuts = [len(seeds) * i // parts for i in range(parts + 1)]
+    return [(*key, seeds[lo:hi]) for key in keys for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _run_cells(problem, spec: ExperimentSpec, groups):
+    """Each cell's (row, trace), in grid order, as soon as its group and the
+    groups before it have finished.  A worker that dies breaks the pool:
+    every cell of a group without a result then fails with the
+    BrokenProcessPool error."""
     if spec.workers == 1:
-        for cell in cells:
-            yield _run_cell(problem, spec, *cell)
+        for group in groups:
+            yield from _run_group(problem, spec, *group)
         return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     with ProcessPoolExecutor(spec.workers) as pool:
-        futures = [pool.submit(_run_cell, problem, spec, *cell) for cell in cells]
-        for cell, future in zip(cells, futures):
+        futures = [pool.submit(_run_group, problem, spec, *group) for group in groups]
+        for (*cell, seeds), future in zip(groups, futures):
             try:
-                yield future.result()
+                yield from future.result()
             except BrokenProcessPool as exc:
-                yield _failed(_cell_row(problem, spec, *cell), exc)
+                for seed in seeds:
+                    yield _failed(_cell_row(problem, spec, *cell, seed), exc)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
-    """Run every grid cell and write one CSV per successful cell as it
+    """Run every grid cell, the seeds of each (method, scheme, b) stepped
+    together in groups, and write one CSV per successful cell as its group
     finishes; after each cell, rewrite the manifest recording the derived
     hyperparameters of every cell finished so far (failures included)."""
     spec.validate()
@@ -287,9 +310,8 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     problem = _load_problem(spec)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = list(itertools.product(spec.methods, spec.schemes, spec.batches, spec.seeds))
     rows = []
-    for row, trace in _run_cells(problem, spec, cells):
+    for row, trace in _run_cells(problem, spec, _groups(spec)):
         if trace is not None:
             write_trace_csv(out / row["file"], trace, timing=spec.timing)
         rows.append(row)

@@ -12,6 +12,7 @@ trajectory does not depend on whether an output is being selected.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -98,17 +99,45 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 
 
 class _Reservoir:
-    """Uniform pick over a stream of iterates in O(1) memory."""
+    """Uniform pick over a stream of iterates in O(1) memory, for each run
+    that draws from one of ``rngs``.  Every run is offered the same number of
+    points, as one array of the runs' points end to end.
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
+    ``size`` is the number of offers to come.  The uniforms of up to
+    ``BLOCK`` of them are drawn per run at once, which gives the doubles of
+    as many single ``rng.random()`` calls, and never more than ``size`` in
+    all, so a run that draws from its stream after the last offer gets the
+    doubles it would get with single calls."""
+
+    BLOCK = 256
+
+    def __init__(self, *rngs: np.random.Generator, size: int = 1):
+        self.rngs = rngs
+        self.left = size
         self.count = 0
         self.value: np.ndarray | None = None
+        self.takes: list = []   # per offer still drawn: True, False or a mask
 
     def offer(self, x: np.ndarray) -> None:
+        if not self.takes:
+            self._draw()
+        take = self.takes.pop()
         self.count += 1
-        if self.rng.random() < 1.0 / self.count:
+        if take is True:
             self.value = x.copy()
+        elif take is not False:
+            value = self.value.copy()
+            value.reshape(len(self.rngs), -1)[take] = x.reshape(len(self.rngs), -1)[take]
+            self.value = value
+
+    def _draw(self) -> None:
+        k = max(1, min(self.BLOCK, self.left))
+        self.left -= k
+        u = np.array([rng.random(k) for rng in self.rngs])
+        take = u < 1.0 / np.arange(self.count + 1, self.count + k + 1)
+        every, some = take.all(axis=0).tolist(), take.any(axis=0).tolist()
+        self.takes = [True if e else (s and take[:, i]) for i, (e, s) in enumerate(zip(every, some))]
+        self.takes.reverse()
 
     def pick(self) -> np.ndarray:
         if self.value is None:
@@ -117,9 +146,12 @@ class _Reservoir:
 
 
 class _Recorder:
-    """Counts a run's stochastic gradient evaluations in ``evals`` and
-    checkpoints at epoch boundaries; metric evaluations are diagnostic and
-    never counted as stochastic gradient work."""
+    """One run's checkpoints at epoch boundaries and its divergence guard;
+    metric evaluations are diagnostic and never counted as stochastic
+    gradient work.  ``step``, ``maybe`` and ``finish`` take a run one step
+    at a time, counting its evaluations in ``evals``, as the tests' reference
+    loops do; the runners' ``_Group`` counts and decides the steps of all of
+    its runs at once and calls ``record`` and ``guard``."""
 
     def __init__(self, problem: Problem, checkpoint_epochs: float = 1.0):
         self.problem = problem
@@ -140,12 +172,6 @@ class _Recorder:
         self.guard(x, self.evals)
         self.maybe(self.evals, x)
 
-    def charge(self, cost: int, x: np.ndarray) -> None:
-        """An anchor pass at x that cost ``cost`` evaluations: checkpoint if
-        one is due."""
-        self.evals += cost
-        self.maybe(self.evals, x)
-
     def finish(self, x: np.ndarray, x_a: np.ndarray) -> RunTrace:
         """The last checkpoint, at x, then the trace with output ``x_a``."""
         self.record(self.evals, x)
@@ -155,10 +181,11 @@ class _Recorder:
         if evals >= self.next_at:
             self.record(evals, x)
 
-    def record(self, evals: int, x: np.ndarray) -> None:
+    def record(self, evals: int, x: np.ndarray, done: tuple | None = None) -> None:
+        """Checkpoint at x, from ``done`` if the pass at x was already made."""
         if self.rows and evals == self.rows[-1][3]:
             return
-        f, _, g = full_pass(self.problem, x)
+        (f,), _, g = done or full_pass(self.problem, x)
         gnorm = float(g @ g)
         if not (math.isfinite(f) and math.isfinite(gnorm)) or abs(f) > DIVERGENCE_LIMIT:
             raise DivergenceError(
@@ -199,7 +226,10 @@ class _Recorder:
 # gradient estimators (pure functions of the current state, used both by the
 # runners and by the enumeration-based verification suite).  The runners pass
 # the rows of ``subset`` already gathered as ``block``, with their weights
-# 1/(n p_i) as ``w``; what is not passed is gathered here.
+# 1/(n p_i) as ``w``; what is not passed is gathered here.  For R runs
+# stepped together, x holds their points end to end and ``subset`` their
+# rows, run j's offset by j n, with the block's columns offset by j d (see
+# ``_chunks``); the anchor state then holds the runs' states end to end too.
 
 
 @dataclass
@@ -224,8 +254,20 @@ def _weighted_block(problem: Problem, p: np.ndarray, subset,
     return block, rows, w
 
 
-def take_snapshot(problem: Problem, x: np.ndarray) -> SvrgSnapshot:
-    return SvrgSnapshot(x.copy(), *full_pass(problem, x, value=False)[1:])
+def take_snapshot(problem: Problem, x: np.ndarray, done: tuple | None = None) -> SvrgSnapshot:
+    """The anchor at x (one point, or several end to end), from the pass
+    ``done`` if it was already made there."""
+    return SvrgSnapshot(x.copy(), *(done or full_pass(problem, x, value=False))[1:])
+
+
+def _runs(problem: Problem, x: np.ndarray, rows: np.ndarray) -> list:
+    """For each of the points end to end in x: (its coordinates, its part of
+    ``rows``), where ``rows`` lists the first point's rows, then the
+    second's, each offset by n times its point's index."""
+    n, d = problem.dataset.n, problem.dataset.d
+    bounds = np.searchsorted(rows, np.arange(x.size // d + 1) * n).tolist()
+    return [(slice(j * d, j * d + d), slice(a, b))
+            for j, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def svrg_direction(
@@ -235,10 +277,11 @@ def svrg_direction(
     """sum_{i in S} (grad f_i(x) - grad f_i(anchor)) / (n p_i) + g."""
     block, rows, w = _weighted_block(problem, p, subset, block, w)
     c = w * (row_slopes(problem, block, x) - snap.slopes[rows])
-    v = block.scatter(c, problem.dataset.d)
+    v = block.scatter(c, x.size)
     v += snap.g
     if problem.mu:
-        v += problem.mu * w.sum() * (x - snap.x)
+        for run, part in _runs(problem, x, rows):
+            v[run] += problem.mu * w[part].sum() * (x[run] - snap.x[run])
     return v
 
 
@@ -254,9 +297,13 @@ class SagaMemory:
     anchors: np.ndarray | None = None
 
 
-def init_saga_memory(problem: Problem, x: np.ndarray) -> SagaMemory:
-    anchors = np.tile(x, (problem.dataset.n, 1)) if problem.mu else None
-    return SagaMemory(*full_pass(problem, x, value=False)[1:], anchors)
+def init_saga_memory(problem: Problem, x: np.ndarray, done: tuple | None = None) -> SagaMemory:
+    """The memory with every anchor at x (one point, or several end to end:
+    rows j n to j n + n - 1 then belong to point j), from the pass ``done``
+    if it was already made there."""
+    ds = problem.dataset
+    anchors = np.repeat(x.reshape(-1, ds.d), ds.n, axis=0) if problem.mu else None
+    return SagaMemory(*(done or full_pass(problem, x, value=False))[1:], anchors)
 
 
 def saga_direction(
@@ -285,13 +332,16 @@ def saga_refresh(problem: Problem, mem: SagaMemory, x: np.ndarray, refresh) -> N
 
 
 def saga_recompute_average(problem: Problem, mem: SagaMemory) -> np.ndarray:
-    """Average of the anchor gradients from scratch, each coordinate summed
-    over the rows in index order by ``np.bincount`` as in ``full_gradient``
-    (fixed order, no compensation)."""
+    """Average of the anchor gradients from scratch (each run's, for a
+    memory of several runs end to end), each coordinate summed over the rows
+    in index order by ``np.bincount`` as in ``full_gradient`` (fixed order,
+    no compensation)."""
     ds = problem.dataset
-    g = ds.block().scatter(mem.slopes, ds.d) / ds.n
+    block = ds.block()
+    g = np.concatenate([block.scatter(s, ds.d) for s in mem.slopes.reshape(-1, ds.n)]) / ds.n
     if problem.mu:
-        g += problem.mu * mem.anchors.sum(axis=0) / ds.n
+        sums = [a.sum(axis=0) for a in mem.anchors.reshape(-1, ds.n, ds.d)]
+        g += problem.mu * np.concatenate(sums) / ds.n
     return g
 
 
@@ -300,14 +350,15 @@ def sarah_increment(
     *, block: RowBlock | None = None, w: np.ndarray | None = None,
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(x_prev)) / (n p_i)."""
-    block, _, w = _weighted_block(problem, p, subset, block, w)
+    block, rows, w = _weighted_block(problem, p, subset, block, w)
     # the margins at both points as one (2, |S|) array, so one slope pass
     z = np.concatenate((block.margins(x), block.margins(x_prev))).reshape(2, -1)
     s = _loss_slopes(problem.loss, z, block.labels)
     c = w * (s[0] - s[1])
-    v = block.scatter(c, problem.dataset.d)
+    v = block.scatter(c, x.size)
     if problem.mu:
-        v += problem.mu * w.sum() * (x - x_prev)
+        for run, part in _runs(problem, x, rows):
+            v[run] += problem.mu * w[part].sum() * (x[run] - x_prev[run])
     return v
 
 
@@ -323,49 +374,72 @@ def _chunk_steps(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> 
     return max(1, int(LOOKAHEAD_ENTRIES // max(per_step, 1.0)))
 
 
-def _lookahead(problem: Problem, p: np.ndarray, steps: int, draw_chunk,
-               refresh_prob: float = 0.0):
-    """Yield one flat record ``(rows, k, block, bins, w)`` for each of
-    ``steps`` steps, from the sets that ``draw_chunk(c)`` draws for c steps
-    at a time, one CSR ``(indptr, indices)`` pair per set:
+def _chunks(problem: Problem, p: np.ndarray, steps: int, draws, refresh_prob: float = 0.0):
+    """The look-ahead of R runs stepped together, run j drawing its sets with
+    ``draws[j]``: ``draws[j](c)`` draws c steps at a time, one CSR
+    ``(indptr, indices)`` pair per set kind (a minibatch, then a refresh
+    set).  Yields, for each chunk of ``_chunk_steps(problem, p,
+    refresh_prob)`` steps:
 
-    - ``rows``: the step's row indices, set after set, and ``k``: the size
-      of its first set;
-    - ``block``: their entries, with row numbers local to the step;
-    - ``bins``: ``block.cols`` plus j d for the entries of the step's j-th
-      set, so one ``np.bincount`` over (number of sets) x d bins scatters
-      every set (None when a step draws one set);
-    - ``w``: the weights 1/(n p_i).
+    - ``cost``: the (R, c) counts of each run's rows at each step;
+    - the chunk's steps, one flat record ``(rows, k, block, bins, w)`` each:
+      - ``rows``: the step's sets, kind after kind and, within a kind, run
+        after run; run j's rows are offset by j n, and ``k`` counts the
+        rows of the first kind;
+      - ``block``: their entries, with row numbers local to the step and
+        run j's columns offset by j d, so the block reads and writes the
+        runs' points end to end (``Dataset.block``'s ``shift``);
+      - ``bins``: ``block.cols`` plus (kind) R d, so one ``np.bincount``
+        over (kinds) x R d bins scatters every set (None for one kind);
+      - ``w``: the weights 1/(n p_i).
 
-    The steps are drawn ``_chunk_steps(problem, p, refresh_prob)`` at a
-    time, and each chunk's rows and weights are gathered once; a step slices
-    them.  No draw depends on the iterate, so drawing ahead does not change a
-    run; the draws do depend on the chunk length."""
+    Each run's sets come from its own stream in chunks of the same length
+    as when it runs alone, and each bin sums one set's terms in that set's
+    order, so a run's numbers do not depend on the other runs.  No draw
+    depends on the iterate, so drawing ahead does not change a run; the
+    draws do depend on the chunk length.  A chunk holds R times the entries
+    of one run's chunk."""
     ds = problem.dataset
+    R = len(draws)
     chunk = _chunk_steps(problem, p, refresh_prob)
     for start in range(0, steps, chunk):
         c = min(chunk, steps - start)
-        drawn = draw_chunk(c)
-        sizes = np.diff([ptr for ptr, _ in drawn])  # (sets, c)
-        if len(drawn) == 1:
-            rows = drawn[0][1]
-            full, chunk_bins = ds.block(rows), None
+        drawn = [draw_chunk(c) for draw_chunk in draws]
+        sets = [kind for kinds in zip(*drawn) for kind in kinds]  # set s: kind s // R, run s % R
+        sizes = np.diff([ptr for ptr, _ in sets])  # (sets, c)
+        if len(sets) == 1:
+            rows = sets[0][1]
+            full, chunk_bins, w = ds.block(rows), None, 1.0 / (ds.n * p[rows])
         else:
             # each step's rows, set after set: one stable sort on (step, set)
-            step = np.repeat(np.tile(np.arange(c), len(drawn)), sizes.ravel())
+            step = np.repeat(np.tile(np.arange(c), len(sets)), sizes.ravel())
             order = np.argsort(step, kind="stable")
-            rows = np.concatenate([idx for _, idx in drawn])[order]
-            shift = np.repeat(np.arange(len(drawn)) * ds.d, sizes.sum(axis=1))[order]
-            full = ds.block(rows)
-            chunk_bins = full.cols + shift[full.owner]
-        w = 1.0 / (ds.n * p[rows])
+            rows = np.concatenate([idx for _, idx in sets])[order]
+            in_set = np.repeat(np.arange(len(sets)), sizes.sum(axis=1))[order]
+            w = 1.0 / (ds.n * p[rows])
+            full = ds.block(rows, in_set % R * ds.d if R > 1 else None)
+            rows = rows + in_set % R * ds.n if R > 1 else rows
+            chunk_bins = None
+            if len(sets) > R:
+                chunk_bins = full.cols + (in_set // R * (R * ds.d))[full.owner]
         per_step = sizes.sum(axis=0)
-        r = e = 0
-        for r1, k, block in zip(np.cumsum(per_step).tolist(), sizes[0].tolist(),
-                                full.split(per_step)):
-            e1 = e + block.cols.size
-            yield rows[r:r1], k, block, None if chunk_bins is None else chunk_bins[e:e1], w[r:r1]
-            r, e = r1, e1
+        yield sizes.reshape(-1, R, c).sum(axis=0), _steps(
+            rows, sizes[:R].sum(axis=0).tolist(), full, chunk_bins, w, per_step)
+
+
+def _steps(rows, ks, full, chunk_bins, w, per_step):
+    """A chunk's flat step records (see ``_chunks``)."""
+    r = e = 0
+    for r1, k, block in zip(np.cumsum(per_step).tolist(), ks, full.split(per_step)):
+        e1 = e + block.cols.size
+        yield rows[r:r1], k, block, None if chunk_bins is None else chunk_bins[e:e1], w[r:r1]
+        r, e = r1, e1
+
+
+def _lookahead(problem: Problem, p: np.ndarray, steps: int, *draws, refresh_prob: float = 0.0):
+    """The step records of ``_chunks``, one after another."""
+    for _, records in _chunks(problem, p, steps, draws, refresh_prob):
+        yield from records
 
 
 def _start_iterate(problem: Problem, x0) -> np.ndarray:
@@ -377,9 +451,111 @@ def _start_iterate(problem: Problem, x0) -> np.ndarray:
     return x
 
 
-def _begin(problem: Problem, config: RunConfig, x0, need_m: bool = False):
-    """Check the config and start a run: the start iterate, a ``_Recorder``
-    holding its checkpoint, and the draw and output streams."""
+class _Diverged(Exception):
+    """Run ``index`` of a group stopped with ``error``, a DivergenceError."""
+
+    def __init__(self, index: int, error: DivergenceError):
+        super().__init__(index)
+        self.index, self.error = index, error
+
+
+class _Group:
+    """R runs of one config, one per seed, stepped together from one start.
+
+    ``x`` holds the runs' iterates end to end: run j's point is
+    ``x[j d:(j + 1) d]``.  Each run keeps its own draw and output streams and
+    its own ``_Recorder``; the group does the per-step bookkeeping for all
+    of them at once: the evaluation counts and the steps at which each run
+    checkpoints, once per chunk (``plan``), and per step one screening dot
+    over every iterate (``step``).  A run that diverges raises
+    ``_Diverged``, which stops the group (see ``_grouped``)."""
+
+    def __init__(self, problem: Problem, x: np.ndarray, runs: int, checkpoint_epochs: float):
+        self.problem, self.R = problem, runs
+        self.recs = [_Recorder(problem, checkpoint_epochs) for _ in range(runs)]
+        self.evals = np.zeros(self.R, dtype=np.int64)
+        # one pass at the start serves every run: its checkpoint at 0, and
+        # the first anchor (``start``, in the runs' end-to-end form)
+        f, slopes, g = full_pass(problem, x)
+        for rec in self.recs:
+            rec.record(0, x, (f, slopes, g))
+        self.start = (f * self.R, np.tile(slopes, self.R), np.tile(g, self.R))
+        self.x = np.tile(x, self.R)
+
+    def due(self, cost: int) -> bool:
+        """Whether some run checkpoints after ``cost`` more evaluations."""
+        return any(e + cost >= rec.next_at for e, rec in zip(self.evals.tolist(), self.recs))
+
+    def plan(self, cost: np.ndarray) -> None:
+        """The next ``cost.shape[1]`` steps cost run j ``cost[j, t]``
+        evaluations at step t: each run's counts, and at which steps it
+        checkpoints (when its count reaches its next multiple of the
+        stride, as ``_Recorder.maybe`` decides one step at a time)."""
+        stride = self.recs[0].stride
+        counts = self.evals[:, None] + np.cumsum(cost, axis=1)
+        after = counts // stride
+        before = np.empty_like(after)
+        before[:, 0] = [rec.next_at // stride - 1 for rec in self.recs]
+        before[:, 1:] = after[:, :-1]
+        self.counts, self.checks = counts, after > before
+        self.checks_at = self.checks.any(axis=0).tolist()
+        self.evals = counts[:, -1]
+
+    def step(self, t: int, x: np.ndarray) -> None:
+        """Step t of the plan reached x: guard every run, then checkpoint
+        the runs due."""
+        # vdot is x @ x without numpy's overflow warning; NaN fails the test
+        if not float(np.vdot(x, x)) <= DIVERGENCE_SCREEN:
+            points = x.reshape(self.R, -1)
+            for j, rec in enumerate(self.recs):
+                self._guarded(j, rec.guard, points[j], int(self.counts[j, t]))
+        if self.checks_at[t]:
+            self.checkpoint(np.flatnonzero(self.checks[:, t]), self.counts[:, t], x)
+
+    def charge(self, cost: int, x: np.ndarray, done: tuple) -> None:
+        """An anchor pass at x that cost each run ``cost`` evaluations:
+        checkpoint the runs due, from ``done``, the pass made there."""
+        self.evals = self.evals + cost
+        due = [j for j, rec in enumerate(self.recs) if self.evals[j] >= rec.next_at]
+        if due:
+            self.checkpoint(due, self.evals, x, done)
+
+    def checkpoint(self, runs, counts: np.ndarray, x: np.ndarray, done: tuple | None = None):
+        """Checkpoint each of ``runs`` at its count, from one pass over
+        their points (or from ``done``, a pass at all of x)."""
+        points = x.reshape(self.R, -1)
+        if done is None:
+            f, _, g = full_pass(self.problem, points[runs])
+        else:
+            f, g = [done[0][j] for j in runs], done[2].reshape(self.R, -1)[runs]
+        for i, j in enumerate(runs):
+            self._guarded(j, self.recs[j].record, int(counts[j]), points[j], ([f[i]], None, g[i]))
+
+    def finish(self, x: np.ndarray, x_a: np.ndarray) -> list:
+        """The last checkpoints, at x, then each run's trace with its output
+        point from ``x_a``."""
+        last = [j for j, rec in enumerate(self.recs)
+                if not (rec.rows and rec.rows[-1][3] == self.evals[j])]
+        if last:
+            self.checkpoint(last, self.evals, x)
+        out = x_a.reshape(self.R, -1)
+        return [rec.trace(out[j], int(self.evals[j])) for j, rec in enumerate(self.recs)]
+
+    @staticmethod
+    def _guarded(j: int, call, *args) -> None:
+        try:
+            call(*args)
+        except DivergenceError as exc:
+            raise _Diverged(j, exc) from None
+
+
+def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool = False):
+    """Check the config, then run ``body(problem, config, group, draw_rngs,
+    out_rngs)`` on a ``_Group`` of one run per seed, with each run's draw and
+    output streams, and return each run's RunTrace, or the DivergenceError
+    that stopped it, in seed order.  A run that diverges stops the group;
+    the other runs then start again without it: runs are pure functions of
+    their seeds, so each one's result is that of its run alone."""
     if config.scheme is None or config.scheme.n != problem.dataset.n:
         raise ConfigError("config.scheme must match the problem size")
     if not config.eta > 0.0:
@@ -387,29 +563,75 @@ def _begin(problem: Problem, config: RunConfig, x0, need_m: bool = False):
     if need_m and config.m < 1:
         raise ConfigError("m must be at least 1")
     x = _start_iterate(problem, x0)
-    rec = _Recorder(problem, config.checkpoint_epochs)
-    rec.record(0, x)
-    return (x, rec, *_streams(config.seed))
+    result = {}
+    left = list(range(len(seeds)))
+    while left:
+        group = _Group(problem, x, len(left), config.checkpoint_epochs)
+        streams = zip(*(_streams(seeds[i]) for i in left))
+        try:
+            result.update(zip(left, body(problem, config, group, *streams)))
+            left = []
+        except _Diverged as stop:
+            result[left.pop(stop.index)] = stop.error
+    return [result[i] for i in range(len(seeds))]
 
 
-def run_svrg(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
+def _run(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool = False):
+    """``_grouped`` over ``seeds``; without seeds, the one run of
+    ``config.seed``, whose DivergenceError is raised."""
+    if seeds is not None:
+        return _grouped(body, problem, config, x0, list(seeds), need_m)
+    (out,) = _grouped(body, problem, config, x0, [config.seed], need_m)
+    if isinstance(out, DivergenceError):
+        raise out
+    return out
+
+
+def _draws(rngs, scheme: SamplingScheme, refresh_prob: float | None = None) -> list:
+    """Each run's chunk draw from its draw stream in ``rngs``: its
+    minibatches, then (with ``refresh_prob``) its refresh sets."""
+
+    def draw_chunk(c, rng):
+        subsets = draw(scheme, rng, steps=c)
+        if refresh_prob is None:
+            return (subsets,)
+        return subsets, bernoulli_subset(scheme.n, refresh_prob, rng, steps=c)
+
+    return [functools.partial(draw_chunk, rng=rng) for rng in rngs]
+
+
+def run_svrg(problem: Problem, config: RunConfig, x0=None, seeds=None):
     """Anchored variance reduction: outer loops of m importance-weighted steps
-    around a full-gradient anchor; output drawn uniformly over all iterates."""
-    x, rec, rng_draw, rng_out = _begin(problem, config, x0, need_m=True)
-    scheme, p = config.scheme, config.scheme.p
-    res = _Reservoir(rng_out)
+    around a full-gradient anchor; output drawn uniformly over all iterates.
+
+    With ``seeds``, runs one replicate per seed (``config.seed`` is not
+    read), all stepped together, and returns each one's RunTrace, or the
+    DivergenceError that stopped it, in seed order: each bit for bit the
+    result of that seed's run alone."""
+    return _run(_svrg, problem, config, x0, seeds, need_m=True)
+
+
+def _svrg(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rngs) -> list:
+    n, x = problem.dataset.n, group.x
+    p = config.scheme.p
+    res = _Reservoir(*out_rngs, size=1 + config.outer * config.m)
     res.offer(x)
+    done = group.start
     for _ in range(config.outer):
-        snap = take_snapshot(problem, x)
-        rec.charge(problem.dataset.n, x)
-        steps = _lookahead(problem, p, config.m, lambda c: (draw(scheme, rng_draw, steps=c),))
-        for rows, _, block, _, w in steps:
-            v = svrg_direction(problem, p, x, snap, rows, block=block, w=w)
-            v *= config.eta
-            x -= v
-            res.offer(x)
-            rec.step(rows.size, x)
-    return rec.finish(x, res.pick())
+        # the anchor's pass also gives the checkpoints due at the anchor
+        done = done or full_pass(problem, x, value=group.due(n))
+        snap = take_snapshot(problem, x, done)
+        group.charge(n, x, done)
+        done = None
+        for cost, steps in _chunks(problem, p, config.m, _draws(draw_rngs, config.scheme)):
+            group.plan(cost)
+            for t, (rows, _, block, _, w) in enumerate(steps):
+                v = svrg_direction(problem, p, x, snap, rows, block=block, w=w)
+                v *= config.eta
+                x -= v
+                res.offer(x)
+                group.step(t, x)
+    return group.finish(x, res.pick())
 
 
 def _saga_step(
@@ -419,98 +641,123 @@ def _saga_step(
     """Return saga_direction(x, S) and apply saga_refresh(x, R) to ``mem``,
     for S = ``rows[:k]`` and R = ``rows[k:]``, from one margin and slope pass
     over ``rows`` (gathered as ``block`` with scatter ``bins`` and weights
-    ``w``) at the pre-step iterate x, and one ``np.bincount`` over 2d bins: the
-    direction's scatter in [0, d), the refresh's change of the average in
-    [d, 2d).  Rows in both S and R use the memory slopes from before the
-    refresh, as the two calls do; every sum adds the same terms in the same
-    order, so the result is bit-identical to them."""
-    ds = problem.dataset
+    ``w``) at the pre-step iterate x, and one ``np.bincount`` over 2D bins,
+    D = ``x.size``: the direction's scatter in [0, D), the refresh's change
+    of the average in [D, 2D).  Rows in both S and R use the memory slopes
+    from before the refresh, as the two calls do; every sum adds the same
+    terms in the same order, so the result is bit-identical to them, run by
+    run when x holds several runs' points (see ``_chunks``)."""
+    n, D = problem.dataset.n, x.size
     subset, refresh = rows[:k], rows[k:]
     slopes = row_slopes(problem, block, x)
     c = slopes - mem.slopes[rows]
     c[:k] *= w[:k]
-    out = block.scatter(c, 2 * ds.d, bins)
-    v = out[:ds.d]
+    out = block.scatter(c, 2 * D, bins)
+    v = out[:D]
     v += mem.g
     if problem.mu:
-        v += problem.mu * np.sum(w[:k, None] * (x - mem.anchors[subset]), axis=0)
+        for run, part in _runs(problem, x, subset):
+            diff = x[run] - mem.anchors[subset[part]]
+            v[run] += problem.mu * np.sum(w[part, None] * diff, axis=0)
     # anchors move to the pre-step iterate
-    out[ds.d:] /= ds.n
-    mem.g += out[ds.d:]
+    out[D:] /= n
+    mem.g += out[D:]
     if problem.mu:
-        mem.g += problem.mu * np.sum(x - mem.anchors[refresh], axis=0) / ds.n
-        mem.anchors[refresh] = x
+        for run, part in _runs(problem, x, refresh):
+            mem.g[run] += problem.mu * np.sum(x[run] - mem.anchors[refresh[part]], axis=0) / n
+            mem.anchors[refresh[part]] = x[run]
     mem.slopes[refresh] = slopes[k:]
     return v
 
 
-def run_saga(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
+def run_saga(problem: Problem, config: RunConfig, x0=None, seeds=None):
     """Memory-based variance reduction with importance-weighted minibatches
-    and an independently refreshed anchor table."""
+    and an independently refreshed anchor table.
+
+    With ``seeds``, runs one replicate per seed (``config.seed`` is not
+    read), all stepped together, and returns each one's RunTrace, or the
+    DivergenceError that stopped it, in seed order: each bit for bit the
+    result of that seed's run alone."""
     n = problem.dataset.n
     if not 0.0 < config.d_refresh <= n:
         raise ConfigError(f"d_refresh must lie in (0, {n}]")
-    x, rec, rng_draw, rng_out = _begin(problem, config, x0)
-    scheme, p = config.scheme, config.scheme.p
-    res = _Reservoir(rng_out)
+    return _run(_saga, problem, config, x0, seeds)
+
+
+def _saga(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rngs) -> list:
+    n, x = problem.dataset.n, group.x
+    p = config.scheme.p
+    res = _Reservoir(*out_rngs, size=1 + config.steps)
     res.offer(x)
-    mem = init_saga_memory(problem, x)
-    rec.charge(n, x)
+    mem = init_saga_memory(problem, x, group.start)
+    group.charge(n, x, group.start)
     refresh_prob = min(1.0, config.d_refresh / n)
-
-    def draw_chunk(c):
-        subsets = draw(scheme, rng_draw, steps=c)
-        return subsets, bernoulli_subset(n, refresh_prob, rng_draw, steps=c)
-
-    steps = _lookahead(problem, p, config.steps, draw_chunk, refresh_prob)
-    for t, (rows, k, block, bins, w) in enumerate(steps):
-        v = _saga_step(problem, mem, x, rows, k, block, bins, w)
-        v *= config.eta
-        x -= v
-        if (t + 1) % n == 0:
-            mem.g = saga_recompute_average(problem, mem)
-        res.offer(x)
-        rec.step(rows.size, x)
-    return rec.finish(x, res.pick())
+    draws = _draws(draw_rngs, config.scheme, refresh_prob)
+    t0 = 0
+    for cost, steps in _chunks(problem, p, config.steps, draws, refresh_prob):
+        group.plan(cost)
+        for t, (rows, k, block, bins, w) in enumerate(steps):
+            v = _saga_step(problem, mem, x, rows, k, block, bins, w)
+            v *= config.eta
+            x -= v
+            if (t0 + t + 1) % n == 0:
+                mem.g = saga_recompute_average(problem, mem)
+            res.offer(x)
+            group.step(t, x)
+        t0 += cost.shape[1]
+    return group.finish(x, res.pick())
 
 
 def _sarah_loop(problem: Problem, p: np.ndarray, x: np.ndarray, eta: float, m: int,
-                draw_chunk, rec: _Recorder):
-    """One outer loop of the recursive method from x: the full-gradient step,
-    then m - 1 increments over the look-ahead steps of ``draw_chunk``, each
-    step recorded in ``rec``.  Yields every new iterate with its v.
+                draws, group: _Group, done: tuple | None = None):
+    """One outer loop of the recursive method from x, for the runs of
+    ``group``: the full-gradient step (from the pass ``done`` at x, if made),
+    then m - 1 increments over the look-ahead steps of ``draws``, each step
+    recorded in ``group``.  Yields every new iterate with its v.
 
     x is only read.  The loop updates two buffers of its own in place, so the
     next step overwrites the yielded arrays: a consumer copies what it
     keeps."""
-    v = full_gradient(problem, x)
+    v = full_gradient(problem, x, done)
     x_prev, x = x.copy(), x - eta * v
-    rec.step(problem.dataset.n, x)
+    group.plan(np.full((group.R, 1), problem.dataset.n))
+    group.step(0, x)
     yield x, v
-    for rows, _, block, _, w in _lookahead(problem, p, m - 1, draw_chunk):
-        v += sarah_increment(problem, p, x, x_prev, rows, block=block, w=w)
-        # x_prev's buffer takes the new iterate x - eta v
-        np.multiply(v, eta, out=x_prev)
-        np.subtract(x, x_prev, out=x_prev)
-        x_prev, x = x, x_prev
-        rec.step(2 * rows.size, x)
-        yield x, v
+    for cost, steps in _chunks(problem, p, m - 1, draws):
+        group.plan(2 * cost)
+        for t, (rows, _, block, _, w) in enumerate(steps):
+            v += sarah_increment(problem, p, x, x_prev, rows, block=block, w=w)
+            # x_prev's buffer takes the new iterate x - eta v
+            np.multiply(v, eta, out=x_prev)
+            np.subtract(x, x_prev, out=x_prev)
+            x_prev, x = x, x_prev
+            group.step(t, x)
+            yield x, v
 
 
-def run_sarah(problem: Problem, config: RunConfig, x0=None) -> RunTrace:
+def run_sarah(problem: Problem, config: RunConfig, x0=None, seeds=None):
     """Recursive (biased) variance reduction; each outer loop restarts from a
     uniformly chosen iterate of the previous one, and the output is the last
-    restart point."""
-    x, rec, rng_draw, rng_out = _begin(problem, config, x0, need_m=True)
-    scheme = config.scheme
+    restart point.
+
+    With ``seeds``, runs one replicate per seed (``config.seed`` is not
+    read), all stepped together, and returns each one's RunTrace, or the
+    DivergenceError that stopped it, in seed order: each bit for bit the
+    result of that seed's run alone."""
+    return _run(_sarah, problem, config, x0, seeds, need_m=True)
+
+
+def _sarah(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rngs) -> list:
+    x, done = group.x, group.start
+    draws = _draws(draw_rngs, config.scheme)
     for _ in range(config.outer):
-        inner = _Reservoir(rng_out)
+        inner = _Reservoir(*out_rngs, size=config.m + 1)
         inner.offer(x)
-        for x, _ in _sarah_loop(problem, scheme.p, x, config.eta, config.m,
-                                lambda k: (draw(scheme, rng_draw, steps=k),), rec):
+        for x, _ in _sarah_loop(problem, config.scheme.p, x, config.eta, config.m,
+                                draws, group, done):
             inner.offer(x)
-        x = inner.pick()
-    return rec.finish(x, x)
+        x, done = inner.pick(), None
+    return group.finish(x, x)
 
 
 def run_sarah_convex(
@@ -542,15 +789,18 @@ def run_sarah_convex(
     vnorms = np.empty((config.replicates, config.m))
     for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.replicates)):
         rng = np.random.default_rng(child)
-        rec = _Recorder(problem, config.checkpoint_epochs)
-        rec.record(0, x_start)
+        group = _Group(problem, x_start, 1, config.checkpoint_epochs)
         def draw_chunk(k, rng=rng):
             return ((np.arange(k + 1), cdf.searchsorted(rng.random(k), side="right")),)
 
-        steps = _sarah_loop(problem, p_cat, x_start, config.eta, config.m, draw_chunk, rec)
-        for t, (x, v) in enumerate(steps):
-            vnorms[r, t] = float(v @ v)
-        trace = rec.finish(x, x)
+        steps = _sarah_loop(problem, p_cat, group.x, config.eta, config.m, [draw_chunk],
+                            group, group.start)
+        try:
+            for t, (x, v) in enumerate(steps):
+                vnorms[r, t] = float(v @ v)
+            (trace,) = group.finish(x, x)
+        except _Diverged as stop:
+            raise stop.error from None
     return trace, vnorms.mean(axis=0)
 
 

@@ -41,9 +41,13 @@ class Dataset:
         b = self.indptr.tolist()
         return tuple((self.indices[i:j], self.data[i:j]) for i, j in zip(b, b[1:]))
 
-    def block(self, rows=None) -> "RowBlock":
+    def block(self, rows=None, shift=None) -> "RowBlock":
         """The stored entries of the rows ``rows``; all rows when None, as one
-        block built on first use and shared after that."""
+        block built on first use and shared after that.  ``shift``, when
+        given, holds one number per row that is added to the columns of its
+        entries: the block then gathers and scatters by bin, so that row k
+        reads and writes coordinates ``shift[k]`` onwards of a longer vector
+        (the runners' look-ahead steps several runs' points end to end so)."""
         if rows is None:
             return self._full_block
         rows = np.asarray(rows, dtype=np.int64)
@@ -53,9 +57,10 @@ class Dataset:
         # position of every entry: its row's start plus its rank within the row
         offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         pos = np.arange(owner.size) + offsets
-        return RowBlock(
-            rows.size, owner, self.indices[pos], self.data[pos], self.labels[rows]
-        )
+        cols = self.indices[pos]
+        if shift is not None:
+            cols += np.repeat(shift, counts)
+        return RowBlock(rows.size, owner, cols, self.data[pos], self.labels[rows])
 
     @functools.cached_property
     def _full_block(self) -> "RowBlock":
@@ -289,7 +294,15 @@ def build_problem(dataset: Dataset, loss: LossKind, mu: float = 0.0) -> Problem:
         raise ValueError("mu must be finite and nonnegative")
     if loss is LossKind.SIGMOID_SQUARED and mu != 0.0:
         raise ValueError("the sigmoid-squared loss takes no strong-convexity term")
-    L = smoothness_constants(dataset, loss, mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = smoothness_constants(dataset, loss, mu)
+        # every variance constant and step size sums L_i^2
+        sums = np.cumsum(L * L)
+    bad = np.flatnonzero(~(np.isfinite(L) & np.isfinite(sums)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"row {i} (counting from 0): smoothness constant L_{i} = {L[i]:g} "
+                         "is too large (each L_i^2 and their sum must be finite)")
     L.setflags(write=False)
     return Problem(
         dataset=dataset,
@@ -301,17 +314,19 @@ def build_problem(dataset: Dataset, loss: LossKind, mu: float = 0.0) -> Problem:
     )
 
 
-def _check_point(problem: Problem, x) -> np.ndarray:
+def _check_point(problem: Problem, x, points: bool = False) -> np.ndarray:
+    """x as a float array of shape (d,), or with ``points`` of any 1-d length
+    that is a multiple of d (several points end to end)."""
     x = np.asarray(x, dtype=float)
     d = problem.dataset.d
-    if x.shape != (d,):
+    if x.shape != (d,) and not (points and x.ndim == 1 and x.size and x.size % d == 0):
         raise ValueError(f"x must have shape ({d},), got {x.shape}")
     return x
 
 
 def loss_value(problem: Problem, x) -> float:
     """f(x) = (1/n) sum_i f_i(x), the row losses summed exactly (math.fsum)."""
-    return full_pass(problem, _check_point(problem, x), gradient=False)[0]
+    return full_pass(problem, _check_point(problem, x), gradient=False)[0][0]
 
 
 def component_gradient(problem: Problem, i: int, x) -> np.ndarray:
@@ -338,28 +353,38 @@ def row_slopes(problem: Problem, block: RowBlock, x: np.ndarray) -> np.ndarray:
 
 def full_pass(problem: Problem, x: np.ndarray, value: bool = True,
               gradient: bool = True) -> tuple:
-    """(f(x), the row slopes at x, grad f(x)) from one margin pass over the
-    rows; f is None unless ``value``, the slopes and gradient None unless
-    ``gradient``.  ``loss_value``, ``full_gradient`` and a checkpoint (which
-    wants both f and grad f) are all this one pass."""
+    """(f, the row slopes, grad f) at x from one margin pass over the rows.
+
+    x holds R >= 1 points of d coordinates: end to end in one 1-d array, or
+    as the rows of an (R, d) array.  f is the list of the R values (None
+    unless ``value``); the slopes (R n of them) and the gradients come back
+    shaped as x (None unless ``gradient``).  Each point's numbers are those
+    of a pass over that point alone: its own sums, in the same order.
+    ``loss_value``, ``full_gradient`` and a checkpoint (which wants both f
+    and grad f) are all this one pass."""
     ds = problem.dataset
     block = ds.block()
-    z = block.margins(x)
+    points = x.reshape(-1, ds.d)
+    z = np.stack([block.margins(p) for p in points])
     f = slopes = g = None
     if value:
-        f = math.fsum(_loss_terms(problem.loss, z, block.labels).tolist()) / ds.n
+        terms = _loss_terms(problem.loss, z, block.labels).tolist()
+        f = [math.fsum(t) / ds.n for t in terms]
         if problem.mu:
-            f += 0.5 * problem.mu * float(x @ x)
+            f = [fj + 0.5 * problem.mu * float(p @ p) for fj, p in zip(f, points)]
     if gradient:
-        slopes = _loss_slopes(problem.loss, z, block.labels)
-        g = block.scatter(slopes, ds.d) / ds.n
+        s = _loss_slopes(problem.loss, z, block.labels)
+        g = np.stack([block.scatter(sj, ds.d) for sj in s]) / ds.n
         if problem.mu:
-            g += problem.mu * x
+            g += problem.mu * points
+        slopes, g = s.reshape(-1) if x.ndim == 1 else s, g.reshape(x.shape)
     return f, slopes, g
 
 
-def full_gradient(problem: Problem, x) -> np.ndarray:
-    """Mean of the component gradients, from ``full_pass``.
+def full_gradient(problem: Problem, x, done: tuple | None = None) -> np.ndarray:
+    """Mean of the component gradients, from ``full_pass`` (or from
+    ``done``, the pass already made at x).  x may hold several points end
+    to end; their gradients come back the same way.
 
     Every coordinate is summed over the rows in index order by
     ``np.bincount``, without compensation.  The order is fixed, so reruns are
@@ -367,4 +392,4 @@ def full_gradient(problem: Problem, x) -> np.ndarray:
     the result stays within 1e-13 (relative, max-norm) of a per-coordinate
     ``math.fsum`` of the component gradients.
     """
-    return full_pass(problem, _check_point(problem, x), value=False)[2]
+    return (done or full_pass(problem, _check_point(problem, x, points=True), value=False))[2]

@@ -15,7 +15,7 @@ from vropt.cli import (
     MANIFEST_NAME,
     UsageError,
     _build_spec,
-    _run_cell,
+    _run_group,
     build_scheme,
     main,
     make_parser,
@@ -51,18 +51,15 @@ def read_bytes_map(directory):
     }
 
 
-def _run_cell_killing_seed_3(problem, spec, method, scheme, b, seed):
-    """_run_cell, except that seed 3 kills its worker process once seeds 1 and
-    2 have written their traces, and seed 4 waits until the broken pool
-    stops it."""
-    if seed == 3:
+def _run_group_killing_seed_3(problem, spec, method, scheme, b, seeds):
+    """_run_group, except that the group holding seed 3 kills its worker
+    process once the other group has written its traces."""
+    if 3 in seeds:
         deadline = time.monotonic() + 30
         while len(list(Path(spec.out_dir).glob("*.csv"))) < 2 and time.monotonic() < deadline:
             time.sleep(0.01)
         os._exit(1)
-    if seed == 4:
-        time.sleep(30)
-    return _run_cell(problem, spec, method, scheme, b, seed)
+    return _run_group(problem, spec, method, scheme, b, seeds)
 
 
 class TestRunExperiment:
@@ -318,6 +315,8 @@ class TestMainEntry:
         syn = ["--synthetic", "10,3,2"]
         good = tmp_path / "good.libsvm"
         good.write_text("1 1:0.5 2:1\n-1 1:1\n1 2:0.3\n", encoding="utf-8")
+        huge = tmp_path / "huge.libsvm"
+        huge.write_text("1 1:0.5 2:1\n-1 1:1e300\n1 2:0.3\n", encoding="utf-8")
         for argv in (
             ["alpha"],
             ["alpha", *syn, "--mu", "0.5"],
@@ -353,12 +352,21 @@ class TestMainEntry:
             ["run", *syn, "--eps", "nan"],
             ["run", *syn, "--eps", "inf"],
             ["run", *syn, "--eps", "0"],
+            # finite numbers whose squared smoothness constants overflow
+            ["run", "--synthetic", "10,3,1e308"],
+            ["alpha", "--synthetic", "10,3,1e308"],
+            ["run", *syn, "--loss", "quadratic", "--mu", "1e308"],
+            ["alpha", *syn, "--loss", "quadratic", "--mu", "1e308"],
+            ["run", "--dataset", str(huge)],
+            ["alpha", "--dataset", str(huge)],
         ):
             if argv[0] == "run":
                 argv = [*argv, "--out", str(out)]
             assert main(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("usage error:"), argv
+            if "1e308" in argv or str(huge) in argv:
+                assert re.search(r"row \d+ \(counting from 0\): smoothness constant L_\d+ = ", err), err
             if "--data-seed" in argv:
                 assert "data seed" in err, argv
         assert not out.exists()
@@ -421,7 +429,11 @@ class TestMainEntry:
         flags = ["--synthetic", "25,4,10", "--method", "sarah", "--scheme", "uniform",
                  "--batch", "2", "--epochs", "2"]
         out = tmp_path / "t"
-        monkeypatch.setattr(cli, "_run_cell", _run_cell_killing_seed_3)
+        # two workers split the four seeds into the groups 1,2 and 3,4
+        spec = cli.ExperimentSpec(methods=["sarah"], schemes=["uniform"], batches=[2.0],
+                                  seeds=[1, 2, 3, 4], workers=2)
+        assert [group[3] for group in cli._groups(spec)] == [[1, 2], [3, 4]]
+        monkeypatch.setattr(cli, "_run_group", _run_group_killing_seed_3)
         assert main(["run", *flags, "--seed", "1,2,3,4", "--workers", "2",
                      "--out", str(out)]) == 4
         printed = capsys.readouterr().out
@@ -444,16 +456,19 @@ class TestMainEntry:
                  "--batch", "2", "--epochs", "2", "--workers", "1"]
         calls = []
 
-        def interrupted_third(*cell):
-            calls.append(cell)
-            if len(calls) == 3:
+        def interrupted_second(*group):
+            calls.append(group)
+            if len(calls) == 2:
                 raise KeyboardInterrupt
-            return _run_cell(*cell)
+            return _run_group(*group)
 
-        monkeypatch.setattr(cli, "_run_cell", interrupted_third)
+        # groups of two seeds: 1,2 finishes, then 3,4 is interrupted
+        monkeypatch.setattr(cli, "GROUP_SEEDS", 2)
+        monkeypatch.setattr(cli, "_run_group", interrupted_second)
         out = tmp_path / "t"
         with pytest.raises(KeyboardInterrupt):
             main(["run", *flags, "--seed", "1,2,3,4", "--out", str(out)])
+        assert [group[5] for group in calls] == [[1, 2], [3, 4]]
         rows = read_manifest(out / MANIFEST_NAME)
         assert [(row["seed"], row["status"]) for row in rows] == [("1", "ok"), ("2", "ok")]
         assert all((out / row["file"]).is_file() for row in rows)
@@ -462,6 +477,35 @@ class TestMainEntry:
         monkeypatch.undo()
         assert main(["run", *flags, "--seed", "1,2", "--out", str(tmp_path / "clean")]) == 0
         assert read_bytes_map(out) == read_bytes_map(tmp_path / "clean")
+
+    def test_groups_split_only_for_workers(self, monkeypatch):
+        spec = cli.ExperimentSpec(methods=["svrg", "sarah"], schemes=["uniform"], batches=[2.0],
+                                  seeds=list(range(11)))
+        groups = cli._groups(spec)
+        assert [(g[0], g[3]) for g in groups] == [("svrg", list(range(5))), ("svrg", list(range(5, 11))),
+                                                  ("sarah", list(range(5))), ("sarah", list(range(5, 11)))]
+        assert max(len(g[3]) for g in groups) <= cli.GROUP_SEEDS
+        spec.workers = 4  # as many groups as workers already
+        assert cli._groups(spec) == groups
+        spec.workers, spec.seeds = 3, [7, 8, 9]
+        assert [g[3] for g in cli._groups(spec)] == [[7], [8, 9], [7], [8, 9]]
+        spec.workers = 64  # one seed per group at most
+        assert [g[3] for g in cli._groups(spec)] == [[7], [8], [9]] * 2
+        monkeypatch.setattr(cli, "GROUP_SEEDS", 1)
+        spec.workers = 1
+        assert [g[3] for g in cli._groups(spec)] == [[7], [8], [9]] * 2
+
+    def test_grouping_and_workers_change_no_byte(self, tmp_path, monkeypatch):
+        flags = ["run", "--synthetic", "30,4,10", "--method", "svrg,saga,sarah",
+                 "--scheme", "uniform,importance", "--batch", "2", "--seed", "5,1,3",
+                 "--epochs", "2", "--cadence", "0.3"]
+        assert main([*flags, "--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+        assert main([*flags, "--workers", "3", "--out", str(tmp_path / "w3")]) == 0
+        monkeypatch.setattr(cli, "GROUP_SEEDS", 1)  # every seed alone
+        assert main([*flags, "--workers", "1", "--out", str(tmp_path / "alone")]) == 0
+        want = read_bytes_map(tmp_path / "alone")
+        assert len(want) == 19
+        assert read_bytes_map(tmp_path / "w1") == want == read_bytes_map(tmp_path / "w3")
 
     def test_summarize_csv_file(self, tmp_path, capsys):
         out = tmp_path / "t"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from vropt.optimizers import (
 )
 from vropt.problems import (
     LossKind,
+    RowBlock,
     _loss_slopes,
     build_problem,
     component_gradient,
@@ -620,15 +622,90 @@ class TestRunSarah:
         scheme = uniform_minibatch(12, 2)
         x = np.array([0.1, -0.2, 0.3])
         x.setflags(write=False)
-        rec = optimizers._Recorder(prob)
-        rec.record(0, x)
+        group = optimizers._Group(prob, x, 1, 1.0)
         rng = np.random.default_rng(4)
         loop = optimizers._sarah_loop(prob, scheme.p, x, 0.05, 9,
-                                      lambda k: (draw(scheme, rng, steps=k),), rec)
+                                      [lambda k: (draw(scheme, rng, steps=k),)], group)
         iterates = [xt.copy() for xt, _ in loop]
         assert len(iterates) == 9
         assert np.array_equal(x, [0.1, -0.2, 0.3])
         assert not np.array_equal(iterates[-1], x)
+
+
+class TestGroups:
+    RUNNERS = {"svrg": run_svrg, "saga": run_saga, "sarah": run_sarah}
+
+    @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
+    def test_diverged_run_leaves_the_others_as_alone(self, method):
+        # a step size at which some seeds blow up and others do not
+        prob = empty_row_problem(LossKind.QUADRATIC, n=20, seed=3)
+        eta = {"svrg": 7.0, "saga": 4.25, "sarah": 50.0}[method]
+        scheme = independent(optimal_probabilities(prob.L, 2.0))
+        cfg = lookahead_config(method, scheme, eta=eta, d_refresh=2.0)
+        seeds = [1, 2, 3, 4, 5, 6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            grouped = self.RUNNERS[method](prob, cfg, seeds=seeds)
+            kinds = []
+            for seed, got in zip(seeds, grouped):
+                try:
+                    want = self.RUNNERS[method](prob, dataclasses.replace(cfg, seed=seed))
+                except DivergenceError as exc:
+                    assert isinstance(got, DivergenceError) and str(got) == str(exc)
+                    assert_same_trace(got.trace, exc.trace)
+                    kinds.append("diverged")
+                else:
+                    assert_same_trace(got, want)
+                    kinds.append("ok")
+        assert "diverged" in kinds and "ok" in kinds, kinds
+
+    @pytest.mark.parametrize("runs, size, offers",
+                             [(1, 1, 1), (1, 5, 5), (3, 300, 300), (2, 600, 700), (4, 1, 9)])
+    def test_reservoir_draws_as_single_calls(self, runs, size, offers):
+        # each run's picks, and what its stream draws after the last offer,
+        # are those of one rng.random() per offer
+        res = optimizers._Reservoir(*map(np.random.default_rng, range(runs)), size=size)
+        ref = [np.random.default_rng(seed) for seed in range(runs)]
+        picks = [None] * runs
+        for t, x in enumerate(np.random.default_rng(9).standard_normal((offers, runs, 2)), 1):
+            res.offer(x.ravel())
+            for j, rng in enumerate(ref):
+                if rng.random() < 1.0 / t:
+                    picks[j] = x[j]
+        assert np.array_equal(res.pick(), np.ravel(picks))
+        assert [rng.random() for rng in res.rngs] == [rng.random() for rng in ref]
+
+    @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
+    def test_one_pass_at_the_start(self, monkeypatch, method):
+        # the start's checkpoint, the first anchor and (at a cadence of one
+        # epoch or less) the anchor's checkpoint share one pass; the anchors
+        # are still built by the functions the benchmark counts
+        prob = small_problem(n=20, d=4, seed=5)
+        cfg = lookahead_config(method, uniform_minibatch(20, 2), eta=0.2)
+        x0 = np.full(4, 0.1)
+        at_start, anchors = [], []
+        margins = RowBlock.margins
+
+        def counted(block, x):
+            if block.size == prob.dataset.n:  # a pass over all rows
+                at_start.append(np.array_equal(x, x0))
+            return margins(block, x)
+
+        def anchor(fn):
+            def wrapper(*args, **kwargs):
+                anchors.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(RowBlock, "margins", counted)
+        for name in ("take_snapshot", "init_saga_memory", "full_gradient"):
+            monkeypatch.setattr(optimizers, name, anchor(getattr(optimizers, name)))
+        ref = self.RUNNERS[method](prob, cfg, x0)
+        assert at_start.count(True) == 1 and len(at_start) > 3
+        monkeypatch.undo()
+        assert anchors[0] == {"svrg": "take_snapshot", "saga": "init_saga_memory",
+                              "sarah": "full_gradient"}[method]
+        assert_same_trace(self.RUNNERS[method](prob, cfg, x0, seeds=[cfg.seed])[0], ref)
 
 
 class TestBufferOwnership:

@@ -1,6 +1,10 @@
 """Property tests: the LIBSVM round trip, the optimal probabilities' KKT
 form, the ESO certificate of every sampling scheme, the CSR shape of chunk
-draws, and the divergence guard's screen, on random inputs."""
+draws, the divergence guard's screen, and seeds stepped together against
+their runs alone, on random inputs."""
+
+import dataclasses
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from vropt.dataio import dumps_libsvm, parse_libsvm
 from vropt.common import LossKind
-from vropt.problems import build_problem, csr_dataset, synthesize
+from vropt.problems import build_problem, csr_dataset, make_dataset, synthesize
 from vropt import optimizers, sampling
 from vropt.sampling import (
     SamplingKind,
@@ -169,3 +173,61 @@ def test_guard_screen_matches_exact_predicate(values, repeat):
         assert rejected and str(exc) == "iterate diverged at 3 evaluations"
     else:
         assert not rejected
+
+
+def group_problem(kind, seed):
+    """A small sigmoid problem, a quadratic one with mu > 0, or sigmoid data
+    whose every fourth row is empty."""
+    if kind == "sigmoid":
+        return build_problem(synthesize(12, 3, 8.0, seed), LossKind.SIGMOID_SQUARED)
+    if kind == "quadratic":
+        return build_problem(synthesize(12, 3, 8.0, seed), LossKind.QUADRATIC, 0.4)
+    rng = np.random.default_rng(seed)
+    rows = [(np.array([], dtype=np.int64), np.array([])) if i % 4 == 1 else
+            (np.sort(rng.choice(4, size=int(rng.integers(1, 5)), replace=False)),
+             rng.standard_normal(4)) for i in range(14)]
+    rows = [(idx, val[:idx.size]) for idx, val in rows]
+    labels = rng.integers(0, 2, size=14) * 2 - 1
+    return build_problem(make_dataset(rows, labels, d=4), LossKind.SIGMOID_SQUARED)
+
+
+def group_config(method, problem, kind, seed):
+    n = problem.dataset.n
+    scheme = {
+        "uniform": uniform_minibatch(n, 2),
+        "importance": independent(optimal_probabilities(problem.L, 2.0)),
+        "approx": approximate_independent(optimal_probabilities(problem.L, 2.0)),
+    }[kind]
+    eta = 0.4 / problem.Lbar
+    if method == "saga":
+        return optimizers.RunConfig(scheme, eta=eta, steps=31, d_refresh=2.5, seed=seed,
+                                    checkpoint_epochs=0.3)
+    return optimizers.RunConfig(scheme, eta=eta, m=11, outer=3, seed=seed, checkpoint_epochs=0.3)
+
+
+RUNNERS = {"svrg": optimizers.run_svrg, "saga": optimizers.run_saga, "sarah": optimizers.run_sarah}
+
+
+@PROPERTY
+@given(st.sampled_from(["sigmoid", "quadratic", "empty-rows"]), st.sampled_from(list(RUNNERS)),
+       st.sampled_from(["uniform", "importance", "approx"]),
+       st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
+       st.sampled_from([1, 7, optimizers.LOOKAHEAD_ENTRIES]), st.integers(0, 99))
+def test_grouped_runs_equal_runs_alone(problem_kind, method, kind, seeds, entries, data_seed):
+    problem = group_problem(problem_kind, data_seed)
+    cfg = group_config(method, problem, kind, 0)
+    x0 = np.linspace(-0.3, 0.2, problem.dataset.d)
+    saved = optimizers.LOOKAHEAD_ENTRIES
+    optimizers.LOOKAHEAD_ENTRIES = entries
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grouped = RUNNERS[method](problem, cfg, x0, seeds=seeds)
+            alone = [RUNNERS[method](problem, dataclasses.replace(cfg, seed=s), x0) for s in seeds]
+    finally:
+        optimizers.LOOKAHEAD_ENTRIES = saved
+    assert len(grouped) == len(seeds)
+    for got, want in zip(grouped, alone):
+        for field in dataclasses.fields(optimizers.RunTrace):
+            if field.name != "wall_ns":
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field

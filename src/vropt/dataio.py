@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import os
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,97 +20,263 @@ class ParseReport:
     warnings: list = field(default_factory=list)
 
 
-def _read_text(source) -> str:
+# The scan reads the file in chunks of whole lines, about this many bytes
+# each (a longer line is a chunk of its own), which bounds its temporaries.
+# The length changes no result.
+CHUNK_BYTES = 1 << 16
+
+# A number is read vectorised ("plain") when it fits the window of _WIDTH
+# bytes that ends at its last byte: an index of 1 to 16 digits (below 2**63),
+# or a label or value of an optional sign, 1 to 15 digits and at most one '.'.
+# Such a value is M / 10**k with M < 2**53, a quotient of two exact doubles,
+# so IEEE division rounds it as float() does (Clinger's fast path).  Every
+# other token is read by int() and float().
+_WIDTH = 16
+_VALUE_DIGITS = 15
+_PAD = b" " * _WIDTH
+_COLUMN = np.arange(_WIDTH, dtype=np.uint8)[:, None]
+_BACK = np.arange(-_WIDTH, 0)[:, None]            # the bytes before a span's end
+_AFTER = _WIDTH - 1 - _COLUMN                     # bytes after each column
+_DOT = (ord(".") - ord("0")) % 256                # a '.' less '0', in a uint8
+_TENS = np.array([float(10**k) for k in range(_WIDTH)])
+_INDEX_LIMIT = 2**63           # an index j is stored as j - 1 in int64
+# bytes a file may hold to be scanned as it is (after \r\n and \r become \n)
+_REGULAR = bytes(range(32, 127)) + b"\t\n\r"
+
+
+def _read(source) -> bytes | str:
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
-            source = fh.read()
+            return fh.read()
     data = source if isinstance(source, bytes) else source.read()
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(line_no, f"not UTF-8 text ({exc.reason})") from None
+    return data if isinstance(data, str) else bytes(data)
+
+
+def _scan_form(data: bytes | str) -> bytes:
+    """The text as the scanner reads it: lines end in \\n, tokens are split
+    by spaces and tabs, and a line is a comment when its first byte is '#'.
+
+    Text of printable ASCII, spaces, tabs and line ends is that form once
+    \\r\\n and \\r become \\n.  Any other text is decoded and rewritten
+    line by line as ``str.splitlines`` cuts it, each line as "#" if it is a
+    comment and otherwise as a space before its ``str.split`` tokens, so
+    every line keeps its number and every token its UTF-8 text."""
+    if isinstance(data, bytes) and not data.translate(None, _REGULAR):
+        return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(line_no, f"not UTF-8 text ({exc.reason})") from None
+    lines = ("#" if raw.startswith("#") else " " + " ".join(raw.split())
+             for raw in data.splitlines())
+    return "\n".join(lines).encode("utf-8", "surrogatepass") + b"\n"
 
 
 def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
     """Parse LIBSVM text: one `<label> <idx>:<val> ...` example per line.
 
     Indices are 1-based and strictly increasing within a line (stored
-    0-based).  Labels map to {-1,+1} via label > 0 -> +1, else -1, so
-    {0,1}-labeled files come out right.  Lines starting with '#' are
-    comments.  The feature dimension is the largest index seen.
+    0-based); an index above 2**63 is an error.  Labels map to {-1,+1} via
+    label > 0 -> +1, else -1, so {0,1}-labeled files come out right.  Lines
+    are numbered as ``str.splitlines`` cuts them, a line whose first
+    character is '#' is a comment, tokens are split as ``str.split`` splits
+    them, and every label and value has the bits ``float()`` gives it.  The
+    first malformed token in file order is the error; a nan or inf value
+    is reported only in a file without one.  The feature dimension is the
+    largest index seen.
     """
+    data = _scan_form(_read(source))
     report = ParseReport()
-    indptr = [0]
-    indices = array("q")
-    values = array("d")
-    labels = []
-    # entries go straight into flat arrays; the lines are dropped before the
-    # dataset is built
-    lines = _read_text(source).splitlines()
-    for line_no, raw in enumerate(lines, start=1):
-        if raw.startswith("#"):
-            continue
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise ParseError(line_no, f"bad label token {tokens[0]!r}") from None
-        if label not in (-1.0, 0.0, 1.0):
-            if not math.isfinite(label):
-                raise ParseError(line_no, f"bad label token {tokens[0]!r}")
-            report.warnings.append(
-                (line_no, f"unusual label {tokens[0]} mapped to {'+1' if label > 0 else '-1'}")
-            )
-        labels.append(1 if label > 0.0 else -1)
-        prev = 0
-        for tok in tokens[1:]:
-            part = tok.split(":")
-            if len(part) != 2:
-                raise ParseError(line_no, f"bad feature token {tok!r}")
-            try:
-                j = int(part[0])
-                x = float(part[1])
-            except ValueError:
-                raise ParseError(line_no, f"bad feature token {tok!r}") from None
-            if j < 1:
-                raise ParseError(line_no, f"feature index {j} below 1")
-            if j <= prev:
-                raise ParseError(line_no, "indices not increasing")
-            prev = j
-            indices.append(j - 1)
-            values.append(x)
-        report.max_index_seen = max(report.max_index_seen, prev)
-        indptr.append(len(indices))
-    if not labels:
+    # at most one entry per ':' in the file
+    indices = np.empty(data.count(b":"), dtype=np.int64)
+    values = np.empty(indices.size)
+    labels, counts = [], []
+    non_finite = None
+    nnz = lines = lo = 0
+    while lo < len(data):
+        # up to the last line end within CHUNK_BYTES, else the next one, else the end
+        hi = (data.rfind(b"\n", lo, lo + CHUNK_BYTES) + 1
+              or data.find(b"\n", lo + CHUNK_BYTES) + 1 or len(data))
+        text = data[lo:hi] if data[hi - 1] == ord("\n") else data[lo:hi] + b"\n"
+        chunk = _scan_chunk(np.frombuffer(_PAD + text, dtype=np.uint8), lines)
+        lines += chunk.lines
+        report.warnings += chunk.warnings
+        non_finite = non_finite or chunk.non_finite
+        labels.append(chunk.labels)
+        counts.append(chunk.counts)
+        k = chunk.indices.size
+        indices[nnz:nnz + k], values[nnz:nnz + k] = chunk.indices, chunk.values
+        nnz += k
+        if k:
+            report.max_index_seen = max(report.max_index_seen, int(chunk.indices.max()) + 1)
+        lo = hi
+    del data            # the text is dropped before the dataset is built
+    report.rows_read = sum(map(len, labels))
+    if not report.rows_read:
         raise ParseError(0, "empty file: no examples found")
-    values = np.frombuffer(values)
-    if not np.isfinite(values).all():
-        raise _non_finite_value(lines, indptr, values)
-    del lines
-    report.rows_read = len(labels)
-    dataset = csr_dataset(
-        indptr, np.frombuffer(indices, dtype=np.int64), values, labels,
-        d=report.max_index_seen,
-    )
+    if non_finite:
+        raise ParseError(non_finite[0], f"bad feature token {non_finite[1]!r}")
+    indptr = np.zeros(report.rows_read + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    labels = np.concatenate(labels)
+    if nnz < indices.size:
+        indices, values = indices[:nnz].copy(), values[:nnz].copy()
+    dataset = csr_dataset(indptr, indices, values, labels, d=report.max_index_seen)
     return dataset, report
 
 
-def _non_finite_value(lines: list, indptr: list, values: np.ndarray) -> ParseError:
-    """The error naming the line and token of the first of ``values`` that
-    parsed as nan or inf."""
-    entry = int(np.isfinite(values).argmin())
-    row = int(np.searchsorted(indptr, entry, side="right")) - 1
-    data_lines = (no for no, raw in enumerate(lines, start=1)
-                  if not raw.startswith("#") and raw.strip())
-    line_no = next(itertools.islice(data_lines, row, None))
-    token = lines[line_no - 1].split()[1 + entry - indptr[row]]
-    return ParseError(line_no, f"bad feature token {token!r}")
+@dataclass
+class _Chunk:
+    lines: int
+    labels: np.ndarray          # +1/-1 per row
+    counts: np.ndarray          # entries per row
+    indices: np.ndarray         # 0-based, row after row
+    values: np.ndarray
+    warnings: list              # (line, message) per label other than -1, 0, 1
+    non_finite: tuple | None    # (line, token) of the first nan or inf value
+
+
+def _scan_chunk(buf: np.ndarray, lines_before: int) -> _Chunk:
+    """Parse one chunk: ``_PAD`` and then whole lines of the scan form, the
+    last ending in \\n.  Raises the ParseError of the chunk's first bad token."""
+    sep = (buf == ord(" ")) | (buf == ord("\n")) | (buf == ord("\t"))
+    edges = np.flatnonzero(sep[1:] != sep[:-1]) + 1
+    start, end = edges[0::2], edges[1::2]
+    breaks = np.flatnonzero(buf == 10)
+    line = np.searchsorted(breaks, start)
+    comment = buf[np.concatenate(([_WIDTH], breaks[:-1] + 1))] == ord("#")
+    if comment.any():
+        keep = ~comment[line]
+        start, end, line = start[keep], end[keep], line[keep]
+    label = np.ones(start.size, dtype=bool)
+    label[1:] = line[1:] != line[:-1]
+    feature = ~label
+    # a label is read from its whole token, a feature from either side of its first ':'
+    # (a token with no ':' reads as an index alone, with an empty value)
+    colons = np.append(np.flatnonzero(buf == ord(":")), buf.size)
+    colon = np.minimum(colons[np.searchsorted(colons, start)], end)
+    number, plain = _decimal(buf, np.where(label, start, np.minimum(colon + 1, end)), end)
+    j, plain_index = _index(buf, start[feature], colon[feature])
+    plain[feature] &= plain_index
+    index = np.zeros(start.size, dtype=np.int64)
+    index[feature] = j - 1
+    bad = {}
+    non_finite = None
+    for t in np.flatnonzero(~plain).tolist():
+        token = _token(buf, start[t], end[t])
+        got = _read_label(token) if label[t] else _read_feature(token)
+        if isinstance(got, str):
+            bad[t] = got
+        elif label[t]:
+            number[t] = got
+        else:
+            index[t], number[t] = got
+            if non_finite is None and not math.isfinite(got[1]):
+                non_finite = (lines_before + int(line[t]) + 1, token)
+    wrong = feature & (index < 0)
+    wrong[list(bad)] = True
+    wrong[1:] |= feature[1:] & feature[:-1] & (index[1:] <= index[:-1])
+    if wrong.any():
+        t = int(wrong.argmax())
+        message = (bad.get(t) or (index[t] < 0 and f"feature index {index[t] + 1} below 1")
+                   or "indices not increasing")
+        raise ParseError(lines_before + int(line[t]) + 1, message)
+    rows = np.flatnonzero(label)
+    y = number[rows]
+    warnings = [
+        (lines_before + int(line[t]) + 1,
+         f"unusual label {_token(buf, start[t], end[t])} mapped to {'+1' if number[t] > 0 else '-1'}")
+        for t in rows[(y != 1.0) & (y != -1.0) & (y != 0.0)].tolist()
+    ]
+    return _Chunk(
+        lines=breaks.size, labels=np.where(y > 0.0, 1, -1),
+        counts=np.diff(np.append(rows, start.size)) - 1,
+        indices=index[feature], values=number[feature],
+        warnings=warnings, non_finite=non_finite,
+    )
+
+
+def _token(buf: np.ndarray, start, end) -> str:
+    return buf[start:end].tobytes().decode("utf-8", "surrogatepass")
+
+
+def _digits(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
+    """The _WIDTH bytes up to the end of each span buf[start:end], less
+    '0', one column per span; a byte before the span reads 0 (a leading
+    zero).  Also returns the span lengths.  ``buf`` starts with _WIDTH
+    padding bytes, so every column exists."""
+    length = end - start
+    digit = buf[end + _BACK] - ord("0")
+    digit *= _COLUMN >= _WIDTH - np.minimum(length, _WIDTH).astype(np.uint8)
+    return digit, length
+
+
+def _integer(digit: np.ndarray) -> tuple:
+    """Each column of ``_digits`` read as one decimal integer, and its
+    largest byte (at most 9 when every byte is a digit)."""
+    m = digit
+    # sum by digit position, pairs of rows at a time (four halvings of the
+    # 16 rows), in integers that hold each partial sum exactly
+    for scale in (np.uint8(10), np.uint16(100), np.uint32(10**4), np.int64(10**8)):
+        m = m[0::2] * scale + m[1::2]
+    return m[0], digit.max(axis=0)
+
+
+def _index(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
+    """Each span buf[start:end] read as an index, and whether it is plain:
+    1 to _WIDTH digits."""
+    digit, length = _digits(buf, start, end)
+    j, top = _integer(digit)
+    return j, (length >= 1) & (length <= _WIDTH) & (top <= 9)
+
+
+def _decimal(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
+    """Each span buf[start:end] read as a label or a value, and whether it
+    is plain: an optional sign, then 1 to _VALUE_DIGITS digits and at most
+    one '.'."""
+    negative = buf[start] == ord("-")
+    digit, length = _digits(buf, start + (negative | (buf[start] == ord("+"))), end)
+    dot = digit == _DOT
+    dots = dot.sum(axis=0, dtype=np.uint8)
+    k = np.where(dots == 1, (dot * _AFTER).sum(axis=0, dtype=np.uint8), 0)
+    # drop the '.': the digits before it move one row down, over it
+    before = _AFTER >= np.where(dots == 1, k, _WIDTH)
+    shifted = np.zeros_like(digit)
+    shifted[1:] = digit[:-1]
+    m, top = _integer(np.where(before, shifted, digit))
+    x = m / _TENS[k]
+    np.negative(x, out=x, where=negative)
+    digits = length - dots
+    return x, (dots <= 1) & (top <= 9) & (digits >= 1) & (digits <= _VALUE_DIGITS)
+
+
+def _read_label(token: str) -> float | str:
+    """The label's value, or the error message."""
+    try:
+        label = float(token)
+    except ValueError:
+        label = math.nan
+    return label if math.isfinite(label) else f"bad label token {token!r}"
+
+
+def _read_feature(token: str) -> tuple[int, float] | str:
+    """The 0-based index and the value of an `<idx>:<val>` token, or the
+    error message."""
+    part = token.split(":")
+    if len(part) != 2:
+        return f"bad feature token {token!r}"
+    try:
+        j = int(part[0])
+        x = float(part[1])
+    except ValueError:
+        return f"bad feature token {token!r}"
+    if j < 1:
+        return f"feature index {j} below 1"
+    if j > _INDEX_LIMIT:
+        return f"bad feature token {token!r}: index past int64"
+    return j - 1, x
 
 
 def write_libsvm(dataset: Dataset, sink) -> None:

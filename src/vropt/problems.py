@@ -232,19 +232,21 @@ def stable_sigmoid(z):
     return out if out.ndim else float(out)
 
 
-def _loss_terms(loss: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row losses l(z_i; y_i) at the margins z_i = a_i . x."""
+def _loss_terms(loss: LossKind, z: np.ndarray, y: np.ndarray, s) -> np.ndarray:
+    """Per-row losses l(z_i; y_i) at the margins z_i = a_i . x; ``s`` is
+    ``_sigmoid(z)`` for the sigmoid loss."""
     if loss is LossKind.SIGMOID_SQUARED:
-        r = 1.0 - y * _sigmoid(z)
+        r = 1.0 - y * s
         return r * r
     return 0.5 * (z - y) ** 2
 
 
-def _loss_slopes(loss: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _loss_slopes(loss: LossKind, z: np.ndarray, y: np.ndarray, s=None) -> np.ndarray:
     """Per-row derivatives dl/dz at the margins z_i = a_i . x (``z`` may
-    stack several points' margins along a leading axis; ``y`` broadcasts)."""
+    stack several points' margins along a leading axis; ``y`` broadcasts);
+    ``s``, when given, is ``_sigmoid(z)``, already computed."""
     if loss is LossKind.SIGMOID_SQUARED:
-        s = _sigmoid(z)
+        s = _sigmoid(z) if s is None else s
         return -2.0 * y * s * (1.0 - s) * (1.0 - y * s)
     return z - y
 
@@ -367,13 +369,15 @@ def full_pass(problem: Problem, x: np.ndarray, value: bool = True,
     points = x.reshape(-1, ds.d)
     z = np.stack([block.margins(p) for p in points])
     f = slopes = g = None
+    # the sigmoid loss's f and grad f read one sigmoid of the margins
+    sig = _sigmoid(z) if problem.loss is LossKind.SIGMOID_SQUARED else None
     if value:
-        terms = _loss_terms(problem.loss, z, block.labels).tolist()
+        terms = _loss_terms(problem.loss, z, block.labels, sig).tolist()
         f = [math.fsum(t) / ds.n for t in terms]
         if problem.mu:
             f = [fj + 0.5 * problem.mu * float(p @ p) for fj, p in zip(f, points)]
     if gradient:
-        s = _loss_slopes(problem.loss, z, block.labels)
+        s = _loss_slopes(problem.loss, z, block.labels, sig)
         g = np.stack([block.scatter(sj, ds.d) for sj in s]) / ds.n
         if problem.mu:
             g += problem.mu * points

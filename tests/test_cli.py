@@ -565,6 +565,14 @@ class TestMainEntry:
         path.write_text("1 3:1 2:1\n", encoding="utf-8")
         assert main(["parse-check", str(path)]) == 2
 
+    def test_index_past_int64_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.libsvm"
+        path.write_text("1 1:0.5\n-1 99999999999999999999:1\n", encoding="utf-8")
+        assert main(["parse-check", str(path)]) == 2
+        assert main(["run", "--dataset", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: bad feature token '99999999999999999999:1'" in err
+
     def test_missing_file_data_error(self):
         assert main(["parse-check", "/nonexistent/file.libsvm"]) == 2
 

@@ -1,18 +1,27 @@
 import io
+import itertools
+import math
+import os
 import re
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vropt import dataio
 from vropt.dataio import (
     ParseError,
+    ParseReport,
     dumps_libsvm,
     maxabs_scale,
     parse_libsvm,
     subsample,
     write_libsvm,
 )
-from vropt.problems import synthesize
+from vropt.problems import csr_dataset, synthesize
 
 
 class TestParse:
@@ -90,6 +99,16 @@ class TestParse:
         with pytest.raises(ParseError, match=re.escape(fragment)) as err:
             parse_libsvm(f"1 1:0.5\n-1 {token}\n".encode())
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("index", ["99999999999999999999", "9223372036854775809"])
+    def test_index_past_int64_is_a_data_error(self, index):
+        text = f"1 1:0.5\n-1 {index}:1\n".encode()
+        with pytest.raises(ParseError, match=re.escape(f"bad feature token '{index}:1'")) as err:
+            parse_libsvm(text)
+        assert err.value.line_no == 2
+        # 2**63 itself is still stored, as 2**63 - 1
+        ds, report = parse_libsvm(b"1 9223372036854775808:1\n")
+        assert ds.indices.tolist() == [2**63 - 1] and report.max_index_seen == 2**63
 
     def test_accepts_path_and_stream(self, tmp_path):
         path = tmp_path / "toy.libsvm"
@@ -186,3 +205,227 @@ def test_maxabs_scale():
     scaled = maxabs_scale(ds)
     assert np.array_equal(scaled.rows[0][1], [1.0, -1.0])
     assert np.array_equal(scaled.rows[1][1], [-0.5])
+
+
+# The parser's former line-by-line loop, kept verbatim as the reference the
+# vectorised scan is checked against (only the names of its helpers differ).
+
+def _reference_read_text(source) -> str:
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    data = source if isinstance(source, bytes) else source.read()
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"not UTF-8 text ({exc.reason})") from None
+
+
+def reference_parse_libsvm(source):
+    report = ParseReport()
+    indptr = [0]
+    indices = array("q")
+    values = array("d")
+    labels = []
+    # entries go straight into flat arrays; the lines are dropped before the
+    # dataset is built
+    lines = _reference_read_text(source).splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        if raw.startswith("#"):
+            continue
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(line_no, f"bad label token {tokens[0]!r}") from None
+        if label not in (-1.0, 0.0, 1.0):
+            if not math.isfinite(label):
+                raise ParseError(line_no, f"bad label token {tokens[0]!r}")
+            report.warnings.append(
+                (line_no, f"unusual label {tokens[0]} mapped to {'+1' if label > 0 else '-1'}")
+            )
+        labels.append(1 if label > 0.0 else -1)
+        prev = 0
+        for tok in tokens[1:]:
+            part = tok.split(":")
+            if len(part) != 2:
+                raise ParseError(line_no, f"bad feature token {tok!r}")
+            try:
+                j = int(part[0])
+                x = float(part[1])
+            except ValueError:
+                raise ParseError(line_no, f"bad feature token {tok!r}") from None
+            if j < 1:
+                raise ParseError(line_no, f"feature index {j} below 1")
+            if j <= prev:
+                raise ParseError(line_no, "indices not increasing")
+            prev = j
+            indices.append(j - 1)
+            values.append(x)
+        report.max_index_seen = max(report.max_index_seen, prev)
+        indptr.append(len(indices))
+    if not labels:
+        raise ParseError(0, "empty file: no examples found")
+    values = np.frombuffer(values)
+    if not np.isfinite(values).all():
+        raise _reference_non_finite_value(lines, indptr, values)
+    del lines
+    report.rows_read = len(labels)
+    dataset = csr_dataset(
+        indptr, np.frombuffer(indices, dtype=np.int64), values, labels,
+        d=report.max_index_seen,
+    )
+    return dataset, report
+
+
+def _reference_non_finite_value(lines: list, indptr: list, values: np.ndarray) -> ParseError:
+    entry = int(np.isfinite(values).argmin())
+    row = int(np.searchsorted(indptr, entry, side="right")) - 1
+    data_lines = (no for no, raw in enumerate(lines, start=1)
+                  if not raw.startswith("#") and raw.strip())
+    line_no = next(itertools.islice(data_lines, row, None))
+    token = lines[line_no - 1].split()[1 + entry - indptr[row]]
+    return ParseError(line_no, f"bad feature token {token!r}")
+
+
+def outcome(parse, source):
+    """What a parse gives, in a form that compares values by their bits; an
+    index past int64 (the reference's OverflowError) reads as one outcome."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    try:
+        ds, report = parse(source)
+    except ParseError as err:
+        if str(err).endswith("index past int64"):
+            return ("past int64",)
+        return ("error", err.line_no, str(err))
+    except OverflowError:
+        return ("past int64",)
+    return ("ok", ds.indptr.tolist(), ds.indices.tolist(), ds.data.view(np.int64).tolist(),
+            ds.labels.tolist(), ds.n, ds.d, report)
+
+
+def _unicode_digits(text: str) -> str:
+    return text.translate({ord("0") + i: 0x0660 + i for i in range(10)})
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.6f}"),
+    st.floats().map(lambda x: f"{x:.17g}"),
+    st.floats().map(lambda x: f"{x:.19e}"),
+    st.integers(0, 10**20).map(str),
+    # 14-20 digit mantissas with a '.' anywhere
+    st.tuples(st.integers(10**13, 10**20), st.integers(0, 20)).map(
+        lambda t: (str(t[0])[:t[1]] + "." + str(t[0])[t[1]:]).strip(".") or "0"),
+    st.sampled_from([
+        "-0.0", "0", "-0", "+0.5", "5e-324", "2.2250738585072014e-308", "1e308", "1e309",
+        "nan", "-inf", "inf", "NaN", "Infinity", "1_0.5", "1__0", ".5", "5.", "-.5", ".", "1.2.3",
+        "1e-05", "-1.193358", "1E5", "0.1234567890123456789", "", "x", "1e", "--1", "+-1",
+        "0.000000000000001", "999999999999999", "9999999999999999", "٣.٥", "٣", "1\x00",
+    ]),
+)
+SIGNED = st.tuples(st.sampled_from(["", "", "", "-", "+"]), NUMBER_TEXT).map("".join)
+LABEL = st.one_of(
+    st.sampled_from(["1", "-1", "+1", "0", "1", "-1", "+1", "0"]),
+    st.sampled_from(["-0", "1.0", "3.5", "-2", "1e0", "+1e-0", "١", "1_0", "nan", "inf",
+                     "-inf", "abc", "#", "1:1", "0x1", ".5", "5.", "-", "+", "﻿1"]),
+    SIGNED,
+)
+ODD_INDEX = st.sampled_from([
+    "0", "00", "-3", "+3", "03", "1_0", "٣", "", "x", "2.0", "99999999999999999999",
+    "9223372036854775807", "9223372036854775808", "9223372036854775809", "12345678901234567",
+])
+ODD_TOKEN = st.sampled_from(["1:2:3", "3", ":", "1:", ":1", "1::2", "#", "1:1:"])
+SEPARATOR = st.sampled_from([" ", " ", " ", "\t", "  ", " \t ", "\x1f", "\xa0", " "])
+LINE_END = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                            "\x85", " ", " "])
+
+
+@st.composite
+def libsvm_row(draw):
+    """A row that is mostly well formed: increasing indices, finite values,
+    and now and then an odd label, index, value or token."""
+    clean = draw(st.integers(0, 5)) > 0
+    label = draw(st.sampled_from(["1", "-1", "+1", "0"]) if clean else LABEL)
+    cols = sorted(draw(st.sets(st.integers(1, 2000), max_size=6)))
+    tokens = [label]
+    for j in cols:
+        if clean:
+            tokens.append(f"{j}:{draw(st.floats(-1e3, 1e3).map(repr))}")
+            continue
+        kind = draw(st.integers(0, 5))
+        index = draw(ODD_INDEX) if kind == 0 else str(j)
+        value = draw(SIGNED) if kind == 1 else draw(st.floats(-9.0, 9.0).map(repr))
+        token = draw(ODD_TOKEN) if kind == 2 else f"{index}:{value}"
+        tokens.append(_unicode_digits(token) if kind == 3 else token)
+    if not clean and draw(st.booleans()):
+        tokens.append(tokens[-1])                       # a repeated index
+    pieces = [draw(st.sampled_from(["", "", " ", "\t", "\xa0"]))]
+    for tok in tokens:
+        pieces += [tok, draw(SEPARATOR)]
+    pieces[-1] = draw(st.sampled_from(["", "", " ", "\t"]))
+    return "".join(pieces)
+
+
+OTHER_LINE = st.sampled_from(["", "  ", "\t", "-1", "+1 ", "# a comment 1:2", "#", "#1 2:3", "##"])
+HASH_NOT_FIRST = st.sampled_from([" # 1:1", "\t#x", "1 #"])     # a bad token
+LINE = st.integers(0, 39).flatmap(
+    lambda r: libsvm_row() if r < 32 else OTHER_LINE if r < 39 else HASH_NOT_FIRST)
+
+
+@st.composite
+def libsvm_text(draw):
+    """Text of up to 12 lines with assorted line ends: bytes, now and then
+    with a byte that is not UTF-8, or a str as a text stream reads it."""
+    lines = draw(st.lists(st.tuples(LINE, LINE_END), max_size=12))
+    text = "".join(line + end for line, end in lines)
+    if lines and draw(st.booleans()):
+        text = text[:-len(lines[-1][1])]                # no line end after the last line
+    kind = draw(st.sampled_from(["bytes"] * 8 + ["bad byte", "str"]))
+    if kind == "str":
+        return text
+    data = text.encode("utf-8")
+    if kind == "bad byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data
+
+
+DIFFERENTIAL = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+class TestParseAgainstReference:
+    @DIFFERENTIAL
+    @given(libsvm_text())
+    def test_random_texts(self, source):
+        assert outcome(parse_libsvm, source) == outcome(reference_parse_libsvm, source)
+
+    @settings(DIFFERENTIAL, max_examples=100)
+    @given(libsvm_text())
+    def test_chunk_length_changes_nothing(self, source):
+        want = outcome(parse_libsvm, source)
+        for chunk in (1, 7, 64):
+            with mock.patch.object(dataio, "CHUNK_BYTES", chunk):
+                assert outcome(parse_libsvm, source) == want
+
+    def test_many_chunks(self):
+        """A text of many default-length chunks, with every kind of line."""
+        rng = np.random.default_rng(0)
+        ds = synthesize(400, 60, 30.0, seed=3)
+        rows = dumps_libsvm(ds).splitlines()
+        extra = ["# comment 1:2", "", "-1", " \t", "+1 3:1e-05 7:2.5E+3 9:-0.0 11:5e-324"]
+        lines = [rows[i] if i < len(rows) else extra[i % len(extra)]
+                 for i in rng.permutation(len(rows) + 200)]
+        text = "\r\n".join(lines).encode()
+        assert len(text) > 4 * dataio.CHUNK_BYTES
+        assert outcome(parse_libsvm, text) == outcome(reference_parse_libsvm, text)
+        with_nan = text + b"\r\n1 1:1 2:nan\r\n1 0:1"
+        assert outcome(parse_libsvm, with_nan) == outcome(reference_parse_libsvm, with_nan)
+        assert outcome(parse_libsvm, with_nan)[:2] == ("error", len(lines) + 2)

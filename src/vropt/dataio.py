@@ -25,20 +25,22 @@ class ParseReport:
 # The length changes no result.
 CHUNK_BYTES = 1 << 16
 
-# A number is read vectorised ("plain") when it fits the window of _WIDTH
-# bytes that ends at its last byte: an index of 1 to 16 digits (below 2**63),
-# or a label or value of an optional sign, 1 to 15 digits and at most one '.'.
-# Such a value is M / 10**k with M < 2**53, a quotient of two exact doubles,
-# so IEEE division rounds it as float() does (Clinger's fast path).  Every
-# other token is read by int() and float().
+# A number is read vectorised ("plain") when it fits a window of bytes that
+# ends at its last byte: an index of 1 to 16 digits (below 2**63), or a label
+# or value of an optional sign, digits and at most one '.', in one of two
+# ways.  With 1 to 15 digits (a window of _WIDTH bytes) it is M / 10**k with
+# M < 2**53, a quotient of two exact doubles, so IEEE division rounds it as
+# float() does (Clinger's fast path).  With up to 18 significant digits and
+# 18 after the '.' (a window of _LONG bytes; a shortest repr has 16 or 17)
+# an exact integer residual corrects M / 10**k to float()'s double
+# (_long_decimal).  Every other token is read by int() and float().
 _WIDTH = 16
+_LONG = 2 * _WIDTH
 _VALUE_DIGITS = 15
-_PAD = b" " * _WIDTH
-_COLUMN = np.arange(_WIDTH, dtype=np.uint8)[:, None]
-_BACK = np.arange(-_WIDTH, 0)[:, None]            # the bytes before a span's end
-_AFTER = _WIDTH - 1 - _COLUMN                     # bytes after each column
+_PAD = b" " * _LONG
 _DOT = (ord(".") - ord("0")) % 256                # a '.' less '0', in a uint8
-_TENS = np.array([float(10**k) for k in range(_WIDTH)])
+_TENS = np.array([float(10**k) for k in range(_LONG)])
+_POW10 = np.array([10**min(k, 18) for k in range(_LONG)], dtype=np.int64)
 _INDEX_LIMIT = 2**63           # an index j is stored as j - 1 in int64
 # bytes a file may hold to be scanned as it is (after \r\n and \r become \n)
 _REGULAR = bytes(range(32, 127)) + b"\t\n\r"
@@ -100,7 +102,7 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
         hi = (data.rfind(b"\n", lo, lo + CHUNK_BYTES) + 1
               or data.find(b"\n", lo + CHUNK_BYTES) + 1 or len(data))
         text = data[lo:hi] if data[hi - 1] == ord("\n") else data[lo:hi] + b"\n"
-        chunk = _scan_chunk(np.frombuffer(_PAD + text, dtype=np.uint8), lines)
+        chunk = _scan_chunk(_PAD + text, lines)
         lines += chunk.lines
         report.warnings += chunk.warnings
         non_finite = non_finite or chunk.non_finite
@@ -138,15 +140,16 @@ class _Chunk:
     non_finite: tuple | None    # (line, token) of the first nan or inf value
 
 
-def _scan_chunk(buf: np.ndarray, lines_before: int) -> _Chunk:
+def _scan_chunk(raw: bytes, lines_before: int) -> _Chunk:
     """Parse one chunk: ``_PAD`` and then whole lines of the scan form, the
     last ending in \\n.  Raises the ParseError of the chunk's first bad token."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
     sep = (buf == ord(" ")) | (buf == ord("\n")) | (buf == ord("\t"))
     edges = np.flatnonzero(sep[1:] != sep[:-1]) + 1
     start, end = edges[0::2], edges[1::2]
     breaks = np.flatnonzero(buf == 10)
     line = np.searchsorted(breaks, start)
-    comment = buf[np.concatenate(([_WIDTH], breaks[:-1] + 1))] == ord("#")
+    comment = buf[np.concatenate(([_LONG], breaks[:-1] + 1))] == ord("#")
     if comment.any():
         keep = ~comment[line]
         start, end, line = start[keep], end[keep], line[keep]
@@ -157,24 +160,43 @@ def _scan_chunk(buf: np.ndarray, lines_before: int) -> _Chunk:
     # (a token with no ':' reads as an index alone, with an empty value)
     colons = np.append(np.flatnonzero(buf == ord(":")), buf.size)
     colon = np.minimum(colons[np.searchsorted(colons, start)], end)
-    number, plain = _decimal(buf, np.where(label, start, np.minimum(colon + 1, end)), end)
+    at = np.where(label, start, np.minimum(colon + 1, end))
+    number, plain = _decimal(buf, at, end)
     j, plain_index = _index(buf, start[feature], colon[feature])
-    plain[feature] &= plain_index
+    index_read = label.copy()           # a label, or a feature with a plain index
+    index_read[feature] = plain_index
+    plain &= index_read
+    more = np.flatnonzero(~plain & index_read & (end - at > _VALUE_DIGITS))
+    if more.size:
+        x, long_plain = _long_decimal(buf, at[more], end[more])
+        more = more[long_plain]
+        number[more], plain[more] = x[long_plain], True
     index = np.zeros(start.size, dtype=np.int64)
     index[feature] = j - 1
-    bad = {}
-    non_finite = None
-    for t in np.flatnonzero(~plain).tolist():
-        token = _token(buf, start[t], end[t])
-        got = _read_label(token) if label[t] else _read_feature(token)
-        if isinstance(got, str):
-            bad[t] = got
-        elif label[t]:
-            number[t] = got
-        else:
-            index[t], number[t] = got
-            if non_finite is None and not math.isfinite(got[1]):
-                non_finite = (lines_before + int(line[t]) + 1, token)
+    todo = np.flatnonzero(~plain)
+    # The other tokens are mostly exponent or still longer values after a
+    # plain index: float() reads them in one pass.  Only when one of them is
+    # not a number, a label is not finite or an index is not plain, is each
+    # token read on its own, as the error is found.
+    got = _floats(raw, at[todo], end[todo]) if index_read[todo].all() else None
+    bad, non_finite = {}, None
+    if got is not None and np.isfinite(got[label[todo]]).all():
+        number[todo] = got
+        for t in todo[~np.isfinite(got)][:1].tolist():
+            non_finite = (lines_before + int(line[t]) + 1, _token(raw, start[t], end[t]))
+    else:
+        for t, a, b, is_label, ln in zip(todo.tolist(), start[todo].tolist(), end[todo].tolist(),
+                                         label[todo].tolist(), line[todo].tolist()):
+            token = _token(raw, a, b)
+            got = _read_label(token) if is_label else _read_feature(token)
+            if isinstance(got, str):
+                bad[t] = got
+            elif is_label:
+                number[t] = got
+            else:
+                index[t], number[t] = got
+                if non_finite is None and not math.isfinite(got[1]):
+                    non_finite = (lines_before + ln + 1, token)
     wrong = feature & (index < 0)
     wrong[list(bad)] = True
     wrong[1:] |= feature[1:] & feature[:-1] & (index[1:] <= index[:-1])
@@ -187,7 +209,7 @@ def _scan_chunk(buf: np.ndarray, lines_before: int) -> _Chunk:
     y = number[rows]
     warnings = [
         (lines_before + int(line[t]) + 1,
-         f"unusual label {_token(buf, start[t], end[t])} mapped to {'+1' if number[t] > 0 else '-1'}")
+         f"unusual label {_token(raw, start[t], end[t])} mapped to {'+1' if number[t] > 0 else '-1'}")
         for t in rows[(y != 1.0) & (y != -1.0) & (y != 0.0)].tolist()
     ]
     return _Chunk(
@@ -198,58 +220,106 @@ def _scan_chunk(buf: np.ndarray, lines_before: int) -> _Chunk:
     )
 
 
-def _token(buf: np.ndarray, start, end) -> str:
-    return buf[start:end].tobytes().decode("utf-8", "surrogatepass")
+def _token(raw: bytes, start, end) -> str:
+    return raw[start:end].decode("utf-8", "surrogatepass")
 
 
-def _digits(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
-    """The _WIDTH bytes up to the end of each span buf[start:end], less
+def _floats(raw: bytes, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """float() of each span raw[start:end], or None when one is not a number.
+    float() reads ASCII bytes as it reads their str, and fails on others."""
+    try:
+        return np.array([float(raw[a:b]) for a, b in zip(start.tolist(), end.tolist())])
+    except ValueError:
+        return None
+
+
+def _digits(buf: np.ndarray, start: np.ndarray, end: np.ndarray, width: int) -> tuple:
+    """The ``width`` bytes up to the end of each span buf[start:end], less
     '0', one column per span; a byte before the span reads 0 (a leading
-    zero).  Also returns the span lengths.  ``buf`` starts with _WIDTH
-    padding bytes, so every column exists."""
+    zero).  Also returns the span lengths.  ``buf`` starts with ``_PAD``,
+    so every column exists."""
     length = end - start
-    digit = buf[end + _BACK] - ord("0")
-    digit *= _COLUMN >= _WIDTH - np.minimum(length, _WIDTH).astype(np.uint8)
+    digit = buf[end + np.arange(-width, 0)[:, None]] - ord("0")
+    column = np.arange(width, dtype=np.uint8)[:, None]
+    digit *= column >= width - np.minimum(length, width).astype(np.uint8)
     return digit, length
 
 
 def _integer(digit: np.ndarray) -> tuple:
-    """Each column of ``_digits`` read as one decimal integer, and its
-    largest byte (at most 9 when every byte is a digit)."""
+    """Each column of ``_digits`` read as decimal integers of 16 digits,
+    one row per 16 rows (the most significant first), and its largest byte
+    (at most 9 when every byte is a digit)."""
     m = digit
-    # sum by digit position, pairs of rows at a time (four halvings of the
-    # 16 rows), in integers that hold each partial sum exactly
-    for scale in (np.uint8(10), np.uint16(100), np.uint32(10**4), np.int64(10**8)):
-        m = m[0::2] * scale + m[1::2]
-    return m[0], digit.max(axis=0)
+    # sum by digit position, pairs of rows at a time (four halvings of each
+    # 16 rows), each widened first to an integer that holds its partial sums
+    # (so the result does not hang on numpy's scalar promotion rules)
+    for wide, scale in ((np.uint8, 10), (np.uint16, 100), (np.uint32, 10**4), (np.int64, 10**8)):
+        m = m[0::2].astype(wide, copy=False) * scale + m[1::2]
+    return m, digit.max(axis=0)
 
 
 def _index(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
     """Each span buf[start:end] read as an index, and whether it is plain:
     1 to _WIDTH digits."""
-    digit, length = _digits(buf, start, end)
+    digit, length = _digits(buf, start, end, _WIDTH)
     j, top = _integer(digit)
-    return j, (length >= 1) & (length <= _WIDTH) & (top <= 9)
+    return j[0], (length >= 1) & (length <= _WIDTH) & (top <= 9)
+
+
+def _mantissa(buf: np.ndarray, start: np.ndarray, end: np.ndarray, width: int) -> tuple:
+    """Each span buf[start:end] read as an optional sign, then digits and
+    '.'s in a window of ``width`` bytes: whether it is negative, its digits
+    less the '.' as ``_integer`` reads them, the number k of digits after
+    the '.', the number of digits, and whether the span fits the window and
+    holds only digits and at most one '.'."""
+    negative = buf[start] == ord("-")
+    digit, length = _digits(buf, start + (negative | (buf[start] == ord("+"))), end, width)
+    after = np.arange(width - 1, -1, -1, dtype=np.uint8)[:, None]   # bytes after each row
+    dot = digit == _DOT
+    dots = dot.sum(axis=0, dtype=np.uint8)
+    k = np.where(dots == 1, (dot * after).sum(axis=0, dtype=np.uint8), 0)
+    # drop the '.': the digits before it move one row down, over it
+    before = after >= np.where(dots == 1, k, width)
+    shifted = np.zeros_like(digit)
+    shifted[1:] = digit[:-1]
+    m, top = _integer(np.where(before, shifted, digit))
+    return negative, m, k, length - dots, (length <= width) & (dots <= 1) & (top <= 9)
 
 
 def _decimal(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
     """Each span buf[start:end] read as a label or a value, and whether it
     is plain: an optional sign, then 1 to _VALUE_DIGITS digits and at most
     one '.'."""
-    negative = buf[start] == ord("-")
-    digit, length = _digits(buf, start + (negative | (buf[start] == ord("+"))), end)
-    dot = digit == _DOT
-    dots = dot.sum(axis=0, dtype=np.uint8)
-    k = np.where(dots == 1, (dot * _AFTER).sum(axis=0, dtype=np.uint8), 0)
-    # drop the '.': the digits before it move one row down, over it
-    before = _AFTER >= np.where(dots == 1, k, _WIDTH)
-    shifted = np.zeros_like(digit)
-    shifted[1:] = digit[:-1]
-    m, top = _integer(np.where(before, shifted, digit))
-    x = m / _TENS[k]
+    negative, m, k, digits, ok = _mantissa(buf, start, end, _WIDTH)
+    x = m[0] / _TENS[k]
     np.negative(x, out=x, where=negative)
-    digits = length - dots
-    return x, (dots <= 1) & (top <= 9) & (digits >= 1) & (digits <= _VALUE_DIGITS)
+    return x, ok & (digits >= 1) & (digits <= _VALUE_DIGITS)
+
+
+def _long_decimal(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
+    """Each span buf[start:end] read as a label or a value, and whether it
+    is plain: an optional sign, then up to _LONG bytes of digits and at most
+    one '.', with at most 18 significant digits and 18 after the '.'.
+
+    M / 10**k rounds twice, so its double x may lie up to 2 ulps from
+    float()'s.  With x = n * 2**-e (2**52 <= n < 2**53), the residual
+    M * 2**e - n * 10**k is at most 2 * 10**k in magnitude, so uint64
+    arithmetic, exact modulo 2**64, gives it exactly; its quotient and
+    remainder by 10**k move n to the nearest mantissa, ties to even.  A
+    result outside (2**52, 2**53] would need another exponent: not plain."""
+    negative, (high, low), k, digits, ok = _mantissa(buf, start, end, _LONG)
+    m = high.astype(np.int64) * 10**16 + low
+    f, exponent = np.frexp(m / _TENS[k])
+    n = (f * 2.0**53).astype(np.int64)
+    e = 53 - exponent.astype(np.int64)
+    scaled = np.where(e < 64, m.astype(np.uint64) << np.clip(e, 0, 63).astype(np.uint64), 0)
+    p = _POW10[k]
+    q, r = np.divmod((scaled - n.astype(np.uint64) * p.astype(np.uint64)).view(np.int64), p)
+    n += q + ((2 * r > p) | ((2 * r == p) & ((n + q) % 2 == 1)))
+    x = np.ldexp(n.astype(np.float64), -e)
+    np.negative(x, out=x, where=negative)
+    ok &= (digits >= 1) & (high < 100) & (k <= 18) & (e >= 0) & (n > 2**52) & (n <= 2**53)
+    return x, ok
 
 
 def _read_label(token: str) -> float | str:

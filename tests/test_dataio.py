@@ -1,3 +1,4 @@
+import decimal
 import io
 import itertools
 import math
@@ -429,3 +430,53 @@ class TestParseAgainstReference:
         with_nan = text + b"\r\n1 1:1 2:nan\r\n1 0:1"
         assert outcome(parse_libsvm, with_nan) == outcome(reference_parse_libsvm, with_nan)
         assert outcome(parse_libsvm, with_nan)[:2] == ("error", len(lines) + 2)
+
+
+def _near_midpoint(x: float, digits: int, rounding: str) -> str:
+    """The midpoint between x and the next double up, rounded to ``digits``
+    significant digits: a decimal that float() has to round with care."""
+    exact = decimal.Context(prec=800)
+    mid = exact.add(decimal.Decimal(x), exact.divide(
+        exact.subtract(decimal.Decimal(math.nextafter(x, math.inf)), decimal.Decimal(x)), 2))
+    return format(decimal.Context(prec=digits, rounding=rounding).plus(mid), "f")
+
+
+LONG_VALUE = st.one_of(
+    st.floats(0.0, allow_infinity=False).map(repr),
+    st.tuples(st.floats(1e-4, 1e17), st.integers(15, 19),
+              st.sampled_from([decimal.ROUND_DOWN, decimal.ROUND_UP, decimal.ROUND_HALF_EVEN])
+              ).map(lambda t: _near_midpoint(*t)),
+    # digits strings with a '.' anywhere and leading zeros
+    st.tuples(st.integers(0, 10**19), st.integers(0, 3), st.integers(0, 22)).map(
+        lambda t: (lambda d: d[:t[2]] + "." + d[t[2]:])("0" * t[1] + str(t[0]))),
+    st.integers(2**51, 2**53).map(lambda n: f"{n}.5"),
+    st.integers(2**50, 2**52).map(lambda n: f"{n}.{n % 4 * 25:02d}"),
+)
+
+
+class TestLongValues:
+    """Values of 16 to 18 significant digits are read vectorised, with an
+    exact correction to the double float() gives."""
+
+    @pytest.mark.parametrize("value", [
+        "4503599627370496.5", "4503599627370497.5", "2251799813685248.25",
+        "2251799813685248.75", "9007199254740991.5", "-0.10971600959702935",
+        "0.30000000000000004", "1.0000000000000002", "1.00000000000000011", "0.99999999999999994",
+        "0.50000000000000000", "4.0000000000000001", "3.9999999999999999", "9007199254740993",
+        "123456789012345678", "0.000123456789012345678", "0.000000000000000001",
+        "1.7976931348623157", "00000000000000000000000000.1234", "-.123456789012345678",
+        "9.999999999999999999", "99999999.99999999999", "100000000000000000000000000000000.5",
+        "-0.000000000000000000000000000000005",
+    ])
+    def test_bits_equal_float(self, value):
+        ds, _ = parse_libsvm(f"1 1:{value}\n".encode())
+        assert ds.data.view(np.int64)[0] == np.float64(float(value)).view(np.int64)
+
+    @settings(deadline=None, max_examples=60, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(["", "-", "+"]), LONG_VALUE).map("".join),
+                    min_size=1, max_size=300))
+    def test_random_values(self, values):
+        text = "".join(f"1 1:{v}\n" for v in values).encode()
+        ds, _ = parse_libsvm(text)
+        want = np.array([float(v) for v in values])
+        assert np.array_equal(ds.data.view(np.int64), want.view(np.int64))

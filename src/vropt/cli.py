@@ -276,13 +276,13 @@ def _groups(spec: ExperimentSpec) -> list[tuple]:
 
 
 def _run_cells(problem, spec: ExperimentSpec, groups):
-    """Each cell's (row, trace), in grid order, as soon as its group and the
-    groups before it have finished.  A worker that dies breaks the pool:
-    every cell of a group without a result then fails with the
-    BrokenProcessPool error."""
+    """Each group's cells, a list of (row, trace), in grid order, as soon as
+    the group and the groups before it have finished.  A worker that dies
+    breaks the pool: every cell of a group without a result then fails with
+    the BrokenProcessPool error."""
     if spec.workers == 1:
         for group in groups:
-            yield from _run_group(problem, spec, *group)
+            yield _run_group(problem, spec, *group)
         return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -291,17 +291,17 @@ def _run_cells(problem, spec: ExperimentSpec, groups):
         futures = [pool.submit(_run_group, problem, spec, *group) for group in groups]
         for (*cell, seeds), future in zip(groups, futures):
             try:
-                yield from future.result()
+                yield future.result()
             except BrokenProcessPool as exc:
-                for seed in seeds:
-                    yield _failed(_cell_row(problem, spec, *cell, seed), exc)
+                yield [_failed(_cell_row(problem, spec, *cell, seed), exc) for seed in seeds]
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
     """Run every grid cell, the seeds of each (method, scheme, b) stepped
     together in groups, and write one CSV per successful cell as its group
-    finishes; after each cell, rewrite the manifest recording the derived
-    hyperparameters of every cell finished so far (failures included)."""
+    finishes; after each group's traces, rewrite the manifest recording the
+    derived hyperparameters of every cell finished so far (failures
+    included), so each row it names has its trace on disk."""
     spec.validate()
     # before the problem and before any worker forks: forked workers inherit
     # the modules, and on the benchmark grid, loading them after the problem
@@ -311,10 +311,11 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for row, trace in _run_cells(problem, spec, _groups(spec)):
-        if trace is not None:
-            write_trace_csv(out / row["file"], trace, timing=spec.timing)
-        rows.append(row)
+    for cells in _run_cells(problem, spec, _groups(spec)):
+        for row, trace in cells:
+            if trace is not None:
+                write_trace_csv(out / row["file"], trace, timing=spec.timing)
+            rows.append(row)
         _write_manifest(out / MANIFEST_NAME, rows)
     return rows
 

@@ -24,6 +24,7 @@ from .problems import (
     Problem,
     RowBlock,
     _loss_slopes,
+    _sq_norm,
     full_gradient,
     full_pass,
     loss_value,
@@ -186,7 +187,7 @@ class _Recorder:
         if self.rows and evals == self.rows[-1][3]:
             return
         (f,), _, g = done or full_pass(self.problem, x)
-        gnorm = float(g @ g)
+        gnorm = _sq_norm(g)
         if not (math.isfinite(f) and math.isfinite(gnorm)) or abs(f) > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"objective diverged at {evals} evaluations",
@@ -334,11 +335,10 @@ def saga_refresh(problem: Problem, mem: SagaMemory, x: np.ndarray, refresh) -> N
 def saga_recompute_average(problem: Problem, mem: SagaMemory) -> np.ndarray:
     """Average of the anchor gradients from scratch (each run's, for a
     memory of several runs end to end), each coordinate summed over the rows
-    in index order by ``np.bincount`` as in ``full_gradient`` (fixed order,
-    no compensation)."""
+    in index order by ``Dataset.gradient_sums``, as in ``full_gradient``
+    (fixed order, no compensation)."""
     ds = problem.dataset
-    block = ds.block()
-    g = np.concatenate([block.scatter(s, ds.d) for s in mem.slopes.reshape(-1, ds.n)]) / ds.n
+    g = ds.gradient_sums(mem.slopes.reshape(-1, ds.n)).reshape(-1) / ds.n
     if problem.mu:
         sums = [a.sum(axis=0) for a in mem.anchors.reshape(-1, ds.n, ds.d)]
         g += problem.mu * np.concatenate(sums) / ds.n
@@ -797,7 +797,7 @@ def run_sarah_convex(
                             group, group.start)
         try:
             for t, (x, v) in enumerate(steps):
-                vnorms[r, t] = float(v @ v)
+                vnorms[r, t] = float(v @ v)  # a BLAS dot (see README "Determinism")
             (trace,) = group.finish(x, x)
         except _Diverged as stop:
             raise stop.error from None

@@ -41,6 +41,41 @@ class Dataset:
         b = self.indptr.tolist()
         return tuple((self.indices[i:j], self.data[i:j]) for i, j in zip(b, b[1:]))
 
+    def margins(self, points: np.ndarray) -> np.ndarray:
+        """z = A x for each row x of the (R, d) array ``points``, as an
+        (R, n) array.  One gather of the R points' entries, then each row's
+        terms summed as one segment by ``np.add.reduceat``: the row's first
+        term plus numpy's pairwise sum of the rest, in entry order.  A row
+        without entries reads 0, and each point's margins are those of the
+        point alone."""
+        # the indices lie in [0, d) (csr_dataset checks), so "clip" changes
+        # nothing; without the bounds test a five-point gather takes half
+        # the time
+        terms = np.take(points, self.indices, axis=1, mode="clip")
+        terms *= self.data
+        starts, rows = self._segments
+        if rows is None:
+            return np.add.reduceat(terms, starts, axis=1)
+        # reduceat gives an empty segment its next entry, not 0: sum only
+        # the rows with entries
+        z = np.zeros((points.shape[0], self.n))
+        if starts.size:
+            z[:, rows] = np.add.reduceat(terms, starts, axis=1)
+        return z
+
+    def gradient_sums(self, slopes: np.ndarray) -> np.ndarray:
+        """A^T s for each row s of the (R, n) array ``slopes``, as an (R, d)
+        array.  When every row stores every column, each column's n terms
+        are summed as one segment of the column-major copy of the values:
+        numpy's pairwise sum over the rows in index order.  Otherwise each
+        point is scattered by ``RowBlock.scatter`` (``np.bincount``, the
+        rows added one after another); the column order that segment sums
+        would need costs a sort of the entries there, more than it saves."""
+        if self._columns is None:
+            block = self._full_block
+            return np.stack([block.scatter(s, self.d) for s in slopes])
+        return np.add.reduce(slopes[:, None, :] * self._columns, axis=2)
+
     def block(self, rows=None, shift=None) -> "RowBlock":
         """The stored entries of the rows ``rows``; all rows when None, as one
         block built on first use and shared after that.  ``shift``, when
@@ -68,10 +103,32 @@ class Dataset:
         owner.setflags(write=False)
         return RowBlock(self.n, owner, self.indices, self.data, self.labels)
 
+    @functools.cached_property
+    def _segments(self) -> tuple:
+        """(the first entry of each row with entries, those rows), or
+        (the row starts, None) when every row has entries."""
+        counts = np.diff(self.indptr)
+        if counts.all():
+            return self.indptr[:-1], None
+        rows = np.flatnonzero(counts)
+        return self.indptr[rows], rows
+
+    @functools.cached_property
+    def _columns(self) -> np.ndarray | None:
+        """The values as a (d, n) array, column after column, when every row
+        stores every column (then the entries are the n x d matrix row after
+        row, so the column order needs no sort); None otherwise."""
+        if self.indices.size != self.n * self.d:
+            return None
+        columns = self.data.reshape(self.n, self.d).T.copy()
+        columns.setflags(write=False)
+        return columns
+
     def __getstate__(self):
-        # derived data: a worker process rebuilds the block if it needs one
+        # derived data: a worker process rebuilds what it needs
         state = dict(self.__dict__)
-        state.pop("_full_block", None)
+        for name in ("_full_block", "_segments", "_columns"):
+            state.pop(name, None)
         return state
 
     def __setstate__(self, state):
@@ -89,7 +146,9 @@ class RowBlock:
     its arrays.
 
     Both products sum with ``np.bincount``, which adds each bin's terms in
-    entry order, so results do not depend on threads or BLAS.
+    entry order, so results do not depend on threads or BLAS.  A pass over
+    all rows sums by segments instead (``Dataset.margins`` and
+    ``Dataset.gradient_sums``).
     """
 
     size: int
@@ -348,6 +407,12 @@ def component_gradient(problem: Problem, i: int, x) -> np.ndarray:
     return g
 
 
+def _sq_norm(v: np.ndarray) -> float:
+    """v . v as numpy's pairwise sum of the squares: a fixed order, where a
+    BLAS dot's last bits can change with its thread count."""
+    return float(np.add.reduce(v * v))
+
+
 def row_slopes(problem: Problem, block: RowBlock, x: np.ndarray) -> np.ndarray:
     """Loss slopes l'(a_i . x) of the rows in ``block``."""
     return _loss_slopes(problem.loss, block.margins(x), block.labels)
@@ -363,22 +428,22 @@ def full_pass(problem: Problem, x: np.ndarray, value: bool = True,
     shaped as x (None unless ``gradient``).  Each point's numbers are those
     of a pass over that point alone: its own sums, in the same order.
     ``loss_value``, ``full_gradient`` and a checkpoint (which wants both f
-    and grad f) are all this one pass."""
+    and grad f) are all this one pass, and its sums are the segment sums of
+    ``Dataset.margins`` and ``Dataset.gradient_sums``."""
     ds = problem.dataset
-    block = ds.block()
     points = x.reshape(-1, ds.d)
-    z = np.stack([block.margins(p) for p in points])
+    z = ds.margins(points)
     f = slopes = g = None
     # the sigmoid loss's f and grad f read one sigmoid of the margins
     sig = _sigmoid(z) if problem.loss is LossKind.SIGMOID_SQUARED else None
     if value:
-        terms = _loss_terms(problem.loss, z, block.labels, sig).tolist()
+        terms = _loss_terms(problem.loss, z, ds.labels, sig).tolist()
         f = [math.fsum(t) / ds.n for t in terms]
         if problem.mu:
-            f = [fj + 0.5 * problem.mu * float(p @ p) for fj, p in zip(f, points)]
+            f = [fj + 0.5 * problem.mu * _sq_norm(p) for fj, p in zip(f, points)]
     if gradient:
-        s = _loss_slopes(problem.loss, z, block.labels, sig)
-        g = np.stack([block.scatter(sj, ds.d) for sj in s]) / ds.n
+        s = _loss_slopes(problem.loss, z, ds.labels, sig)
+        g = ds.gradient_sums(s) / ds.n
         if problem.mu:
             g += problem.mu * points
         slopes, g = s.reshape(-1) if x.ndim == 1 else s, g.reshape(x.shape)
@@ -390,8 +455,10 @@ def full_gradient(problem: Problem, x, done: tuple | None = None) -> np.ndarray:
     ``done``, the pass already made at x).  x may hold several points end
     to end; their gradients come back the same way.
 
-    Every coordinate is summed over the rows in index order by
-    ``np.bincount``, without compensation.  The order is fixed, so reruns are
+    Every coordinate is summed over the rows in index order, without
+    compensation: on rows that store every column as one segment (numpy's
+    pairwise sum), otherwise one row after another (``np.bincount``); see
+    ``Dataset.gradient_sums``.  The order is fixed, so reruns are
     bit-identical whatever the thread count, and the test suite checks that
     the result stays within 1e-13 (relative, max-norm) of a per-coordinate
     ``math.fsum`` of the component gradients.

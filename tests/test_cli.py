@@ -112,6 +112,27 @@ class TestRunExperiment:
         run_experiment(tiny_spec(tmp_path / "par", workers=2))
         assert read_bytes_map(tmp_path / "seq") == read_bytes_map(tmp_path / "par")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_manifest_written_once_per_group(self, tmp_path, monkeypatch, workers):
+        # groups of at most two seeds: per (method, b), seed 1 then seeds 2
+        # and 3; b = 2.5 fails every uniform cell, whose rows name no file
+        monkeypatch.setattr(cli, "GROUP_SEEDS", 2)
+        spec = tiny_spec(tmp_path / "t", methods=["svrg", "sarah"], schemes=["uniform"],
+                         batches=[2.0, 2.5], seeds=[1, 2, 3], workers=workers)
+        assert [len(g[3]) for g in cli._groups(spec)] == [1, 2] * 4
+        written, write = [], cli._write_manifest
+
+        def counted(path, rows):
+            missing = [row["file"] for row in rows
+                       if row["file"] and not (path.parent / row["file"]).is_file()]
+            written.append((len(rows), missing))
+            write(path, rows)
+
+        monkeypatch.setattr(cli, "_write_manifest", counted)
+        rows = run_experiment(spec)
+        assert written == [(k, []) for k in (1, 3, 4, 6, 7, 9, 10, 12)]
+        assert sum(row["status"] == "failed" for row in rows) == 6
+
     def test_files_are_replaced_whole(self, tmp_path):
         out = tmp_path / "t"
         run_experiment(tiny_spec(out, workers=2))

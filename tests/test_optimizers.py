@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,8 +36,8 @@ from vropt.optimizers import (
     take_snapshot,
 )
 from vropt.problems import (
+    Dataset,
     LossKind,
-    RowBlock,
     _loss_slopes,
     build_problem,
     component_gradient,
@@ -684,12 +688,11 @@ class TestGroups:
         cfg = lookahead_config(method, uniform_minibatch(20, 2), eta=0.2)
         x0 = np.full(4, 0.1)
         at_start, anchors = [], []
-        margins = RowBlock.margins
+        margins = Dataset.margins
 
-        def counted(block, x):
-            if block.size == prob.dataset.n:  # a pass over all rows
-                at_start.append(np.array_equal(x, x0))
-            return margins(block, x)
+        def counted(dataset, points):  # a pass over all rows, at each of points
+            at_start.extend(np.array_equal(x, x0) for x in points)
+            return margins(dataset, points)
 
         def anchor(fn):
             def wrapper(*args, **kwargs):
@@ -697,7 +700,7 @@ class TestGroups:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(RowBlock, "margins", counted)
+        monkeypatch.setattr(Dataset, "margins", counted)
         for name in ("take_snapshot", "init_saga_memory", "full_gradient"):
             monkeypatch.setattr(optimizers, name, anchor(getattr(optimizers, name)))
         ref = self.RUNNERS[method](prob, cfg, x0)
@@ -1032,7 +1035,7 @@ class TestRecorder:
             g = full_gradient(prob, x)
             assert evals == k
             assert f == loss_value(prob, x)
-            assert gnorm == float(g @ g)
+            assert gnorm == float(np.sum(g * g))  # a fixed-order sum, not a BLAS dot
 
     LIMIT = optimizers.DIVERGENCE_LIMIT
 
@@ -1321,3 +1324,40 @@ class TestEvalAccounting:
         # init pass plus at least one eval accounted per drawn element
         assert trace.total_sgrad_evals >= 10
         assert trace.sgrad_evals[-1] <= trace.total_sgrad_evals
+
+
+# one d = 2e4 run, its trace's numbers as one hash: a BLAS dot over the d
+# coordinates (a checkpoint's ||grad f||^2, or its loss's mu ||x||^2 term)
+# changes its last bits with the OpenBLAS thread count at this size
+BLAS_THREADS_RUN = """
+import hashlib
+import numpy as np
+from vropt.optimizers import derive_svrg_config, run_svrg
+from vropt.problems import LossKind, build_problem, csr_dataset
+from vropt.sampling import uniform_minibatch
+
+n, d = 60, 20_000
+rng = np.random.default_rng(3)
+rows = [np.unique(c) for c in rng.choice(d, size=(n, 400))]
+indptr = np.concatenate(([0], np.cumsum([r.size for r in rows])))
+ds = csr_dataset(indptr, np.concatenate(rows), 0.05 * rng.standard_normal(indptr[-1]),
+                 rng.integers(0, 2, n) * 2 - 1, d)
+prob = build_problem(ds, LossKind.QUADRATIC, mu=0.1)
+cfg = derive_svrg_config(prob, uniform_minibatch(n, 2), epochs=2.0, seed=1, checkpoint_epochs=0.5)
+t = run_svrg(prob, cfg, x0=rng.standard_normal(d))
+print(t.loss.size, hashlib.sha256(b"".join(
+    a.tobytes() for a in (t.loss, t.grad_norm_sq, t.sgrad_evals, t.x_a))).hexdigest())
+"""
+
+
+def test_trace_bits_do_not_depend_on_blas_threads():
+    src = str(Path(optimizers.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout)
+    assert out[0] == out[1] and out[0].startswith("5 ")

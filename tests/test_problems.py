@@ -14,6 +14,7 @@ from vropt.problems import (
     component_gradient,
     csr_dataset,
     full_gradient,
+    full_pass,
     loss_value,
     make_dataset,
     max_sigmoid_sq_curvature,
@@ -172,6 +173,80 @@ class TestFullGradient:
         ds = make_dataset([row, row], [1, -1], d=2)
         prob = build_problem(ds, LossKind.QUADRATIC)
         assert np.array_equal(full_gradient(prob, np.zeros(2)), np.zeros(2))
+
+
+class TestFullPassSegments:
+    """The full pass's segment sums against exactly rounded references."""
+
+    def edge_dataset(self):
+        # empty first, middle and last rows, one-entry rows, and a last
+        # column that no row stores
+        rows = [
+            (np.array([], dtype=int), np.array([])),
+            (np.array([0, 3]), np.array([1.5, -0.25])),
+            (np.array([2]), np.array([-2.0])),
+            (np.array([], dtype=int), np.array([])),
+            (np.array([0, 1, 2, 3, 4]), np.array([0.1, -0.2, 0.3, -0.4, 0.5])),
+            (np.array([4]), np.array([3.0])),
+            (np.array([], dtype=int), np.array([])),
+        ]
+        return make_dataset(rows, [1, -1, -1, 1, 1, -1, 1], d=6)
+
+    def check_points(self, prob, points):
+        """full_pass at the (R, d) ``points`` in all three forms against
+        per-coordinate math.fsum references and loss_value."""
+        ds = prob.dataset
+        R, d = points.shape
+        f, slopes, g = full_pass(prob, points)
+        assert slopes.shape == (R, ds.n) and g.shape == (R, d) and len(f) == R
+        # the same numbers for the points end to end, and for each alone
+        f1, slopes1, g1 = full_pass(prob, points.reshape(-1))
+        assert f1 == f and slopes1.tobytes() == slopes.tobytes() and g1.tobytes() == g.tobytes()
+        assert full_gradient(prob, points.reshape(-1)).tobytes() == g.tobytes()
+        z = ds.margins(points)
+        for j, x in enumerate(points):
+            alone = full_pass(prob, x)
+            assert alone[0] == [f[j]] == [loss_value(prob, x)]
+            assert alone[1].tobytes() == slopes[j].tobytes()
+            assert alone[2].tobytes() == g[j].tobytes() == full_gradient(prob, x).tobytes()
+            # margins: an empty row reads exactly 0
+            ref_z = np.array([math.fsum(v * x[i] for i, v in zip(*row)) for row in ds.rows])
+            assert np.array_equal(z[j] == 0.0, ref_z == 0.0)
+            assert np.max(np.abs(z[j] - ref_z)) <= 1e-13 * np.max(np.abs(ref_z))
+            comps = [component_gradient(prob, i, x) for i in range(ds.n)]
+            ref = np.array([math.fsum(col) for col in zip(*comps)]) / ds.n
+            assert np.max(np.abs(g[j] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            # a column no row stores gets only the regulariser's term
+            unused = np.bincount(ds.indices, minlength=d) == 0
+            assert np.array_equal(g[j][unused], prob.mu * x[unused])
+
+    @pytest.mark.parametrize("loss, mu", [(LossKind.SIGMOID_SQUARED, 0.0), (LossKind.QUADRATIC, 0.7)])
+    def test_empty_rows_unused_column_one_entry_rows(self, loss, mu):
+        prob = build_problem(self.edge_dataset(), loss, mu)
+        assert prob.dataset._columns is None  # scattered row after row
+        rng = np.random.default_rng(8)
+        for R in (1, 3):
+            self.check_points(prob, rng.standard_normal((R, 6)))
+
+    @pytest.mark.parametrize("loss, mu", [(LossKind.SIGMOID_SQUARED, 0.0), (LossKind.QUADRATIC, 0.7)])
+    def test_dense_rows_sum_by_columns(self, loss, mu):
+        # every row stores every column: the gradient's column segments,
+        # longer than numpy's 128-term pairwise block
+        prob = build_problem(synthesize(300, 4, 50.0, seed=2), loss, mu)
+        assert prob.dataset._columns.shape == (4, 300)
+        rng = np.random.default_rng(9)
+        for R in (1, 3):
+            self.check_points(prob, rng.standard_normal((R, 4)))
+
+    def test_no_entries_at_all(self):
+        ds = make_dataset([(np.array([], dtype=int), np.array([]))] * 3, [1, -1, 1], d=2)
+        prob = build_problem(ds, LossKind.QUADRATIC, 0.5)
+        x = np.array([[1.0, -2.0], [0.5, 0.0]])
+        f, slopes, g = full_pass(prob, x)
+        assert np.array_equal(ds.margins(x), np.zeros((2, 3)))
+        assert np.array_equal(slopes, -np.tile(ds.labels, (2, 1)))
+        assert np.array_equal(g, 0.5 * x)
+        assert f == [loss_value(prob, p) for p in x]
 
 
 class TestSmoothness:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import importlib
 import itertools
 import math
@@ -287,7 +288,8 @@ def _run_cells(problem, spec: ExperimentSpec, groups):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(spec.workers) as pool:
+    # the fork start method forks every worker at the first submit
+    with ProcessPoolExecutor(min(spec.workers, len(groups))) as pool:
         futures = [pool.submit(_run_group, problem, spec, *group) for group in groups]
         for (*cell, seeds), future in zip(groups, futures):
             try:
@@ -726,5 +728,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry(argv=None) -> int:
+    """The process entry of `vropt` and `python -m vropt.cli`: ``main``,
+    then ``gc.freeze()``, so that the interpreter's shutdown skips its last
+    full collection over every module object (numpy's included).  Every
+    trace, manifest and summary is written by then; atexit handlers, stream
+    flushes and refcount frees still run, and only reference cycles that die
+    with the process are left unreclaimed.  A live process calls ``main``."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

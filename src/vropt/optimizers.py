@@ -366,12 +366,22 @@ def sarah_increment(
 # runners
 
 
+def _step_entries(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> float:
+    """The expected stored entries of one step's rows: its minibatch, plus
+    each row with probability ``refresh_prob`` for a refresh set.  Summed
+    exactly rounded (``math.fsum``), not by a BLAS dot, so that no thread
+    count can change it."""
+    return math.fsum(((p + refresh_prob) * np.diff(problem.dataset.indptr)).tolist())
+
+
 def _chunk_steps(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> int:
-    """Steps per look-ahead chunk: LOOKAHEAD_ENTRIES over the expected stored
-    entries of one step's rows (its minibatch, plus each row with probability
-    ``refresh_prob`` for a refresh set)."""
-    per_step = float((p + refresh_prob) @ np.diff(problem.dataset.indptr))
-    return max(1, int(LOOKAHEAD_ENTRIES // max(per_step, 1.0)))
+    """Steps per look-ahead chunk: LOOKAHEAD_ENTRIES over ``_step_entries``,
+    floored, where a quotient within 1e-9 (relative) below an integer counts
+    as that integer.  With rows of equal length the expectation is b times
+    the row length, an integer, but the rounding of p puts the sum an ulp or
+    so either side of it."""
+    per_step = max(_step_entries(problem, p, refresh_prob), 1.0)
+    return max(1, int(LOOKAHEAD_ENTRIES / per_step * (1.0 + 1e-9)))
 
 
 def _chunks(problem: Problem, p: np.ndarray, steps: int, draws, refresh_prob: float = 0.0):

@@ -516,6 +516,24 @@ class TestMainEntry:
         spec.workers = 1
         assert [g[3] for g in cli._groups(spec)] == [[7], [8], [9]] * 2
 
+    def test_pool_sized_to_its_groups(self, tmp_path, monkeypatch):
+        import concurrent.futures
+        sizes = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        flags = ["run", "--synthetic", "25,4,10", "--method", "sarah", "--scheme", "uniform",
+                 "--batch", "2", "--epochs", "2", "--seed", "1,2"]
+        for workers in (1, 2, 8):  # 2 groups: no pool, then 2 workers twice
+            assert main([*flags, "--workers", str(workers),
+                         "--out", str(tmp_path / f"w{workers}")]) == 0
+        assert sizes == [2, 2]
+        assert read_bytes_map(tmp_path / "w1") == read_bytes_map(tmp_path / "w8")
+
     def test_grouping_and_workers_change_no_byte(self, tmp_path, monkeypatch):
         flags = ["run", "--synthetic", "30,4,10", "--method", "svrg,saga,sarah",
                  "--scheme", "uniform,importance", "--batch", "2", "--seed", "5,1,3",

@@ -881,7 +881,7 @@ class TestLookahead:
     def set_chunk(self, monkeypatch, prob, cfg, steps):
         """Patch LOOKAHEAD_ENTRIES so that a run's chunks hold ``steps`` steps."""
         q = min(1.0, cfg.d_refresh / prob.dataset.n)  # d_refresh is 0 unless SAGA
-        per_step = float((cfg.scheme.p + q) @ np.diff(prob.dataset.indptr))
+        per_step = optimizers._step_entries(prob, cfg.scheme.p, q)
         monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", steps * per_step + 1e-9)
         assert optimizers._chunk_steps(prob, cfg.scheme.p, q) == steps
 
@@ -951,7 +951,7 @@ class TestLookahead:
         prob = empty_row_problem(loss, mu=mu)
         n, d = prob.dataset.n, prob.dataset.d
         p_cat = prob.L / prob.L.sum()
-        per_step = float(p_cat @ np.diff(prob.dataset.indptr))
+        per_step = optimizers._step_entries(prob, p_cat)
         monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", chunk * per_step + 1e-9)
         assert optimizers._chunk_steps(prob, p_cat) == chunk
         cfg = derive_sarah_convex_config(prob, m=97, replicates=2, seed=8, checkpoint_epochs=0.4)
@@ -999,7 +999,7 @@ class TestLookahead:
                          for sets in zip(*wanted[-k:]))
 
         # chunks of 2 steps, so a chunk's steps are sliced out of its rows
-        per_step = float(p @ np.diff(ds.indptr))
+        per_step = optimizers._step_entries(prob, p)
         monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", 2 * per_step + 1e-9)
         assert optimizers._chunk_steps(prob, p) == 2
         steps = list(optimizers._lookahead(prob, p, 5, draw_chunk))
@@ -1361,3 +1361,53 @@ def test_trace_bits_do_not_depend_on_blas_threads():
         assert run.returncode == 0, run.stderr
         out.append(run.stdout)
     assert out[0] == out[1] and out[0].startswith("5 ")
+
+
+@pytest.mark.parametrize("n", [20_000, 200_000])
+def test_chunk_length_of_equal_rows(n):
+    # 16 entries per row at b = 8 expect 128 entries per step, a quotient on
+    # an integer: at n = 2e4 a BLAS dot read 127.99999999999946 (64 steps)
+    # or 128.00000000000156 (63), by thread count, and numpy's pairwise sum
+    # 128.00000000000003 (63)
+    ds = csr_dataset(np.arange(0, 16 * n + 1, 16), np.tile(np.arange(16), n),
+                     np.ones(16 * n), np.ones(n), 16)
+    prob = SimpleNamespace(dataset=ds)
+    p = uniform_minibatch(n, 8).p
+    assert optimizers._step_entries(prob, p) == 128.0
+    assert optimizers._chunk_steps(prob, p) == optimizers.LOOKAHEAD_ENTRIES // 128 == 64
+    # probabilities whose sum is off b by a few ulps, as importance sampling's can be
+    for step in (4e-15, -4e-15):
+        q = p.copy()
+        q[0] += step
+        assert optimizers._step_entries(prob, q) != 128.0
+        assert optimizers._chunk_steps(prob, q) == 64
+
+
+# the expected entries per step at n = 2e5, as hex: a BLAS dot over the n
+# rows changes its last bits with the OpenBLAS thread count at this size
+STEP_ENTRIES_RUN = """
+from types import SimpleNamespace
+import numpy as np
+from vropt.optimizers import _step_entries
+
+n = 200_000
+rng = np.random.default_rng(11)
+p = rng.random(n)
+p *= 8 / p.sum()
+prob = SimpleNamespace(dataset=SimpleNamespace(
+    indptr=np.concatenate(([0], np.cumsum(rng.integers(1, 40, n))))))
+print(_step_entries(prob, p).hex(), _step_entries(prob, p, 0.25).hex())
+"""
+
+
+def test_chunk_length_does_not_depend_on_blas_threads():
+    src = str(Path(optimizers.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", STEP_ENTRIES_RUN], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout)
+    assert out[0] == out[1] and out[0].count("0x") == 2

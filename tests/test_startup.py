@@ -1,8 +1,12 @@
 """Each CLI command imports only what it runs: the package and the CLI bind
-their numeric names on first use, and `vropt summarize` needs no numpy."""
+their numeric names on first use, and `vropt summarize` needs no numpy.  And
+each command's process ends frozen (no last full collection), with the
+outputs of an in-process `cli.main`."""
 
+import gc
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,23 +22,35 @@ from vropt.problems import LossKind, synthesize
 SRC = str(Path(vropt.__file__).resolve().parents[1])
 
 
-def run_cli(argv, block_numpy=False):
-    """`python -m vropt.cli <argv>` in a fresh process; with block_numpy the
-    process cannot import numpy.  After the command's own output, stderr
-    ends with the list of vropt, numpy and concurrent modules it loaded."""
+# the `vropt` console script's module and function, as pyproject.toml names them
+ENTRY = re.search(r'^vropt = "([\w.]+):(\w+)"$',
+                  (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8"), re.M).groups()
+
+
+def run_cli(argv, block_numpy=False, script=False, exit_hook=False, cwd=None):
+    """`python -m vropt.cli <argv>` in a fresh process; with script, the
+    `vropt` console script's call instead: `sys.exit(function())` of the
+    function that pyproject.toml names.  With block_numpy the process cannot
+    import numpy.  After the command's own output, stderr ends with the list
+    of vropt, numpy and concurrent modules it loaded, and with exit_hook then
+    with the `gc.get_freeze_count()` that its last atexit handler reads."""
+    module, function = ENTRY
     code = (
-        "import runpy, sys\n"
+        "import atexit, gc, runpy, sys\n"
+        + ("atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+           if exit_hook else "")
         + ("sys.modules['numpy'] = None\n" if block_numpy else "")
         + f"sys.argv = ['vropt', *{list(argv)!r}]\n"
         "try:\n"
-        "    runpy.run_module('vropt.cli', run_name='__main__', alter_sys=True)\n"
-        "finally:\n"
+        + (f"    from {module} import {function}\n    sys.exit({function}())\n" if script else
+           "    runpy.run_module('vropt.cli', run_name='__main__', alter_sys=True)\n")
+        + "finally:\n"
         "    print(sorted(name for name, module in sys.modules.items()\n"
         "                 if module is not None and name.startswith(LOADED)), file=sys.stderr)\n"
     ).replace("LOADED", repr(("vropt.", "numpy", "concurrent")))
     env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, timeout=120, cwd=cwd)
 
 
 def test_summarize_runs_without_numpy(tmp_path):
@@ -76,6 +92,48 @@ def test_run_loads_only_what_it_runs(tmp_path):
     # the parser and every command's help need no numpy
     for command in ("run", "summarize", "verify", "alpha", "parse-check"):
         assert run_cli([command, "-h"], block_numpy=True).returncode == 0, command
+
+
+def read_tree(directory):
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+
+
+SYNTHETIC = ["--synthetic", "20,3,10", "--scheme", "uniform,importance", "--epochs", "2"]
+
+
+@pytest.mark.parametrize("script", [False, True], ids=["module", "console-script"])
+@pytest.mark.parametrize("argv, want", [
+    (["run", *SYNTHETIC, "--seed", "2,1", "--out", "t"], 0),
+    (["run", *SYNTHETIC, "--batch", "2.5", "--out", "t"], 4),
+    (["run", *SYNTHETIC, "--batch", "abc", "--out", "t"], 1),
+    (["summarize", "TRACES", "--csv", "summary.csv"], 0),
+], ids=["run-ok", "run-failed-cell", "run-usage-error", "summarize"])
+def test_process_ends_frozen_with_the_live_outputs(tmp_path, monkeypatch, capsys,
+                                                   argv, want, script):
+    traces = tmp_path / "traces"
+    cli.run_experiment(cli.ExperimentSpec(methods=["sarah"], schemes=["uniform", "importance"],
+                                          batches=[2.0], seeds=[1, 2], epochs=2.0,
+                                          out_dir=str(traces), synthetic=(20, 3, 10.0)))
+    argv = [str(traces) if arg == "TRACES" else arg for arg in argv]
+    for where in ("process", "live"):
+        (tmp_path / where).mkdir()
+    done = run_cli(argv, script=script, exit_hook=True, cwd=tmp_path / "process")
+    *stderr, _, frozen = done.stderr.splitlines(keepends=True)
+    # the process's shutdown began with every object it held frozen
+    assert int(frozen) > 0
+    monkeypatch.chdir(tmp_path / "live")
+    before = gc.get_freeze_count()
+    assert cli.main(argv) == done.returncode == want
+    # a live process keeps collecting: main freezes nothing
+    assert gc.get_freeze_count() == before
+    out, err = capsys.readouterr()
+    assert done.stdout == out and "".join(stderr) == err
+    assert read_tree(tmp_path / "process") == read_tree(tmp_path / "live")
+    if want == 1:
+        assert err.startswith("usage error: ")
+    else:
+        assert read_tree(tmp_path / "live"), "the command wrote nothing"
 
 
 def test_public_names_unchanged():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +23,10 @@ class ParseReport:
 
 # The scan reads the file in chunks of whole lines, about this many bytes
 # each (a longer line is a chunk of its own), which bounds its temporaries.
-# The length changes no result.
-CHUNK_BYTES = 1 << 16
+# The length changes no result.  Chunks are scanned side by side, so a chunk
+# must be long enough for its numpy calls, which release the GIL, to
+# outweigh the Python work around them, which holds it.
+CHUNK_BYTES = 1 << 18
 
 # A number is read vectorised ("plain") when it fits a window of bytes that
 # ends at its last byte: an index of 1 to 16 digits (below 2**63), or a label
@@ -91,29 +94,46 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
     """
     data = _scan_form(_read(source))
     report = ParseReport()
+    # chunks (lo, hi, lines before lo): up to the last line end within
+    # CHUNK_BYTES, else the next one, else the end
+    spans, lo, lines = [], 0, 0
+    while lo < len(data):
+        hi = (data.rfind(b"\n", lo, lo + CHUNK_BYTES) + 1
+              or data.find(b"\n", lo + CHUNK_BYTES) + 1 or len(data))
+        spans.append((lo, hi, lines))
+        lines += data.count(b"\n", lo, hi)
+        lo = hi
     # at most one entry per ':' in the file
     indices = np.empty(data.count(b":"), dtype=np.int64)
     values = np.empty(indices.size)
     labels, counts = [], []
     non_finite = None
-    nnz = lines = lo = 0
-    while lo < len(data):
-        # up to the last line end within CHUNK_BYTES, else the next one, else the end
-        hi = (data.rfind(b"\n", lo, lo + CHUNK_BYTES) + 1
-              or data.find(b"\n", lo + CHUNK_BYTES) + 1 or len(data))
-        text = data[lo:hi] if data[hi - 1] == ord("\n") else data[lo:hi] + b"\n"
-        chunk = _scan_chunk(_PAD + text, lines)
-        lines += chunk.lines
-        report.warnings += chunk.warnings
-        non_finite = non_finite or chunk.non_finite
-        labels.append(chunk.labels)
-        counts.append(chunk.counts)
-        k = chunk.indices.size
-        indices[nnz:nnz + k], values[nnz:nnz + k] = chunk.indices, chunk.values
-        nnz += k
-        if k:
-            report.max_index_seen = max(report.max_index_seen, int(chunk.indices.max()) + 1)
-        lo = hi
+    nnz = 0
+    # This thread scans every k-th chunk and k - 1 helpers the others; the
+    # chunks are taken in file order, so the first bad token in the file is
+    # the error.  This thread takes its share, rather than waiting on k
+    # helpers, because freed temporaries stay resident in each helper's own
+    # malloc arena.  With k = 1 nothing is submitted, so no thread starts.
+    k = min(_cpus(), len(spans))
+    pool = ThreadPoolExecutor(max(1, k - 1), thread_name_prefix="parse_libsvm")
+    try:
+        helped = {i: pool.submit(_scan_span, data, *span)
+                  for i, span in enumerate(spans) if i % k}
+        for i, span in enumerate(spans):
+            chunk = helped.pop(i).result() if i % k else _scan_span(data, *span)
+            report.warnings += chunk.warnings
+            non_finite = non_finite or chunk.non_finite
+            labels.append(chunk.labels)
+            counts.append(chunk.counts)
+            m = chunk.indices.size
+            indices[nnz:nnz + m], values[nnz:nnz + m] = chunk.indices, chunk.values
+            nnz += m
+            if m:
+                report.max_index_seen = max(report.max_index_seen, int(chunk.indices.max()) + 1)
+    finally:
+        # no helper outlives the call (a caller may fork next), and after a
+        # bad token the chunks not yet begun are not scanned
+        pool.shutdown(cancel_futures=True)
     del data            # the text is dropped before the dataset is built
     report.rows_read = sum(map(len, labels))
     if not report.rows_read:
@@ -129,9 +149,23 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
     return dataset, report
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # not on every platform
+        return os.cpu_count() or 1
+
+
+def _scan_span(data: bytes, lo: int, hi: int, lines_before: int) -> _Chunk:
+    """``_scan_chunk`` of the whole lines data[lo:hi], the last given a line
+    end if it has none."""
+    text = data[lo:hi] if data[hi - 1] == ord("\n") else data[lo:hi] + b"\n"
+    return _scan_chunk(_PAD + text, lines_before)
+
+
 @dataclass
 class _Chunk:
-    lines: int
     labels: np.ndarray          # +1/-1 per row
     counts: np.ndarray          # entries per row
     indices: np.ndarray         # 0-based, row after row
@@ -213,7 +247,7 @@ def _scan_chunk(raw: bytes, lines_before: int) -> _Chunk:
         for t in rows[(y != 1.0) & (y != -1.0) & (y != 0.0)].tolist()
     ]
     return _Chunk(
-        lines=breaks.size, labels=np.where(y > 0.0, 1, -1),
+        labels=np.where(y > 0.0, 1, -1),
         counts=np.diff(np.append(rows, start.size)) - 1,
         indices=index[feature], values=number[feature],
         warnings=warnings, non_finite=non_finite,

@@ -384,12 +384,12 @@ def _chunk_steps(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> 
     return max(1, int(LOOKAHEAD_ENTRIES / per_step * (1.0 + 1e-9)))
 
 
-def _chunks(problem: Problem, p: np.ndarray, steps: int, draws, refresh_prob: float = 0.0):
+def _chunks(problem: Problem, p: np.ndarray, steps: int, draws, chunk: int):
     """The look-ahead of R runs stepped together, run j drawing its sets with
     ``draws[j]``: ``draws[j](c)`` draws c steps at a time, one CSR
     ``(indptr, indices)`` pair per set kind (a minibatch, then a refresh
-    set).  Yields, for each chunk of ``_chunk_steps(problem, p,
-    refresh_prob)`` steps:
+    set).  Yields, for each ``chunk`` steps (a run's ``_chunk_steps``,
+    worked out once per run):
 
     - ``cost``: the (R, c) counts of each run's rows at each step;
     - the chunk's steps, one flat record ``(rows, k, block, bins, w)`` each:
@@ -411,7 +411,6 @@ def _chunks(problem: Problem, p: np.ndarray, steps: int, draws, refresh_prob: fl
     of one run's chunk."""
     ds = problem.dataset
     R = len(draws)
-    chunk = _chunk_steps(problem, p, refresh_prob)
     for start in range(0, steps, chunk):
         c = min(chunk, steps - start)
         drawn = [draw_chunk(c) for draw_chunk in draws]
@@ -448,7 +447,7 @@ def _steps(rows, ks, full, chunk_bins, w, per_step):
 
 def _lookahead(problem: Problem, p: np.ndarray, steps: int, *draws, refresh_prob: float = 0.0):
     """The step records of ``_chunks``, one after another."""
-    for _, records in _chunks(problem, p, steps, draws, refresh_prob):
+    for _, records in _chunks(problem, p, steps, draws, _chunk_steps(problem, p, refresh_prob)):
         yield from records
 
 
@@ -627,13 +626,14 @@ def _svrg(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
     res = _Reservoir(*out_rngs, size=1 + config.outer * config.m)
     res.offer(x)
     done = group.start
+    draws, chunk = _draws(draw_rngs, config.scheme), _chunk_steps(problem, p)
     for _ in range(config.outer):
         # the anchor's pass also gives the checkpoints due at the anchor
         done = done or full_pass(problem, x, value=group.due(n))
         snap = take_snapshot(problem, x, done)
         group.charge(n, x, done)
         done = None
-        for cost, steps in _chunks(problem, p, config.m, _draws(draw_rngs, config.scheme)):
+        for cost, steps in _chunks(problem, p, config.m, draws, chunk):
             group.plan(cost)
             for t, (rows, _, block, _, w) in enumerate(steps):
                 v = svrg_direction(problem, p, x, snap, rows, block=block, w=w)
@@ -704,7 +704,8 @@ def _saga(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
     refresh_prob = min(1.0, config.d_refresh / n)
     draws = _draws(draw_rngs, config.scheme, refresh_prob)
     t0 = 0
-    for cost, steps in _chunks(problem, p, config.steps, draws, refresh_prob):
+    chunk = _chunk_steps(problem, p, refresh_prob)
+    for cost, steps in _chunks(problem, p, config.steps, draws, chunk):
         group.plan(cost)
         for t, (rows, k, block, bins, w) in enumerate(steps):
             v = _saga_step(problem, mem, x, rows, k, block, bins, w)
@@ -718,12 +719,13 @@ def _saga(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
     return group.finish(x, res.pick())
 
 
-def _sarah_loop(problem: Problem, p: np.ndarray, x: np.ndarray, eta: float, m: int,
-                draws, group: _Group, done: tuple | None = None):
+def _sarah_loop(problem: Problem, p: np.ndarray, chunk: int, x: np.ndarray, eta: float,
+                m: int, draws, group: _Group, done: tuple | None = None):
     """One outer loop of the recursive method from x, for the runs of
     ``group``: the full-gradient step (from the pass ``done`` at x, if made),
-    then m - 1 increments over the look-ahead steps of ``draws``, each step
-    recorded in ``group``.  Yields every new iterate with its v.
+    then m - 1 increments over the look-ahead steps of ``draws``, ``chunk``
+    at a time, each step recorded in ``group``.  Yields every new iterate
+    with its v.
 
     x is only read.  The loop updates two buffers of its own in place, so the
     next step overwrites the yielded arrays: a consumer copies what it
@@ -733,7 +735,7 @@ def _sarah_loop(problem: Problem, p: np.ndarray, x: np.ndarray, eta: float, m: i
     group.plan(np.full((group.R, 1), problem.dataset.n))
     group.step(0, x)
     yield x, v
-    for cost, steps in _chunks(problem, p, m - 1, draws):
+    for cost, steps in _chunks(problem, p, m - 1, draws, chunk):
         group.plan(2 * cost)
         for t, (rows, _, block, _, w) in enumerate(steps):
             v += sarah_increment(problem, p, x, x_prev, rows, block=block, w=w)
@@ -758,12 +760,12 @@ def run_sarah(problem: Problem, config: RunConfig, x0=None, seeds=None):
 
 
 def _sarah(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rngs) -> list:
-    x, done = group.x, group.start
-    draws = _draws(draw_rngs, config.scheme)
+    x, done, p = group.x, group.start, config.scheme.p
+    draws, chunk = _draws(draw_rngs, config.scheme), _chunk_steps(problem, p)
     for _ in range(config.outer):
         inner = _Reservoir(*out_rngs, size=config.m + 1)
         inner.offer(x)
-        for x, _ in _sarah_loop(problem, config.scheme.p, x, config.eta, config.m,
+        for x, _ in _sarah_loop(problem, p, chunk, x, config.eta, config.m,
                                 draws, group, done):
             inner.offer(x)
         x, done = inner.pick(), None
@@ -796,6 +798,7 @@ def run_sarah_convex(
     # the cdf on every step; k doubles in one call are those of k calls
     cdf = np.cumsum(p_cat)
     cdf /= cdf[-1]
+    chunk = _chunk_steps(problem, p_cat)
     vnorms = np.empty((config.replicates, config.m))
     for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.replicates)):
         rng = np.random.default_rng(child)
@@ -803,11 +806,11 @@ def run_sarah_convex(
         def draw_chunk(k, rng=rng):
             return ((np.arange(k + 1), cdf.searchsorted(rng.random(k), side="right")),)
 
-        steps = _sarah_loop(problem, p_cat, group.x, config.eta, config.m, [draw_chunk],
-                            group, group.start)
+        steps = _sarah_loop(problem, p_cat, chunk, group.x, config.eta, config.m,
+                            [draw_chunk], group, group.start)
         try:
             for t, (x, v) in enumerate(steps):
-                vnorms[r, t] = float(v @ v)  # a BLAS dot (see README "Determinism")
+                vnorms[r, t] = _sq_norm(v)
             (trace,) = group.finish(x, x)
         except _Diverged as stop:
             raise stop.error from None

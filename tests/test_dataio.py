@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import re
+import threading
 from array import array
 from unittest import mock
 
@@ -419,7 +420,7 @@ class TestParseAgainstReference:
     def test_many_chunks(self):
         """A text of many default-length chunks, with every kind of line."""
         rng = np.random.default_rng(0)
-        ds = synthesize(400, 60, 30.0, seed=3)
+        ds = synthesize(1000, 60, 30.0, seed=3)
         rows = dumps_libsvm(ds).splitlines()
         extra = ["# comment 1:2", "", "-1", " \t", "+1 3:1e-05 7:2.5E+3 9:-0.0 11:5e-324"]
         lines = [rows[i] if i < len(rows) else extra[i % len(extra)]
@@ -430,6 +431,61 @@ class TestParseAgainstReference:
         with_nan = text + b"\r\n1 1:1 2:nan\r\n1 0:1"
         assert outcome(parse_libsvm, with_nan) == outcome(reference_parse_libsvm, with_nan)
         assert outcome(parse_libsvm, with_nan)[:2] == ("error", len(lines) + 2)
+
+
+def helpers(count: int):
+    """Scan with ``count`` helper threads besides the calling one."""
+    return mock.patch.object(dataio, "_cpus", return_value=count + 1)
+
+
+class TestParallelScan:
+    @settings(DIFFERENTIAL, max_examples=100)
+    @given(libsvm_text())
+    def test_helper_count_changes_nothing(self, source):
+        want = outcome(parse_libsvm, source)
+        for chunk, count in itertools.product((1, 7, 64), (0, 1, 3)):
+            with mock.patch.object(dataio, "CHUNK_BYTES", chunk), helpers(count):
+                assert outcome(parse_libsvm, source) == want
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    @pytest.mark.parametrize("text, line, message", [
+        # malformed tokens in two chunks of two lines each: the earlier one
+        # is the error, whether this thread or a helper scans either chunk
+        (b"1 1:1\n" * 20 + b"1 1:x\n" + b"1 1:1\n" * 22 + b"1 0:1\n", 21, "bad feature token '1:x'"),
+        (b"1 1:1\n" * 22 + b"1 1:x\n" + b"1 1:1\n" * 18 + b"1 0:1\n", 23, "bad feature token '1:x'"),
+        # a nan in an early chunk and a malformed token in a later one
+        (b"1 1:nan\n" + b"1 1:1\n" * 30 + b"1 2:1 1:1\n", 32, "indices not increasing"),
+        (b"1 1:1\n" * 3 + b"1 1:inf\n" + b"1 1:1\n" * 4 + b"x 1:1\n", 9, "bad label token 'x'"),
+    ], ids=["two-malformed", "two-malformed-later", "nan-then-malformed", "inf-then-malformed"])
+    def test_first_bad_token_in_file_order(self, count, text, line, message):
+        with mock.patch.object(dataio, "CHUNK_BYTES", 16), helpers(count):
+            got = outcome(parse_libsvm, text)
+        assert got == ("error", line, f"line {line}: {message}")
+        assert got == outcome(reference_parse_libsvm, text)
+
+    def test_threads_end_with_the_call(self):
+        text = b"".join(b"1 1:%d 3:0.5\n" % i for i in range(200))
+        seen = set()
+        scan = dataio._scan_span
+
+        def recording(*args):
+            seen.add(threading.current_thread().name)
+            return scan(*args)
+
+        before = threading.active_count()
+        with mock.patch.object(dataio, "_scan_span", recording):
+            for chunk, count in ((1 << 20, 3), (64, 0), (64, 3)):
+                seen.clear()
+                with mock.patch.object(dataio, "CHUNK_BYTES", chunk), helpers(count):
+                    parse_libsvm(text)
+                    with pytest.raises(ParseError):
+                        parse_libsvm(text + b"1 1:x\n" + text)
+                assert threading.active_count() == before
+                helped = seen - {threading.main_thread().name}
+                if chunk > len(text) or not count:
+                    assert not helped       # one chunk, or one CPU: no thread starts
+                else:
+                    assert 1 <= len(helped) <= count
 
 
 def _near_midpoint(x: float, digits: int, rounding: str) -> str:

@@ -628,7 +628,8 @@ class TestRunSarah:
         x.setflags(write=False)
         group = optimizers._Group(prob, x, 1, 1.0)
         rng = np.random.default_rng(4)
-        loop = optimizers._sarah_loop(prob, scheme.p, x, 0.05, 9,
+        loop = optimizers._sarah_loop(prob, scheme.p, optimizers._chunk_steps(prob, scheme.p),
+                                      x, 0.05, 9,
                                       [lambda k: (draw(scheme, rng, steps=k),)], group)
         iterates = [xt.copy() for xt, _ in loop]
         assert len(iterates) == 9
@@ -892,6 +893,33 @@ class TestLookahead:
         cfg = lookahead_config(method, scheme_zoo(prob, b=3.0)[kind], eta=0.2)
         assert_same_trace(self.RUNNERS[method](prob, cfg), direct_run(method, prob, cfg, []))
 
+    @pytest.mark.parametrize("method", ["svrg", "saga", "sarah", "sarah-convex"])
+    def test_chunk_length_worked_out_once_per_run(self, monkeypatch, method):
+        # the exactly rounded sum over n is taken once, not per outer loop
+        prob = small_problem(n=40, d=5, seed=41)
+        calls = []
+        step_entries = optimizers._step_entries
+
+        def counting(*args):
+            calls.append(args)
+            return step_entries(*args)
+
+        if method == "sarah-convex":
+            cfg = derive_sarah_convex_config(prob, m=25, replicates=3, seed=6)
+            want = run_sarah_convex(prob, cfg)
+            monkeypatch.setattr(optimizers, "_step_entries", counting)
+            got = run_sarah_convex(prob, cfg)
+            assert np.array_equal(got[1], want[1])
+            got, want = got[0], want[0]
+        else:
+            cfg = lookahead_config(method, scheme_zoo(prob, b=3.0)["importance"])
+            assert method == "saga" or cfg.outer > 1
+            want = self.RUNNERS[method](prob, cfg)
+            monkeypatch.setattr(optimizers, "_step_entries", counting)
+            got = self.RUNNERS[method](prob, cfg)
+        assert len(calls) == 1
+        assert_same_trace(got, want)
+
     @pytest.mark.parametrize("chunk", [1, 4, 6])
     @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
     @pytest.mark.parametrize("kind", ["uniform", "importance", "approx"])
@@ -963,14 +991,14 @@ class TestLookahead:
             x = np.zeros(d)
             rec.record(0, x)
             v = full_gradient(prob, x)
-            norms = [float(v @ v)]
+            norms = [float(np.sum(v * v))]
             x_prev, x = x, x - cfg.eta * v
             rec.step(n, x)
             for _ in range(1, cfg.m):
                 i = int(rng.choice(n, p=p_cat))
                 picks.append(i)
                 v = v + sarah_increment(prob, p_cat, x, x_prev, [i])
-                norms.append(float(v @ v))
+                norms.append(float(np.sum(v * v)))
                 x_prev, x = x, x - cfg.eta * v
                 rec.step(2, x)
             vnorms.append(norms)
@@ -1082,12 +1110,12 @@ class TestSarahConvex:
             rng = np.random.default_rng(child)
             x = np.zeros(3)
             v = full_gradient(prob, x)
-            norms = [float(v @ v)]
+            norms = [float(np.sum(v * v))]
             x_prev, x = x, x - cfg.eta * v
             for _ in range(1, cfg.m):
                 i = int(rng.choice(n, p=p_cat))
                 v = v + sarah_increment(prob, p_cat, x, x_prev, [i])
-                norms.append(float(v @ v))
+                norms.append(float(np.sum(v * v)))
                 x_prev, x = x, x - cfg.eta * v
             vnorms.append(norms)
         assert np.array_equal(vn, np.mean(vnorms, axis=0))

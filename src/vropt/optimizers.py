@@ -48,7 +48,7 @@ DIVERGENCE_SCREEN = 1e199
 F_LOW = 0.0
 
 # The runners draw steps ahead and gather their rows at once, in chunks of
-# about this many stored entries (see ``_lookahead``).  A chunk's sets come
+# about this many stored entries (see ``_chunks``).  A chunk's sets come
 # from one draw call, so a run's draws depend on this value.
 LOOKAHEAD_ENTRIES = 1 << 13
 
@@ -276,12 +276,13 @@ def svrg_direction(
     *, block: RowBlock | None = None, w: np.ndarray | None = None,
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(anchor)) / (n p_i) + g."""
-    block, rows, w = _weighted_block(problem, p, subset, block, w)
-    c = w * (row_slopes(problem, block, x) - snap.slopes[rows])
+    if block is None or w is None:
+        block, subset, w = _weighted_block(problem, p, subset, block, w)
+    c = w * (row_slopes(problem, block, x) - snap.slopes[subset])
     v = block.scatter(c, x.size)
     v += snap.g
     if problem.mu:
-        for run, part in _runs(problem, x, rows):
+        for run, part in _runs(problem, x, subset):
             v[run] += problem.mu * w[part].sum() * (x[run] - snap.x[run])
     return v
 
@@ -350,14 +351,16 @@ def sarah_increment(
     *, block: RowBlock | None = None, w: np.ndarray | None = None,
 ) -> np.ndarray:
     """sum_{i in S} (grad f_i(x) - grad f_i(x_prev)) / (n p_i)."""
-    block, rows, w = _weighted_block(problem, p, subset, block, w)
+    if block is None or w is None:
+        block, subset, w = _weighted_block(problem, p, subset, block, w)
     # the margins at both points as one (2, |S|) array, so one slope pass
-    z = np.concatenate((block.margins(x), block.margins(x_prev))).reshape(2, -1)
+    z = np.empty((2, block.size))
+    z[0], z[1] = block.margins(x), block.margins(x_prev)
     s = _loss_slopes(problem.loss, z, block.labels)
     c = w * (s[0] - s[1])
     v = block.scatter(c, x.size)
     if problem.mu:
-        for run, part in _runs(problem, x, rows):
+        for run, part in _runs(problem, x, subset):
             v[run] += problem.mu * w[part].sum() * (x[run] - x_prev[run])
     return v
 
@@ -384,24 +387,43 @@ def _chunk_steps(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> 
     return max(1, int(LOOKAHEAD_ENTRIES / per_step * (1.0 + 1e-9)))
 
 
+@dataclass(slots=True)
+class _Chunk:
+    """One look-ahead chunk, flat (see ``_chunks``).  Step t has rows
+    ``rb[t]:rb[t + 1]`` of ``rows``, ``w`` and ``block`` and entries
+    ``eb[t]:eb[t + 1]`` of ``block``, ``owner`` and ``bins``.  ``rows``
+    holds each step's sets, kind after kind and, within a kind, run after
+    run, run j's offset by j n (its columns in ``block`` by j d, so that
+    the block reads and writes the runs' points end to end); ``ks[t]``
+    counts step t's rows of the first kind, and ``w`` their weights
+    1/(n p_i).  ``owner`` numbers each entry's row within its step, and
+    ``bins`` is ``block.cols`` plus (kind) R d, so that one ``np.bincount``
+    over (kinds) x R d bins scatters every set of a step (None for one)."""
+
+    rows: np.ndarray
+    ks: list
+    block: RowBlock
+    owner: np.ndarray
+    bins: np.ndarray | None
+    w: np.ndarray
+    rb: list
+    eb: list
+
+    def step(self, t: int) -> tuple:
+        """Step t's (rows, their ``RowBlock`` of views, weights)."""
+        r0, r1, e0, e1 = self.rb[t], self.rb[t + 1], self.eb[t], self.eb[t + 1]
+        b = self.block
+        view = RowBlock(r1 - r0, self.owner[e0:e1], b.cols[e0:e1], b.vals[e0:e1], b.labels[r0:r1])
+        return self.rows[r0:r1], view, self.w[r0:r1]
+
+
 def _chunks(problem: Problem, p: np.ndarray, steps: int, draws, chunk: int):
     """The look-ahead of R runs stepped together, run j drawing its sets with
     ``draws[j]``: ``draws[j](c)`` draws c steps at a time, one CSR
     ``(indptr, indices)`` pair per set kind (a minibatch, then a refresh
     set).  Yields, for each ``chunk`` steps (a run's ``_chunk_steps``,
-    worked out once per run):
-
-    - ``cost``: the (R, c) counts of each run's rows at each step;
-    - the chunk's steps, one flat record ``(rows, k, block, bins, w)`` each:
-      - ``rows``: the step's sets, kind after kind and, within a kind, run
-        after run; run j's rows are offset by j n, and ``k`` counts the
-        rows of the first kind;
-      - ``block``: their entries, with row numbers local to the step and
-        run j's columns offset by j d, so the block reads and writes the
-        runs' points end to end (``Dataset.block``'s ``shift``);
-      - ``bins``: ``block.cols`` plus (kind) R d, so one ``np.bincount``
-        over (kinds) x R d bins scatters every set (None for one kind);
-      - ``w``: the weights 1/(n p_i).
+    worked out once per run), ``cost``, the (R, c) counts of each run's rows
+    at each step, and the chunk's rows gathered once as one ``_Chunk``.
 
     Each run's sets come from its own stream in chunks of the same length
     as when it runs alone, and each bin sums one set's terms in that set's
@@ -418,7 +440,7 @@ def _chunks(problem: Problem, p: np.ndarray, steps: int, draws, chunk: int):
         sizes = np.diff([ptr for ptr, _ in sets])  # (sets, c)
         if len(sets) == 1:
             rows = sets[0][1]
-            full, chunk_bins, w = ds.block(rows), None, 1.0 / (ds.n * p[rows])
+            full, bins, w = ds.block(rows), None, 1.0 / (ds.n * p[rows])
         else:
             # each step's rows, set after set: one stable sort on (step, set)
             step = np.repeat(np.tile(np.arange(c), len(sets)), sizes.ravel())
@@ -428,27 +450,15 @@ def _chunks(problem: Problem, p: np.ndarray, steps: int, draws, chunk: int):
             w = 1.0 / (ds.n * p[rows])
             full = ds.block(rows, in_set % R * ds.d if R > 1 else None)
             rows = rows + in_set % R * ds.n if R > 1 else rows
-            chunk_bins = None
+            bins = None
             if len(sets) > R:
-                chunk_bins = full.cols + (in_set // R * (R * ds.d))[full.owner]
-        per_step = sizes.sum(axis=0)
-        yield sizes.reshape(-1, R, c).sum(axis=0), _steps(
-            rows, sizes[:R].sum(axis=0).tolist(), full, chunk_bins, w, per_step)
-
-
-def _steps(rows, ks, full, chunk_bins, w, per_step):
-    """A chunk's flat step records (see ``_chunks``)."""
-    r = e = 0
-    for r1, k, block in zip(np.cumsum(per_step).tolist(), ks, full.split(per_step)):
-        e1 = e + block.cols.size
-        yield rows[r:r1], k, block, None if chunk_bins is None else chunk_bins[e:e1], w[r:r1]
-        r, e = r1, e1
-
-
-def _lookahead(problem: Problem, p: np.ndarray, steps: int, *draws, refresh_prob: float = 0.0):
-    """The step records of ``_chunks``, one after another."""
-    for _, records in _chunks(problem, p, steps, draws, _chunk_steps(problem, p, refresh_prob)):
-        yield from records
+                bins = full.cols + (in_set // R * (R * ds.d))[full.owner]
+        rb = np.concatenate(([0], np.cumsum(sizes.sum(axis=0))))
+        # first entry of each step (owner never decreases; steps may be empty)
+        eb = np.searchsorted(full.owner, rb)
+        owner = full.owner - np.repeat(rb[:-1], np.diff(eb))
+        yield sizes.reshape(-1, R, c).sum(axis=0), _Chunk(
+            rows, sizes[:R].sum(axis=0).tolist(), full, owner, bins, w, rb.tolist(), eb.tolist())
 
 
 def _start_iterate(problem: Problem, x0) -> np.ndarray:
@@ -633,9 +643,10 @@ def _svrg(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
         snap = take_snapshot(problem, x, done)
         group.charge(n, x, done)
         done = None
-        for cost, steps in _chunks(problem, p, config.m, draws, chunk):
+        for cost, ch in _chunks(problem, p, config.m, draws, chunk):
             group.plan(cost)
-            for t, (rows, _, block, _, w) in enumerate(steps):
+            for t in range(cost.shape[1]):
+                rows, block, w = ch.step(t)
                 v = svrg_direction(problem, p, x, snap, rows, block=block, w=w)
                 v *= config.eta
                 x -= v
@@ -644,25 +655,23 @@ def _svrg(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
     return group.finish(x, res.pick())
 
 
-def _saga_step(
-    problem: Problem, mem: SagaMemory, x: np.ndarray, rows: np.ndarray, k: int,
-    block: RowBlock, bins: np.ndarray, w: np.ndarray,
-) -> np.ndarray:
+def _saga_step(problem: Problem, mem: SagaMemory, x: np.ndarray, ch: _Chunk, t: int) -> np.ndarray:
     """Return saga_direction(x, S) and apply saga_refresh(x, R) to ``mem``,
-    for S = ``rows[:k]`` and R = ``rows[k:]``, from one margin and slope pass
-    over ``rows`` (gathered as ``block`` with scatter ``bins`` and weights
-    ``w``) at the pre-step iterate x, and one ``np.bincount`` over 2D bins,
-    D = ``x.size``: the direction's scatter in [0, D), the refresh's change
-    of the average in [D, 2D).  Rows in both S and R use the memory slopes
-    from before the refresh, as the two calls do; every sum adds the same
-    terms in the same order, so the result is bit-identical to them, run by
-    run when x holds several runs' points (see ``_chunks``)."""
-    n, D = problem.dataset.n, x.size
+    for step t of chunk ``ch``: S is its first ``ch.ks[t]`` rows and R the
+    rest.  One margin and slope pass over the step's rows at the pre-step
+    iterate x, and one ``np.bincount`` over 2D bins, D = ``x.size``: the
+    direction's scatter in [0, D), the refresh's change of the average in
+    [D, 2D).  Rows in both S and R use the memory slopes from before the
+    refresh, as the two calls do; every sum adds the same terms in the same
+    order, so the result is bit-identical to them, run by run when x holds
+    several runs' points (see ``_chunks``)."""
+    n, D, k = problem.dataset.n, x.size, ch.ks[t]
+    rows, block, w = ch.step(t)
     subset, refresh = rows[:k], rows[k:]
     slopes = row_slopes(problem, block, x)
     c = slopes - mem.slopes[rows]
     c[:k] *= w[:k]
-    out = block.scatter(c, 2 * D, bins)
+    out = block.scatter(c, 2 * D, ch.bins[ch.eb[t]:ch.eb[t + 1]])
     v = out[:D]
     v += mem.g
     if problem.mu:
@@ -705,10 +714,10 @@ def _saga(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
     draws = _draws(draw_rngs, config.scheme, refresh_prob)
     t0 = 0
     chunk = _chunk_steps(problem, p, refresh_prob)
-    for cost, steps in _chunks(problem, p, config.steps, draws, chunk):
+    for cost, ch in _chunks(problem, p, config.steps, draws, chunk):
         group.plan(cost)
-        for t, (rows, k, block, bins, w) in enumerate(steps):
-            v = _saga_step(problem, mem, x, rows, k, block, bins, w)
+        for t in range(cost.shape[1]):
+            v = _saga_step(problem, mem, x, ch, t)
             v *= config.eta
             x -= v
             if (t0 + t + 1) % n == 0:
@@ -735,9 +744,10 @@ def _sarah_loop(problem: Problem, p: np.ndarray, chunk: int, x: np.ndarray, eta:
     group.plan(np.full((group.R, 1), problem.dataset.n))
     group.step(0, x)
     yield x, v
-    for cost, steps in _chunks(problem, p, m - 1, draws, chunk):
+    for cost, ch in _chunks(problem, p, m - 1, draws, chunk):
         group.plan(2 * cost)
-        for t, (rows, _, block, _, w) in enumerate(steps):
+        for t in range(cost.shape[1]):
+            rows, block, w = ch.step(t)
             v += sarah_increment(problem, p, x, x_prev, rows, block=block, w=w)
             # x_prev's buffer takes the new iterate x - eta v
             np.multiply(v, eta, out=x_prev)

@@ -173,22 +173,6 @@ class RowBlock:
         g = np.bincount(self.cols if bins is None else bins, weights=terms, minlength=d)
         return g.astype(float, copy=False)
 
-    def split(self, sizes) -> list["RowBlock"]:
-        """Consecutive sub-blocks of ``sizes[k]`` rows each, as views into
-        this block's arrays with sub-block-local row numbers; each equals
-        ``Dataset.block`` of its own rows."""
-        bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-        # first entry of each sub-block (owner never decreases; rows may be empty)
-        starts = np.searchsorted(self.owner, bounds)
-        owner = self.owner - np.repeat(bounds[:-1], np.diff(starts))
-        rb, eb = bounds.tolist(), starts.tolist()
-        return [
-            RowBlock(r1 - r0, owner[e0:e1], self.cols[e0:e1], self.vals[e0:e1],
-                     self.labels[r0:r1])
-            for r0, r1, e0, e1 in zip(rb, rb[1:], eb, eb[1:])
-        ]
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -280,9 +264,12 @@ def synthesize(n: int, d: int, skew: float, seed: int) -> Dataset:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function of a float array: 1/(1+e^-z) for
-    z >= 0, e^z/(1+e^z) below."""
+    z >= 0, e^z/(1+e^z) below.  The numerator e^min(z, 0) is 1 exactly for
+    z >= 0, and for z < 0 it is e = e^-|z| itself."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    s = np.exp(np.minimum(z, 0.0))
+    s /= e + 1.0
+    return s
 
 
 def stable_sigmoid(z):

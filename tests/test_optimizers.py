@@ -775,6 +775,27 @@ def chunked(draw_chunk, steps, chunk):
             yield tuple(idx[ptr[s]:ptr[s + 1]] for ptr, idx in drawn)
 
 
+def step_records(prob, p, steps, draws, chunk):
+    """Each step's ``(rows, k, block, bins, w)``, sliced out of the flat
+    chunk records of ``optimizers._chunks`` as the runners slice them."""
+    for cost, ch in optimizers._chunks(prob, p, steps, draws, chunk):
+        assert cost.shape == (len(draws), len(ch.ks)) and len(ch.rb) == len(ch.eb) == len(ch.ks) + 1
+        for t, k in enumerate(ch.ks):
+            rows, block, w = ch.step(t)
+            yield rows, k, block, None if ch.bins is None else ch.bins[ch.eb[t]:ch.eb[t + 1]], w
+
+
+def scripted_draw(sets):
+    """A one-kind chunk draw that hands out ``sets`` in order, as CSR pairs."""
+    script = iter(sets)
+
+    def draw_chunk(k):
+        chunk = [np.asarray(next(script), dtype=np.int64) for _ in range(k)]
+        return ((np.cumsum([0] + [rows.size for rows in chunk]), np.concatenate(chunk)),)
+
+    return draw_chunk
+
+
 def direct_run(method, prob, cfg, sizes):
     """The runners' arithmetic one step at a time, without look-ahead
     gathering: each estimator gathers its own rows.  The sets are drawn in
@@ -1007,7 +1028,7 @@ class TestLookahead:
         if mu:  # L_i >= mu, so empty rows are picked too
             assert any(prob.dataset.indptr[i] == prob.dataset.indptr[i + 1] for i in picks)
 
-    def test_views_equal_block_of_each_step(self, monkeypatch):
+    def test_views_equal_block_of_each_step(self):
         prob = empty_row_problem()
         ds = prob.dataset
         script = iter([
@@ -1027,10 +1048,7 @@ class TestLookahead:
                          for sets in zip(*wanted[-k:]))
 
         # chunks of 2 steps, so a chunk's steps are sliced out of its rows
-        per_step = optimizers._step_entries(prob, p)
-        monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", 2 * per_step + 1e-9)
-        assert optimizers._chunk_steps(prob, p) == 2
-        steps = list(optimizers._lookahead(prob, p, 5, draw_chunk))
+        steps = list(step_records(prob, p, 5, [draw_chunk], 2))
         assert len(steps) == 5
         for (rows, k, view, bins, w), want_sets in zip(steps, wanted):
             sets = (rows[:k], rows[k:])
@@ -1044,6 +1062,85 @@ class TestLookahead:
             second = (want.owner >= sets[0].size).astype(np.int64)
             assert np.array_equal(bins, want.cols + ds.d * second)
             assert np.array_equal(w, 1.0 / (ds.n * p[rows]))
+
+    def split_problem(self):
+        # empty rows first, last and in between
+        rows = [
+            (np.array([], dtype=int), np.array([])),
+            (np.array([0, 3]), np.array([1.5, -2.0])),
+            (np.array([], dtype=int), np.array([])),
+            (np.array([1, 2, 4]), np.array([0.5, 0.25, -1.0])),
+            (np.array([4]), np.array([3.0])),
+            (np.array([], dtype=int), np.array([])),
+        ]
+        return build_problem(make_dataset(rows, [1, -1, 1, 1, -1, -1], d=5), LossKind.QUADRATIC)
+
+    def test_chunk_views_equal_block_of_their_rows(self):
+        prob = self.split_problem()
+        ds, p = prob.dataset, np.linspace(0.2, 0.7, 6)
+        sets = [[0], [], [1, 3], [5, 2, 0], [], [4], [3, 3, 1], list(range(6)), []]
+        # one chunk of all 9 steps, and chunks of 4, 4 and 1
+        chunks = [ch for chunk in (9, 4)
+                  for _, ch in optimizers._chunks(prob, p, 9, [scripted_draw(sets)], chunk)]
+        assert [len(ch.ks) for ch in chunks] == [9, 4, 4, 1]
+        steps = [(ch, t) for ch in chunks for t in range(len(ch.ks))]
+        sets = sets + sets
+        assert len(steps) == len(sets) and all(ch.bins is None for ch in chunks)
+        for rows, (ch, t) in zip(sets, steps):
+            got_rows, view, w = ch.step(t)
+            want = ds.block(rows)
+            assert np.array_equal(got_rows, rows) and ch.ks[t] == len(rows)
+            assert view.size == want.size == len(rows)
+            for field in ("owner", "cols", "vals", "labels"):
+                got, ref = getattr(view, field), getattr(want, field)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), field
+            assert np.array_equal(w, 1.0 / (ds.n * p[np.asarray(rows, dtype=np.int64)]))
+            # zero-copy: the entries are the chunk block's own
+            assert view.cols.base is ch.block.cols and view.vals.base is ch.block.vals
+            x = np.arange(5.0) - 2.0
+            assert np.array_equal(view.margins(x), want.margins(x))
+
+    def test_chunk_of_empty_steps(self):
+        prob = self.split_problem()
+        p = np.full(6, 0.5)
+        assert list(optimizers._chunks(prob, p, 0, [scripted_draw([])], 4)) == []
+        # rows 0, 2 and 5 store no entries
+        steps = list(step_records(prob, p, 4, [scripted_draw([[], [0, 2], [5], []])], 4))
+        assert [view.size for _, _, view, _, _ in steps] == [0, 2, 1, 0]
+        assert all(view.cols.size == 0 and view.owner.size == 0 for _, _, view, _, _ in steps)
+
+
+class TestTracedNames:
+    """The benchmark's tracer (bench/worker.py) wraps ``svrg_direction`` and
+    ``sarah_increment`` on the ``optimizers`` module and counts each call's
+    last positional argument as its rows: the runners must call them
+    through the module, once per step, with the step's rows last."""
+
+    @pytest.mark.parametrize("seeds", [[5], [5, 6, 7]])
+    @pytest.mark.parametrize("method, name", [("svrg", "svrg_direction"),
+                                              ("sarah", "sarah_increment")])
+    def test_one_wrapped_call_per_step_counts_every_row(self, monkeypatch, method, name, seeds):
+        prob = small_problem(n=40, d=5, seed=41)
+        cfg = lookahead_config(method, scheme_zoo(prob, b=3.0)["importance"], eta=0.2)
+        run = TestLookahead.RUNNERS[method]
+        want = run(prob, cfg, seeds=seeds)
+        real, rows = getattr(optimizers, name), []
+
+        def counting(*args, **kwargs):
+            assert len(args) == 5 and set(kwargs) == {"block", "w"}
+            rows.append(len(args[-1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, name, counting)
+        got = run(prob, cfg, seeds=seeds)
+        for a, b in zip(got, want):
+            assert_same_trace(a, b)
+        steps = cfg.m if method == "svrg" else cfg.m - 1
+        assert len(rows) == cfg.outer * steps
+        # each outer loop opens with one pass over the n rows, per seed
+        anchors = len(seeds) * cfg.outer * prob.dataset.n
+        per_row = 2 if method == "sarah" else 1
+        assert per_row * sum(rows) + anchors == sum(t.total_sgrad_evals for t in got)
 
 
 class TestRecorder:

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from vropt import problems
 from vropt.problems import (
     SIGMOID_SQ_CURVATURE,
     Dataset,
@@ -395,30 +396,6 @@ class TestRowBlockSplit:
         ]
         return make_dataset(rows, [1, -1, 1, 1, -1, -1], d=5)
 
-    def test_views_equal_block_of_their_rows(self):
-        ds = self.dataset()
-        sets = [[0], [], [1, 3], [5, 2, 0], [], [4], [3, 3, 1], list(range(6)), []]
-        parent = ds.block(np.concatenate([np.array(r, dtype=np.int64) for r in sets]))
-        views = parent.split([len(r) for r in sets])
-        assert len(views) == len(sets)
-        for rows, view in zip(sets, views):
-            want = ds.block(rows)
-            assert view.size == want.size == len(rows)
-            for field in ("owner", "cols", "vals", "labels"):
-                got, ref = getattr(view, field), getattr(want, field)
-                assert got.dtype == ref.dtype and np.array_equal(got, ref), field
-            # zero-copy: the entries are the parent block's own
-            assert view.cols.base is parent.cols and view.vals.base is parent.vals
-            x = np.arange(5.0) - 2.0
-            assert np.array_equal(view.margins(x), want.margins(x))
-
-    def test_split_into_nothing_and_of_empty_blocks(self):
-        ds = self.dataset()
-        assert ds.block([]).split([]) == []
-        views = ds.block([0, 2, 5]).split([0, 2, 1, 0])
-        assert [v.size for v in views] == [0, 2, 1, 0]
-        assert all(v.cols.size == 0 and v.owner.size == 0 for v in views)
-
     def test_full_block_built_once_and_read_only(self):
         ds = self.dataset()
         full = ds.block()
@@ -450,3 +427,57 @@ def test_stable_sigmoid_array_is_elementwise_scalar():
     out = stable_sigmoid(z)
     assert out.shape == z.shape
     assert np.array_equal(out, [stable_sigmoid(float(v)) for v in z])
+
+
+def where_sigmoid(z):
+    """The sigmoid as it was first written, with ``np.where``: the bit
+    reference for ``problems._sigmoid``."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def sigmoid_probe_points():
+    tiny = np.finfo(float).tiny
+    edges = np.arange(708.0, 746.0 + 1e-9, 0.125)
+    # around where exp(|z|) overflows (709.78) and exp(-|z|) turns subnormal
+    # (708.40), reaches the least subnormal (744.44) and rounds to 0 (745.13)
+    edges = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                            [709.782712893384, 744.4400719213812, 745.1332191019411]))
+    magnitudes = np.concatenate((
+        np.linspace(0.0, 40.0, 400_001),
+        np.geomspace(1e-300, 1e3, 20_001),
+        [0.0, 5e-324, 1e-320, 2.5e-310, tiny / 2, np.nextafter(tiny, 0.0), tiny],
+        edges,
+        [1e300, np.finfo(float).max, np.inf],
+    ))
+    return np.concatenate((magnitudes, -magnitudes))
+
+
+def test_sigmoid_bits_equal_the_where_formula():
+    z = sigmoid_probe_points()
+    assert np.signbit(z).any() and (z == 0.0).sum() >= 4  # +0.0 and -0.0 both
+    with np.errstate(over="raise", under="ignore"):
+        got, want = problems._sigmoid(z), where_sigmoid(z)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a stacked (2, k) input, as the recursive increment passes it
+    pair = z[:4000].reshape(2, -1)
+    assert np.array_equal(problems._sigmoid(pair).view(np.int64),
+                          where_sigmoid(pair).view(np.int64))
+
+
+def test_sigmoid_scalar_path_bits_equal_the_where_formula():
+    for v in sigmoid_probe_points()[::997].tolist() + [0.0, -0.0, 5e-324, -5e-324, 745.5, -745.5]:
+        got = stable_sigmoid(v)
+        assert isinstance(got, float)
+        want = where_sigmoid(np.array(v))
+        assert np.array([got]).view(np.int64)[0] == np.array([want]).view(np.int64)[0], v
+
+
+def test_sigmoid_of_nan_is_nan():
+    # NaN's sign bit may differ between the formulas, so compare as NaN
+    z = np.array([np.nan, -np.nan, 0.5, np.nan])
+    got = problems._sigmoid(z)
+    assert np.array_equal(np.isnan(got), [True, True, False, True])
+    assert got[2] == where_sigmoid(z)[2]
+    assert math.isnan(stable_sigmoid(math.nan))

@@ -376,6 +376,8 @@ def summarize(trace_dir: str, epsilon: float | None = None) -> tuple[str, str]:
     ``epsilon`` defaults to the eps the run recorded in its manifest.
 
     Returns (text table, csv text)."""
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
+        raise UsageError("eps target must be positive and finite")
     directory = Path(trace_dir)
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():

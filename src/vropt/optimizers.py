@@ -47,9 +47,14 @@ DIVERGENCE_SCREEN = 1e199
 # nonnegative.
 F_LOW = 0.0
 
-# The runners draw steps ahead and gather their rows at once, in chunks of
-# about this many stored entries (see ``_chunks``).  A chunk's sets come
-# from one draw call, so a run's draws depend on this value.
+# Each run draws its sets this many steps per draw call (the steps left at
+# the end), so its draws depend on its seed and config alone.  A format
+# constant: another value gives other sets with the same law.
+DRAW_STEPS = 64
+
+# The runners gather the rows of R runs' drawn steps at once, in chunks of
+# about R times this many stored entries (see ``_chunks``): it bounds
+# memory and changes no result.
 LOOKAHEAD_ENTRIES = 1 << 13
 
 
@@ -369,24 +374,6 @@ def sarah_increment(
 # runners
 
 
-def _step_entries(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> float:
-    """The expected stored entries of one step's rows: its minibatch, plus
-    each row with probability ``refresh_prob`` for a refresh set.  Summed
-    exactly rounded (``math.fsum``), not by a BLAS dot, so that no thread
-    count can change it."""
-    return math.fsum(((p + refresh_prob) * np.diff(problem.dataset.indptr)).tolist())
-
-
-def _chunk_steps(problem: Problem, p: np.ndarray, refresh_prob: float = 0.0) -> int:
-    """Steps per look-ahead chunk: LOOKAHEAD_ENTRIES over ``_step_entries``,
-    floored, where a quotient within 1e-9 (relative) below an integer counts
-    as that integer.  With rows of equal length the expectation is b times
-    the row length, an integer, but the rounding of p puts the sum an ulp or
-    so either side of it."""
-    per_step = max(_step_entries(problem, p, refresh_prob), 1.0)
-    return max(1, int(LOOKAHEAD_ENTRIES / per_step * (1.0 + 1e-9)))
-
-
 @dataclass(slots=True)
 class _Chunk:
     """One look-ahead chunk, flat (see ``_chunks``).  Step t has rows
@@ -417,48 +404,55 @@ class _Chunk:
         return self.rows[r0:r1], view, self.w[r0:r1]
 
 
-def _chunks(problem: Problem, p: np.ndarray, steps: int, draws, chunk: int):
+def _chunks(problem: Problem, p: np.ndarray, steps: int, draws):
     """The look-ahead of R runs stepped together, run j drawing its sets with
     ``draws[j]``: ``draws[j](c)`` draws c steps at a time, one CSR
     ``(indptr, indices)`` pair per set kind (a minibatch, then a refresh
-    set).  Yields, for each ``chunk`` steps (a run's ``_chunk_steps``,
-    worked out once per run), ``cost``, the (R, c) counts of each run's rows
-    at each step, and the chunk's rows gathered once as one ``_Chunk``.
+    set), ``DRAW_STEPS`` steps per call (the steps left at the end).  Each
+    drawn block is gathered in as few chunks of equal steps as hold about R
+    ``LOOKAHEAD_ENTRIES`` stored entries, counted exactly from the drawn
+    rows' lengths.  Yields, for each chunk of c steps, ``cost``, the (R, c)
+    counts of each run's rows at each step, and its rows as one ``_Chunk``.
 
-    Each run's sets come from its own stream in chunks of the same length
-    as when it runs alone, and each bin sums one set's terms in that set's
-    order, so a run's numbers do not depend on the other runs.  No draw
-    depends on the iterate, so drawing ahead does not change a run; the
-    draws do depend on the chunk length.  A chunk holds R times the entries
-    of one run's chunk."""
+    A run draws as it does alone, each bin sums one set's terms in that
+    set's order, and a step's numbers do not depend on the steps gathered
+    with it, so a run's numbers depend neither on the other runs nor on
+    ``LOOKAHEAD_ENTRIES``.  No draw depends on the iterate, so drawing ahead
+    does not change a run."""
     ds = problem.dataset
     R = len(draws)
-    for start in range(0, steps, chunk):
-        c = min(chunk, steps - start)
-        drawn = [draw_chunk(c) for draw_chunk in draws]
+    for start in range(0, steps, DRAW_STEPS):
+        c = min(DRAW_STEPS, steps - start)
+        drawn = [draw_block(c) for draw_block in draws]
         sets = [kind for kinds in zip(*drawn) for kind in kinds]  # set s: kind s // R, run s % R
         sizes = np.diff([ptr for ptr, _ in sets])  # (sets, c)
-        if len(sets) == 1:
-            rows = sets[0][1]
-            full, bins, w = ds.block(rows), None, 1.0 / (ds.n * p[rows])
-        else:
+        rows = sets[0][1]
+        if len(sets) > 1:
             # each step's rows, set after set: one stable sort on (step, set)
             step = np.repeat(np.tile(np.arange(c), len(sets)), sizes.ravel())
             order = np.argsort(step, kind="stable")
             rows = np.concatenate([idx for _, idx in sets])[order]
             in_set = np.repeat(np.arange(len(sets)), sizes.sum(axis=1))[order]
-            w = 1.0 / (ds.n * p[rows])
-            full = ds.block(rows, in_set % R * ds.d if R > 1 else None)
-            rows = rows + in_set % R * ds.n if R > 1 else rows
-            bins = None
-            if len(sets) > R:
-                bins = full.cols + (in_set // R * (R * ds.d))[full.owner]
         rb = np.concatenate(([0], np.cumsum(sizes.sum(axis=0))))
-        # first entry of each step (owner never decreases; steps may be empty)
-        eb = np.searchsorted(full.owner, rb)
-        owner = full.owner - np.repeat(rb[:-1], np.diff(eb))
-        yield sizes.reshape(-1, R, c).sum(axis=0), _Chunk(
-            rows, sizes[:R].sum(axis=0).tolist(), full, owner, bins, w, rb.tolist(), eb.tolist())
+        ks = sizes[:R].sum(axis=0).tolist()
+        entries = int((ds.indptr[rows + 1] - ds.indptr[rows]).sum())
+        pieces = max(1, -(-entries // (R * LOOKAHEAD_ENTRIES)))  # ceiling divisions
+        length = -(-c // pieces)
+        for a in range(0, c, length):
+            b = min(a + length, c)
+            r0, r1 = rb[a], rb[b]
+            piece, part = rows[r0:r1], in_set[r0:r1] if len(sets) > 1 else None
+            w = 1.0 / (ds.n * p[piece])
+            full = ds.block(piece, part % R * ds.d if R > 1 else None)
+            bins = full.cols + (part // R * (R * ds.d))[full.owner] if len(sets) > R else None
+            if R > 1:
+                piece = piece + part % R * ds.n
+            # first entry of each step (owner never decreases; steps may be empty)
+            sb = rb[a:b + 1] - r0
+            eb = np.searchsorted(full.owner, sb)
+            owner = full.owner - np.repeat(sb[:-1], np.diff(eb))
+            yield sizes[:, a:b].reshape(-1, R, b - a).sum(axis=0), _Chunk(
+                piece, ks[a:b], full, owner, bins, w, sb.tolist(), eb.tolist())
 
 
 def _start_iterate(problem: Problem, x0) -> np.ndarray:
@@ -607,16 +601,16 @@ def _run(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool = Fa
 
 
 def _draws(rngs, scheme: SamplingScheme, refresh_prob: float | None = None) -> list:
-    """Each run's chunk draw from its draw stream in ``rngs``: its
+    """Each run's block draw from its draw stream in ``rngs``: its
     minibatches, then (with ``refresh_prob``) its refresh sets."""
 
-    def draw_chunk(c, rng):
+    def draw_block(c, rng):
         subsets = draw(scheme, rng, steps=c)
         if refresh_prob is None:
             return (subsets,)
         return subsets, bernoulli_subset(scheme.n, refresh_prob, rng, steps=c)
 
-    return [functools.partial(draw_chunk, rng=rng) for rng in rngs]
+    return [functools.partial(draw_block, rng=rng) for rng in rngs]
 
 
 def run_svrg(problem: Problem, config: RunConfig, x0=None, seeds=None):
@@ -636,14 +630,14 @@ def _svrg(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
     res = _Reservoir(*out_rngs, size=1 + config.outer * config.m)
     res.offer(x)
     done = group.start
-    draws, chunk = _draws(draw_rngs, config.scheme), _chunk_steps(problem, p)
+    draws = _draws(draw_rngs, config.scheme)
     for _ in range(config.outer):
         # the anchor's pass also gives the checkpoints due at the anchor
         done = done or full_pass(problem, x, value=group.due(n))
         snap = take_snapshot(problem, x, done)
         group.charge(n, x, done)
         done = None
-        for cost, ch in _chunks(problem, p, config.m, draws, chunk):
+        for cost, ch in _chunks(problem, p, config.m, draws):
             group.plan(cost)
             for t in range(cost.shape[1]):
                 rows, block, w = ch.step(t)
@@ -713,8 +707,7 @@ def _saga(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
     refresh_prob = min(1.0, config.d_refresh / n)
     draws = _draws(draw_rngs, config.scheme, refresh_prob)
     t0 = 0
-    chunk = _chunk_steps(problem, p, refresh_prob)
-    for cost, ch in _chunks(problem, p, config.steps, draws, chunk):
+    for cost, ch in _chunks(problem, p, config.steps, draws):
         group.plan(cost)
         for t in range(cost.shape[1]):
             v = _saga_step(problem, mem, x, ch, t)
@@ -728,13 +721,12 @@ def _saga(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
     return group.finish(x, res.pick())
 
 
-def _sarah_loop(problem: Problem, p: np.ndarray, chunk: int, x: np.ndarray, eta: float,
-                m: int, draws, group: _Group, done: tuple | None = None):
+def _sarah_loop(problem: Problem, p: np.ndarray, x: np.ndarray, eta: float, m: int,
+                draws, group: _Group, done: tuple | None = None):
     """One outer loop of the recursive method from x, for the runs of
     ``group``: the full-gradient step (from the pass ``done`` at x, if made),
-    then m - 1 increments over the look-ahead steps of ``draws``, ``chunk``
-    at a time, each step recorded in ``group``.  Yields every new iterate
-    with its v.
+    then m - 1 increments over the look-ahead steps of ``draws``, each step
+    recorded in ``group``.  Yields every new iterate with its v.
 
     x is only read.  The loop updates two buffers of its own in place, so the
     next step overwrites the yielded arrays: a consumer copies what it
@@ -744,7 +736,7 @@ def _sarah_loop(problem: Problem, p: np.ndarray, chunk: int, x: np.ndarray, eta:
     group.plan(np.full((group.R, 1), problem.dataset.n))
     group.step(0, x)
     yield x, v
-    for cost, ch in _chunks(problem, p, m - 1, draws, chunk):
+    for cost, ch in _chunks(problem, p, m - 1, draws):
         group.plan(2 * cost)
         for t in range(cost.shape[1]):
             rows, block, w = ch.step(t)
@@ -771,12 +763,11 @@ def run_sarah(problem: Problem, config: RunConfig, x0=None, seeds=None):
 
 def _sarah(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rngs) -> list:
     x, done, p = group.x, group.start, config.scheme.p
-    draws, chunk = _draws(draw_rngs, config.scheme), _chunk_steps(problem, p)
+    draws = _draws(draw_rngs, config.scheme)
     for _ in range(config.outer):
         inner = _Reservoir(*out_rngs, size=config.m + 1)
         inner.offer(x)
-        for x, _ in _sarah_loop(problem, p, chunk, x, config.eta, config.m,
-                                draws, group, done):
+        for x, _ in _sarah_loop(problem, p, x, config.eta, config.m, draws, group, done):
             inner.offer(x)
         x, done = inner.pick(), None
     return group.finish(x, x)
@@ -808,16 +799,15 @@ def run_sarah_convex(
     # the cdf on every step; k doubles in one call are those of k calls
     cdf = np.cumsum(p_cat)
     cdf /= cdf[-1]
-    chunk = _chunk_steps(problem, p_cat)
     vnorms = np.empty((config.replicates, config.m))
     for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.replicates)):
         rng = np.random.default_rng(child)
         group = _Group(problem, x_start, 1, config.checkpoint_epochs)
-        def draw_chunk(k, rng=rng):
+        def draw_block(k, rng=rng):
             return ((np.arange(k + 1), cdf.searchsorted(rng.random(k), side="right")),)
 
-        steps = _sarah_loop(problem, p_cat, chunk, group.x, config.eta, config.m,
-                            [draw_chunk], group, group.start)
+        steps = _sarah_loop(problem, p_cat, group.x, config.eta, config.m,
+                            [draw_block], group, group.start)
         try:
             for t, (x, v) in enumerate(steps):
                 vnorms[r, t] = _sq_norm(v)

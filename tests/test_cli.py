@@ -332,8 +332,11 @@ class TestMainEntry:
         assert "malformed batch value 'abc'" in err and "malformed seed value 'x'" in err
         # no data source; values the library rejects while building the
         # problem; worker counts; non-finite budgets; repeated grid values;
-        # batch sizes and eps targets that are not positive and finite
+        # batch sizes and eps targets (of a run or of a summary of finished
+        # traces) that are not positive and finite
         syn = ["--synthetic", "10,3,2"]
+        done = tmp_path / "done"
+        run_experiment(tiny_spec(done, schemes=["uniform"], seeds=[1]))
         good = tmp_path / "good.libsvm"
         good.write_text("1 1:0.5 2:1\n-1 1:1\n1 2:0.3\n", encoding="utf-8")
         huge = tmp_path / "huge.libsvm"
@@ -373,6 +376,10 @@ class TestMainEntry:
             ["run", *syn, "--eps", "nan"],
             ["run", *syn, "--eps", "inf"],
             ["run", *syn, "--eps", "0"],
+            ["summarize", str(done), "--eps", "nan"],
+            ["summarize", str(done), "--eps", "inf"],
+            ["summarize", str(done), "--eps", "0"],
+            ["summarize", str(done), "--eps", "-5"],
             # finite numbers whose squared smoothness constants overflow
             ["run", "--synthetic", "10,3,1e308"],
             ["alpha", "--synthetic", "10,3,1e308"],

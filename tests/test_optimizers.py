@@ -436,11 +436,10 @@ class TestRunSvrg:
 
         x = np.zeros(3)
         offer(x)
-        chunk = optimizers._chunk_steps(prob, scheme.p)
         for _ in range(2):
             anchor = x.copy()
             g = full_gradient(prob, anchor)
-            for ((i,),) in chunked(lambda k: (draw(scheme, rng_draw, steps=k),), 4, chunk):
+            for ((i,),) in chunked(lambda k: (draw(scheme, rng_draw, steps=k),), 4):
                 v = component_gradient(prob, i, x) - component_gradient(prob, i, anchor) + g
                 x = x - 0.02 * v
                 offer(x)
@@ -550,11 +549,10 @@ class TestRunSaga:
         anchors = [np.zeros(3) for _ in range(n)]
         g = full_gradient(prob, x)
 
-        def draw_chunk(k):
+        def draw_block(k):
             return draw(scheme, rng_draw, steps=k), bernoulli_subset(n, 1.0 / n, rng_draw, steps=k)
 
-        chunk = optimizers._chunk_steps(prob, scheme.p, 1.0 / n)
-        for (i,), refresh in chunked(draw_chunk, 12, chunk):
+        for (i,), refresh in chunked(draw_block, 12):
             v = (
                 component_gradient(prob, i, x)
                 - component_gradient(prob, i, anchors[i])
@@ -628,8 +626,7 @@ class TestRunSarah:
         x.setflags(write=False)
         group = optimizers._Group(prob, x, 1, 1.0)
         rng = np.random.default_rng(4)
-        loop = optimizers._sarah_loop(prob, scheme.p, optimizers._chunk_steps(prob, scheme.p),
-                                      x, 0.05, 9,
+        loop = optimizers._sarah_loop(prob, scheme.p, x, 0.05, 9,
                                       [lambda k: (draw(scheme, rng, steps=k),)], group)
         iterates = [xt.copy() for xt, _ in loop]
         assert len(iterates) == 9
@@ -765,20 +762,20 @@ def empty_row_problem(loss=LossKind.SIGMOID_SQUARED, mu=0.0, n=30, d=6, seed=0):
     return build_problem(make_dataset(rows, labels, d=d), loss, mu)
 
 
-def chunked(draw_chunk, steps, chunk):
-    """Each of ``steps`` steps' tuple of sets, from ``draw_chunk(k)`` called
-    ``chunk`` steps at a time as the look-ahead calls it, one CSR pair per
-    set."""
-    for start in range(0, steps, chunk):
-        drawn = draw_chunk(min(chunk, steps - start))
+def chunked(draw_block, steps):
+    """Each of ``steps`` steps' tuple of sets, from ``draw_block(k)`` called
+    ``DRAW_STEPS`` steps at a time (the steps left at the end) as the
+    look-ahead calls it, one CSR pair per set."""
+    for start in range(0, steps, optimizers.DRAW_STEPS):
+        drawn = draw_block(min(optimizers.DRAW_STEPS, steps - start))
         for s in range(drawn[0][0].size - 1):
             yield tuple(idx[ptr[s]:ptr[s + 1]] for ptr, idx in drawn)
 
 
-def step_records(prob, p, steps, draws, chunk):
+def step_records(prob, p, steps, draws):
     """Each step's ``(rows, k, block, bins, w)``, sliced out of the flat
     chunk records of ``optimizers._chunks`` as the runners slice them."""
-    for cost, ch in optimizers._chunks(prob, p, steps, draws, chunk):
+    for cost, ch in optimizers._chunks(prob, p, steps, draws):
         assert cost.shape == (len(draws), len(ch.ks)) and len(ch.rb) == len(ch.eb) == len(ch.ks) + 1
         for t, k in enumerate(ch.ks):
             rows, block, w = ch.step(t)
@@ -786,25 +783,24 @@ def step_records(prob, p, steps, draws, chunk):
 
 
 def scripted_draw(sets):
-    """A one-kind chunk draw that hands out ``sets`` in order, as CSR pairs."""
+    """A one-kind block draw that hands out ``sets`` in order, as CSR pairs."""
     script = iter(sets)
 
-    def draw_chunk(k):
-        chunk = [np.asarray(next(script), dtype=np.int64) for _ in range(k)]
-        return ((np.cumsum([0] + [rows.size for rows in chunk]), np.concatenate(chunk)),)
+    def draw_block(k):
+        block = [np.asarray(next(script), dtype=np.int64) for _ in range(k)]
+        return ((np.cumsum([0] + [rows.size for rows in block]), np.concatenate(block)),)
 
-    return draw_chunk
+    return draw_block
 
 
 def direct_run(method, prob, cfg, sizes):
     """The runners' arithmetic one step at a time, without look-ahead
-    gathering: each estimator gathers its own rows.  The sets are drawn in
-    chunks of the runner's length, as the runners draw them.  Every taken
+    gathering: each estimator gathers its own rows.  The sets are drawn
+    ``DRAW_STEPS`` steps at a time, as the runners draw them.  Every taken
     step's set sizes are appended to ``sizes``."""
     n, eta = prob.dataset.n, cfg.eta
     scheme, p = cfg.scheme, cfg.scheme.p
     q = min(1.0, cfg.d_refresh / n)
-    chunk = optimizers._chunk_steps(prob, p, q if method == "saga" else 0.0)
     s_draw, s_out = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_draw = np.random.default_rng(s_draw)
     rng_out = np.random.default_rng(s_out)
@@ -824,7 +820,7 @@ def direct_run(method, prob, cfg, sizes):
             snap = take_snapshot(prob, x)
             evals += n
             rec.maybe(evals, x)
-            for (subset,) in chunked(lambda k: (draw(scheme, rng_draw, steps=k),), cfg.m, chunk):
+            for (subset,) in chunked(lambda k: (draw(scheme, rng_draw, steps=k),), cfg.m):
                 subset = drawn(subset)
                 x = x - eta * svrg_direction(prob, p, x, snap, subset)
                 evals += subset.size
@@ -840,10 +836,10 @@ def direct_run(method, prob, cfg, sizes):
         evals = n
         rec.maybe(evals, x)
 
-        def draw_chunk(k):
+        def draw_block(k):
             return draw(scheme, rng_draw, steps=k), bernoulli_subset(n, q, rng_draw, steps=k)
 
-        for t, (subset, refresh) in enumerate(chunked(draw_chunk, cfg.steps, chunk)):
+        for t, (subset, refresh) in enumerate(chunked(draw_block, cfg.steps)):
             subset, refresh = drawn(subset), drawn(refresh)
             v = saga_direction(prob, p, x, mem, subset)
             x_prev = x
@@ -867,7 +863,7 @@ def direct_run(method, prob, cfg, sizes):
         inner.offer(x)
         rec.guard(x, evals)
         rec.maybe(evals, x)
-        for (subset,) in chunked(lambda k: (draw(scheme, rng_draw, steps=k),), cfg.m - 1, chunk):
+        for (subset,) in chunked(lambda k: (draw(scheme, rng_draw, steps=k),), cfg.m - 1):
             subset = drawn(subset)
             v = v + sarah_increment(prob, p, x, x_prev, subset)
             x_prev = x
@@ -900,13 +896,6 @@ def lookahead_config(method, scheme, eta=0.3, d_refresh=0.5):
 class TestLookahead:
     RUNNERS = {"svrg": run_svrg, "saga": run_saga, "sarah": run_sarah}
 
-    def set_chunk(self, monkeypatch, prob, cfg, steps):
-        """Patch LOOKAHEAD_ENTRIES so that a run's chunks hold ``steps`` steps."""
-        q = min(1.0, cfg.d_refresh / prob.dataset.n)  # d_refresh is 0 unless SAGA
-        per_step = optimizers._step_entries(prob, cfg.scheme.p, q)
-        monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", steps * per_step + 1e-9)
-        assert optimizers._chunk_steps(prob, cfg.scheme.p, q) == steps
-
     @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
     @pytest.mark.parametrize("kind", ["uniform", "importance", "approx"])
     def test_runner_matches_direct_loop(self, method, kind):
@@ -914,55 +903,55 @@ class TestLookahead:
         cfg = lookahead_config(method, scheme_zoo(prob, b=3.0)[kind], eta=0.2)
         assert_same_trace(self.RUNNERS[method](prob, cfg), direct_run(method, prob, cfg, []))
 
-    @pytest.mark.parametrize("method", ["svrg", "saga", "sarah", "sarah-convex"])
-    def test_chunk_length_worked_out_once_per_run(self, monkeypatch, method):
-        # the exactly rounded sum over n is taken once, not per outer loop
+    @pytest.mark.parametrize("method, kind", [
+        *((m, k) for m in ("svrg", "saga", "sarah") for k in ("uniform", "importance", "approx")),
+        ("sarah-convex", None)])
+    def test_lookahead_entries_change_no_result(self, monkeypatch, method, kind):
+        # a run's sets and numbers depend on its seed and config only: its
+        # DRAW_STEPS blocks gathered a step at a time, a few steps at a
+        # time or whole give one trace, alone (R = 1) and in a group of 3
         prob = small_problem(n=40, d=5, seed=41)
-        calls = []
-        step_entries = optimizers._step_entries
-
-        def counting(*args):
-            calls.append(args)
-            return step_entries(*args)
-
         if method == "sarah-convex":
-            cfg = derive_sarah_convex_config(prob, m=25, replicates=3, seed=6)
-            want = run_sarah_convex(prob, cfg)
-            monkeypatch.setattr(optimizers, "_step_entries", counting)
-            got = run_sarah_convex(prob, cfg)
-            assert np.array_equal(got[1], want[1])
-            got, want = got[0], want[0]
+            cfg = derive_sarah_convex_config(prob, m=151, replicates=2, seed=13, checkpoint_epochs=0.4)
         else:
-            cfg = lookahead_config(method, scheme_zoo(prob, b=3.0)["importance"])
-            assert method == "saga" or cfg.outer > 1
-            want = self.RUNNERS[method](prob, cfg)
-            monkeypatch.setattr(optimizers, "_step_entries", counting)
-            got = self.RUNNERS[method](prob, cfg)
-        assert len(calls) == 1
-        assert_same_trace(got, want)
+            cfg = lookahead_config(method, scheme_zoo(prob, b=3.0)[kind], eta=0.2)
+            cfg = dataclasses.replace(cfg, m=151, steps=151)  # blocks of 64, 64 and 22 steps
+        results = []
+        for entries in (1, 7, optimizers.LOOKAHEAD_ENTRIES, 1 << 20):
+            monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", entries)
+            if method == "sarah-convex":
+                trace, vnorms = run_sarah_convex(prob, cfg)
+                results.append(([trace], vnorms))
+            else:
+                run = self.RUNNERS[method]
+                results.append(([run(prob, cfg), *run(prob, cfg, seeds=[cfg.seed, 2, 5])], None))
+        for traces, vnorms in results[1:]:
+            for got, want in zip(traces, results[0][0], strict=True):
+                assert_same_trace(got, want)
+            assert np.array_equal(vnorms, results[0][1])
 
-    @pytest.mark.parametrize("chunk", [1, 4, 6])
+    @pytest.mark.parametrize("entries", [1, 4, 6])
     @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
     @pytest.mark.parametrize("kind", ["uniform", "importance", "approx"])
-    def test_small_chunks_with_empty_sets_and_rows(self, monkeypatch, chunk, method, kind):
+    def test_small_chunks_with_empty_sets_and_rows(self, monkeypatch, entries, method, kind):
         prob = empty_row_problem()
         cfg = lookahead_config(method, scheme_zoo(prob, b=1.0)[kind])
-        self.set_chunk(monkeypatch, prob, cfg, chunk)
+        monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", entries)
         sizes = []
         ref = direct_run(method, prob, cfg, sizes)
         assert_same_trace(self.RUNNERS[method](prob, cfg), ref)
         if kind == "importance" or method == "saga":
             assert 0 in sizes  # empty subsets (or refresh sets) were drawn
 
-    @pytest.mark.parametrize("chunk", [None, 4])
+    @pytest.mark.parametrize("entries", [None, 4])
     @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
     @pytest.mark.parametrize("kind", ["uniform", "importance", "approx"])
-    def test_quadratic_with_mu_matches_direct_loop(self, monkeypatch, chunk, method, kind):
+    def test_quadratic_with_mu_matches_direct_loop(self, monkeypatch, entries, method, kind):
         # the dense mu terms of every estimator, and SAGA's anchor table
         prob = empty_row_problem(LossKind.QUADRATIC, mu=0.3)
         cfg = lookahead_config(method, scheme_zoo(prob, b=2.0)[kind], eta=0.05, d_refresh=3.0)
-        if chunk:
-            self.set_chunk(monkeypatch, prob, cfg, chunk)
+        if entries:
+            monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", entries)
         trace = self.RUNNERS[method](prob, cfg)
         assert np.all(np.isfinite(trace.loss)) and trace.sgrad_evals.size > 2
         assert_same_trace(trace, direct_run(method, prob, cfg, []))
@@ -971,7 +960,7 @@ class TestLookahead:
     def test_divergence_mid_chunk_keeps_partial_trace(self, monkeypatch, method):
         prob = empty_row_problem(LossKind.QUADRATIC, n=20, seed=3)
         cfg = lookahead_config(method, uniform_minibatch(20, 2), eta=50.0, d_refresh=2.0)
-        self.set_chunk(monkeypatch, prob, cfg, 4)
+        monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", 4)
         sizes = []
         with pytest.raises(DivergenceError) as ref:
             direct_run(method, prob, cfg, sizes)
@@ -985,24 +974,24 @@ class TestLookahead:
         monkeypatch.setattr(optimizers, "draw", counted_draw)
         with pytest.raises(DivergenceError) as got:
             self.RUNNERS[method](prob, cfg)
-        # one draw per chunk; diverged before the end of a chunk: steps were
-        # drawn and not taken
-        assert max(calls) == 4
+        # each loop's steps drawn DRAW_STEPS at a time (the rest last);
+        # diverged before the end of a block: steps were drawn and not taken
+        loop = cfg.steps if method == "saga" else cfg.m - (method == "sarah")
+        blocks = [min(optimizers.DRAW_STEPS, loop - s) for s in range(0, loop, optimizers.DRAW_STEPS)]
+        assert calls == (blocks * cfg.outer)[:len(calls)]
         assert sum(calls) > taken
         assert str(got.value) == str(ref.value)
         assert_same_trace(got.value.trace, ref.value.trace)
 
-    @pytest.mark.parametrize("chunk", [1, 4, 6])
+    @pytest.mark.parametrize("entries", [1, 4, 6])
     @pytest.mark.parametrize("loss, mu", [(LossKind.QUADRATIC, 0.3), (LossKind.SIGMOID_SQUARED, 0.0)])
-    def test_convex_sarah_matches_per_row_loop(self, monkeypatch, chunk, loss, mu):
+    def test_convex_sarah_matches_per_row_loop(self, monkeypatch, entries, loss, mu):
         # single-sample picks gathered a chunk at a time give the run that
         # gathers one row per step
         prob = empty_row_problem(loss, mu=mu)
         n, d = prob.dataset.n, prob.dataset.d
         p_cat = prob.L / prob.L.sum()
-        per_step = optimizers._step_entries(prob, p_cat)
-        monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", chunk * per_step + 1e-9)
-        assert optimizers._chunk_steps(prob, p_cat) == chunk
+        monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", entries)
         cfg = derive_sarah_convex_config(prob, m=97, replicates=2, seed=8, checkpoint_epochs=0.4)
         trace, vn = run_sarah_convex(prob, cfg)
         picks, vnorms = [], []
@@ -1028,7 +1017,7 @@ class TestLookahead:
         if mu:  # L_i >= mu, so empty rows are picked too
             assert any(prob.dataset.indptr[i] == prob.dataset.indptr[i + 1] for i in picks)
 
-    def test_views_equal_block_of_each_step(self):
+    def test_views_equal_block_of_each_step(self, monkeypatch):
         prob = empty_row_problem()
         ds = prob.dataset
         script = iter([
@@ -1041,14 +1030,16 @@ class TestLookahead:
         p = np.linspace(0.1, 0.9, 30)
         wanted = []
 
-        def draw_chunk(k):
+        def draw_block(k):
             # the script's next k steps, each set kind as one CSR pair
             wanted.extend(next(script) for _ in range(k))
             return tuple((np.cumsum([0] + [s.size for s in sets]), np.concatenate(sets))
                          for sets in zip(*wanted[-k:]))
 
-        # chunks of 2 steps, so a chunk's steps are sliced out of its rows
-        steps = list(step_records(prob, p, 5, [draw_chunk], 2))
+        # the 5 steps' 97 entries in chunks of 2, 2 and 1 steps, so a
+        # chunk's steps are sliced out of its rows
+        monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", 40)
+        steps = list(step_records(prob, p, 5, [draw_block]))
         assert len(steps) == 5
         for (rows, k, view, bins, w), want_sets in zip(steps, wanted):
             sets = (rows[:k], rows[k:])
@@ -1075,16 +1066,20 @@ class TestLookahead:
         ]
         return build_problem(make_dataset(rows, [1, -1, 1, 1, -1, -1], d=5), LossKind.QUADRATIC)
 
-    def test_chunk_views_equal_block_of_their_rows(self):
+    def test_chunk_views_equal_block_of_their_rows(self, monkeypatch):
         prob = self.split_problem()
         ds, p = prob.dataset, np.linspace(0.2, 0.7, 6)
         sets = [[0], [], [1, 3], [5, 2, 0], [], [4], [3, 3, 1], list(range(6)), []]
-        # one chunk of all 9 steps, and chunks of 4, 4 and 1
-        chunks = [ch for chunk in (9, 4)
-                  for _, ch in optimizers._chunks(prob, p, 9, [scripted_draw(sets)], chunk)]
-        assert [len(ch.ks) for ch in chunks] == [9, 4, 4, 1]
+        # the 9 steps' 20 entries, counted exactly: in one chunk, in 4 chunks
+        # of at most 3 steps (20 / 5 is 4, not a rounding above it), and in
+        # 5 chunks of at most 2 steps
+        chunks = []
+        for entries in (1 << 20, 5, 4):
+            monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", entries)
+            chunks += [ch for _, ch in optimizers._chunks(prob, p, 9, [scripted_draw(sets)])]
+        assert [len(ch.ks) for ch in chunks] == [9, 3, 3, 3, 2, 2, 2, 2, 1]
         steps = [(ch, t) for ch in chunks for t in range(len(ch.ks))]
-        sets = sets + sets
+        sets = sets * 3
         assert len(steps) == len(sets) and all(ch.bins is None for ch in chunks)
         for rows, (ch, t) in zip(sets, steps):
             got_rows, view, w = ch.step(t)
@@ -1103,9 +1098,9 @@ class TestLookahead:
     def test_chunk_of_empty_steps(self):
         prob = self.split_problem()
         p = np.full(6, 0.5)
-        assert list(optimizers._chunks(prob, p, 0, [scripted_draw([])], 4)) == []
+        assert list(optimizers._chunks(prob, p, 0, [scripted_draw([])])) == []
         # rows 0, 2 and 5 store no entries
-        steps = list(step_records(prob, p, 4, [scripted_draw([[], [0, 2], [5], []])], 4))
+        steps = list(step_records(prob, p, 4, [scripted_draw([[], [0, 2], [5], []])]))
         assert [view.size for _, _, view, _, _ in steps] == [0, 2, 1, 0]
         assert all(view.cols.size == 0 and view.owner.size == 0 for _, _, view, _, _ in steps)
 
@@ -1486,53 +1481,3 @@ def test_trace_bits_do_not_depend_on_blas_threads():
         assert run.returncode == 0, run.stderr
         out.append(run.stdout)
     assert out[0] == out[1] and out[0].startswith("5 ")
-
-
-@pytest.mark.parametrize("n", [20_000, 200_000])
-def test_chunk_length_of_equal_rows(n):
-    # 16 entries per row at b = 8 expect 128 entries per step, a quotient on
-    # an integer: at n = 2e4 a BLAS dot read 127.99999999999946 (64 steps)
-    # or 128.00000000000156 (63), by thread count, and numpy's pairwise sum
-    # 128.00000000000003 (63)
-    ds = csr_dataset(np.arange(0, 16 * n + 1, 16), np.tile(np.arange(16), n),
-                     np.ones(16 * n), np.ones(n), 16)
-    prob = SimpleNamespace(dataset=ds)
-    p = uniform_minibatch(n, 8).p
-    assert optimizers._step_entries(prob, p) == 128.0
-    assert optimizers._chunk_steps(prob, p) == optimizers.LOOKAHEAD_ENTRIES // 128 == 64
-    # probabilities whose sum is off b by a few ulps, as importance sampling's can be
-    for step in (4e-15, -4e-15):
-        q = p.copy()
-        q[0] += step
-        assert optimizers._step_entries(prob, q) != 128.0
-        assert optimizers._chunk_steps(prob, q) == 64
-
-
-# the expected entries per step at n = 2e5, as hex: a BLAS dot over the n
-# rows changes its last bits with the OpenBLAS thread count at this size
-STEP_ENTRIES_RUN = """
-from types import SimpleNamespace
-import numpy as np
-from vropt.optimizers import _step_entries
-
-n = 200_000
-rng = np.random.default_rng(11)
-p = rng.random(n)
-p *= 8 / p.sum()
-prob = SimpleNamespace(dataset=SimpleNamespace(
-    indptr=np.concatenate(([0], np.cumsum(rng.integers(1, 40, n))))))
-print(_step_entries(prob, p).hex(), _step_entries(prob, p, 0.25).hex())
-"""
-
-
-def test_chunk_length_does_not_depend_on_blas_threads():
-    src = str(Path(optimizers.__file__).resolve().parents[1])
-    out = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        run = subprocess.run([sys.executable, "-c", STEP_ENTRIES_RUN], capture_output=True,
-                             text=True, env=env, timeout=120)
-        assert run.returncode == 0, run.stderr
-        out.append(run.stdout)
-    assert out[0] == out[1] and out[0].count("0x") == 2

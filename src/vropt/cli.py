@@ -390,7 +390,10 @@ def summarize(trace_dir: str, epsilon: float | None = None) -> tuple[str, str]:
                 continue
             try:
                 key = (row["method"], row["scheme"], float(row["b"]))
-                epsilon = float(row["eps"]) if epsilon is None else epsilon
+                if epsilon is None:
+                    epsilon = float(row["eps"])
+                    if not (math.isfinite(epsilon) and epsilon > 0):
+                        raise ValueError(f"eps {row['eps']} is not positive and finite")
                 path = directory / row["file"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(reader.line_num, f"{manifest}: malformed row ({exc})") from None

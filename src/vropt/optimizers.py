@@ -280,48 +280,49 @@ def svrg_direction(
     problem: Problem, p: np.ndarray, x: np.ndarray, snap: SvrgSnapshot, subset,
     *, block: RowBlock | None = None, w: np.ndarray | None = None,
 ) -> np.ndarray:
-    """sum_{i in S} (grad f_i(x) - grad f_i(anchor)) / (n p_i) + g."""
+    """sum_{i in S} (grad phi_i(x) - grad phi_i(anchor)) / (n p_i) + g
+    + mu (x - anchor), with f_i = phi_i + (mu/2)||x||^2: the data parts
+    are variance-reduced and the regulariser's gradient mu x is exact."""
     if block is None or w is None:
         block, subset, w = _weighted_block(problem, p, subset, block, w)
     c = w * (row_slopes(problem, block, x) - snap.slopes[subset])
     v = block.scatter(c, x.size)
     v += snap.g
     if problem.mu:
-        for run, part in _runs(problem, x, subset):
-            v[run] += problem.mu * w[part].sum() * (x[run] - snap.x[run])
+        v += problem.mu * (x - snap.x)
     return v
 
 
 @dataclass
 class SagaMemory:
     """Anchor state: the loss slopes at a_i . anchor_i, which reconstruct the
-    anchor gradients of linear-composite losses exactly; the anchor vectors
-    only when the loss carries a dense mu*x term; and ``g``, the running
-    average of the anchor gradients, re-synced by ``run_saga`` every n steps."""
+    anchor gradients of the data parts phi_i of linear-composite losses
+    exactly, and ``g``, the running average of those gradients, re-synced by
+    ``run_saga`` every n steps.  The regulariser's gradient mu x is exact, so
+    the memory holds no anchor vectors."""
 
     slopes: np.ndarray
     g: np.ndarray
-    anchors: np.ndarray | None = None
 
 
 def init_saga_memory(problem: Problem, x: np.ndarray, done: tuple | None = None) -> SagaMemory:
     """The memory with every anchor at x (one point, or several end to end:
     rows j n to j n + n - 1 then belong to point j), from the pass ``done``
     if it was already made there."""
-    ds = problem.dataset
-    anchors = np.repeat(x.reshape(-1, ds.d), ds.n, axis=0) if problem.mu else None
-    return SagaMemory(*(done or full_pass(problem, x, value=False))[1:], anchors)
+    _, slopes, g = done or full_pass(problem, x, value=False)
+    return SagaMemory(slopes, g - problem.mu * x if problem.mu else g)
 
 
 def saga_direction(
     problem: Problem, p: np.ndarray, x: np.ndarray, mem: SagaMemory, subset
 ) -> np.ndarray:
-    """sum_{i in S} (grad f_i(x) - grad f_i(anchor_i)) / (n p_i) + g."""
+    """sum_{i in S} (grad phi_i(x) - grad phi_i(anchor_i)) / (n p_i) + g
+    + mu x, with f_i = phi_i + (mu/2)||x||^2."""
     block, rows, w = _weighted_block(problem, p, subset)
     c = w * (row_slopes(problem, block, x) - mem.slopes[rows])
     v = block.scatter(c, problem.dataset.d) + mem.g
     if problem.mu:
-        v += problem.mu * np.sum(w[:, None] * (x - mem.anchors[rows]), axis=0)
+        v += problem.mu * x
     return v
 
 
@@ -332,23 +333,16 @@ def saga_refresh(problem: Problem, mem: SagaMemory, x: np.ndarray, refresh) -> N
     block = ds.block(rows)
     slopes = row_slopes(problem, block, x)
     mem.g += block.scatter(slopes - mem.slopes[rows], ds.d) / ds.n
-    if problem.mu:
-        mem.g += problem.mu * np.sum(x - mem.anchors[rows], axis=0) / ds.n
-        mem.anchors[rows] = x
     mem.slopes[rows] = slopes
 
 
 def saga_recompute_average(problem: Problem, mem: SagaMemory) -> np.ndarray:
-    """Average of the anchor gradients from scratch (each run's, for a
-    memory of several runs end to end), each coordinate summed over the rows
-    in index order by ``Dataset.gradient_sums``, as in ``full_gradient``
-    (fixed order, no compensation)."""
+    """Average of the anchor gradients of the data parts from scratch (each
+    run's, for a memory of several runs end to end), each coordinate summed
+    over the rows in index order by ``Dataset.gradient_sums``, as in
+    ``full_gradient`` (fixed order, no compensation)."""
     ds = problem.dataset
-    g = ds.gradient_sums(mem.slopes.reshape(-1, ds.n)).reshape(-1) / ds.n
-    if problem.mu:
-        sums = [a.sum(axis=0) for a in mem.anchors.reshape(-1, ds.n, ds.d)]
-        g += problem.mu * np.concatenate(sums) / ds.n
-    return g
+    return ds.gradient_sums(mem.slopes.reshape(-1, ds.n)).reshape(-1) / ds.n
 
 
 def sarah_increment(
@@ -661,7 +655,6 @@ def _saga_step(problem: Problem, mem: SagaMemory, x: np.ndarray, ch: _Chunk, t: 
     several runs' points (see ``_chunks``)."""
     n, D, k = problem.dataset.n, x.size, ch.ks[t]
     rows, block, w = ch.step(t)
-    subset, refresh = rows[:k], rows[k:]
     slopes = row_slopes(problem, block, x)
     c = slopes - mem.slopes[rows]
     c[:k] *= w[:k]
@@ -669,23 +662,17 @@ def _saga_step(problem: Problem, mem: SagaMemory, x: np.ndarray, ch: _Chunk, t: 
     v = out[:D]
     v += mem.g
     if problem.mu:
-        for run, part in _runs(problem, x, subset):
-            diff = x[run] - mem.anchors[subset[part]]
-            v[run] += problem.mu * np.sum(w[part, None] * diff, axis=0)
+        v += problem.mu * x
     # anchors move to the pre-step iterate
     out[D:] /= n
     mem.g += out[D:]
-    if problem.mu:
-        for run, part in _runs(problem, x, refresh):
-            mem.g[run] += problem.mu * np.sum(x[run] - mem.anchors[refresh[part]], axis=0) / n
-            mem.anchors[refresh[part]] = x[run]
-    mem.slopes[refresh] = slopes[k:]
+    mem.slopes[rows[k:]] = slopes[k:]
     return v
 
 
 def run_saga(problem: Problem, config: RunConfig, x0=None, seeds=None):
     """Memory-based variance reduction with importance-weighted minibatches
-    and an independently refreshed anchor table.
+    and independently refreshed anchors, kept as one loss slope per row.
 
     With ``seeds``, runs one replicate per seed (``config.seed`` is not
     read), all stepped together, and returns each one's RunTrace, or the

@@ -240,7 +240,9 @@ class TestSummarize:
         with pytest.raises(FileNotFoundError):
             summarize(str(tmp_path / "nothing"), epsilon=1e-3)
 
-    @pytest.mark.parametrize("target", ["trace", "manifest"])
+    # a manifest eps that is not positive and finite: nan and -1 once read
+    # every cell "not reached", inf every cell reached at epoch 0
+    @pytest.mark.parametrize("target", ["trace", "manifest", "eps=nan", "eps=-1", "eps=inf", "eps=0"])
     def test_malformed_file_is_data_error(self, tmp_path, capsys, target):
         run_experiment(tiny_spec(tmp_path / "t", schemes=["uniform"], seeds=[1]))
         if target == "trace":
@@ -251,12 +253,20 @@ class TestSummarize:
         else:
             path = tmp_path / "t" / MANIFEST_NAME
             lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-            lines[1] = lines[1].replace("svrg,uniform,2.0,", "svrg,uniform,xyz,", 1)
+            if target == "manifest":
+                lines[1] = lines[1].replace("svrg,uniform,2.0,", "svrg,uniform,xyz,", 1)
+            else:
+                fields = lines[1].split(",")
+                fields[lines[0].split(",").index("eps")] = target[len("eps="):]
+                lines[1] = ",".join(fields)
             line_no = 2
         path.write_text("".join(lines), encoding="utf-8")
         capsys.readouterr()
         assert main(["summarize", str(tmp_path / "t")]) == 2
-        assert capsys.readouterr().err.startswith(f"data error: line {line_no}: {path}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: line {line_no}: {path}")
+        if target.startswith("eps="):
+            assert f"eps {target[len('eps='):]} is not positive and finite" in err
 
     def test_reports_exact_crossing_epoch(self, tmp_path):
         # hand-written single trace crossing the target at epoch 7.5

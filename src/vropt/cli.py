@@ -285,11 +285,16 @@ def _run_cells(problem, spec: ExperimentSpec, groups):
         for group in groups:
             yield _run_group(problem, spec, *group)
         return
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # the fork start method forks every worker at the first submit
-    with ProcessPoolExecutor(min(spec.workers, len(groups))) as pool:
+    # fork where the platform has it, whatever its default start method
+    # (forkserver on Linux from Python 3.14): each worker is forked at the
+    # first submit with numpy and the problem loaded, not imported afresh
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    with ProcessPoolExecutor(min(spec.workers, len(groups)), mp_context=context) as pool:
         futures = [pool.submit(_run_group, problem, spec, *group) for group in groups]
         for (*cell, seeds), future in zip(groups, futures):
             try:

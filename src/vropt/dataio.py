@@ -36,7 +36,11 @@ CHUNK_BYTES = 1 << 18
 # float() does (Clinger's fast path).  With up to 18 significant digits and
 # 18 after the '.' (a window of _LONG bytes; a shortest repr has 16 or 17)
 # an exact integer residual corrects M / 10**k to float()'s double
-# (_long_decimal).  Every other token is read by int() and float().
+# (_long_decimal).  Every other token is read by int() and float().  A
+# chunk reads its indices, and its labels and values, through the smallest
+# power-of-two window that holds its longest token of that kind, up to
+# _WIDTH bytes, so short numbers gather few bytes; which tokens are plain
+# does not depend on the window.
 _WIDTH = 16
 _LONG = 2 * _WIDTH
 _VALUE_DIGITS = 15
@@ -94,24 +98,21 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
     """
     data = _scan_form(_read(source))
     report = ParseReport()
-    # chunks (lo, hi, lines before lo): up to the last line end within
-    # CHUNK_BYTES, else the next one, else the end
-    spans, lo, lines = [], 0, 0
+    # chunks (lo, hi): up to the last line end within CHUNK_BYTES, else the
+    # next one, else the end
+    spans, lo = [], 0
     while lo < len(data):
         hi = (data.rfind(b"\n", lo, lo + CHUNK_BYTES) + 1
               or data.find(b"\n", lo + CHUNK_BYTES) + 1 or len(data))
-        spans.append((lo, hi, lines))
-        lines += data.count(b"\n", lo, hi)
+        spans.append((lo, hi))
         lo = hi
-    # at most one entry per ':' in the file
-    indices = np.empty(data.count(b":"), dtype=np.int64)
-    values = np.empty(indices.size)
-    labels, counts = [], []
+    labels, counts, indices, values = [], [], [], []
     non_finite = None
-    nnz = 0
+    lines = 0           # the lines of the chunks taken so far
     # This thread scans every k-th chunk and k - 1 helpers the others; the
     # chunks are taken in file order, so the first bad token in the file is
-    # the error.  This thread takes its share, rather than waiting on k
+    # the error, and each chunk's line numbers are offset by the lines
+    # before it.  This thread takes its share, rather than waiting on k
     # helpers, because freed temporaries stay resident in each helper's own
     # malloc arena.  With k = 1 nothing is submitted, so no thread starts.
     k = min(_cpus(), len(spans))
@@ -120,16 +121,19 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
         helped = {i: pool.submit(_scan_span, data, *span)
                   for i, span in enumerate(spans) if i % k}
         for i, span in enumerate(spans):
-            chunk = helped.pop(i).result() if i % k else _scan_span(data, *span)
-            report.warnings += chunk.warnings
-            non_finite = non_finite or chunk.non_finite
+            try:
+                chunk = helped.pop(i).result() if i % k else _scan_span(data, *span)
+            except _BadToken as bad:
+                line, message = bad.args
+                raise ParseError(lines + line, message) from None
+            report.warnings += [(lines + line, message) for line, message in chunk.warnings]
+            if chunk.non_finite and not non_finite:
+                non_finite = (lines + chunk.non_finite[0], chunk.non_finite[1])
+            lines += chunk.lines
             labels.append(chunk.labels)
             counts.append(chunk.counts)
-            m = chunk.indices.size
-            indices[nnz:nnz + m], values[nnz:nnz + m] = chunk.indices, chunk.values
-            nnz += m
-            if m:
-                report.max_index_seen = max(report.max_index_seen, int(chunk.indices.max()) + 1)
+            indices.append(chunk.indices)
+            values.append(chunk.values)
     finally:
         # no helper outlives the call (a caller may fork next), and after a
         # bad token the chunks not yet begun are not scanned
@@ -142,9 +146,11 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
         raise ParseError(non_finite[0], f"bad feature token {non_finite[1]!r}")
     indptr = np.zeros(report.rows_read + 1, dtype=np.int64)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
+    # each list of chunk arrays is dropped as its concatenation replaces it
     labels = np.concatenate(labels)
-    if nnz < indices.size:
-        indices, values = indices[:nnz].copy(), values[:nnz].copy()
+    indices = np.concatenate(indices)
+    values = np.concatenate(values)
+    report.max_index_seen = int(indices.max()) + 1 if indices.size else 0
     dataset = csr_dataset(indptr, indices, values, labels, d=report.max_index_seen)
     return dataset, report
 
@@ -157,11 +163,11 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _scan_span(data: bytes, lo: int, hi: int, lines_before: int) -> _Chunk:
+def _scan_span(data: bytes, lo: int, hi: int) -> _Chunk:
     """``_scan_chunk`` of the whole lines data[lo:hi], the last given a line
     end if it has none."""
     text = data[lo:hi] if data[hi - 1] == ord("\n") else data[lo:hi] + b"\n"
-    return _scan_chunk(_PAD + text, lines_before)
+    return _scan_chunk(_PAD + text)
 
 
 @dataclass
@@ -170,13 +176,19 @@ class _Chunk:
     counts: np.ndarray          # entries per row
     indices: np.ndarray         # 0-based, row after row
     values: np.ndarray
+    lines: int                  # line ends in the chunk
+    # the lines below are numbered within the chunk, from 1
     warnings: list              # (line, message) per label other than -1, 0, 1
     non_finite: tuple | None    # (line, token) of the first nan or inf value
 
 
-def _scan_chunk(raw: bytes, lines_before: int) -> _Chunk:
+class _BadToken(Exception):
+    """A chunk's first malformed token: args (line in the chunk, message)."""
+
+
+def _scan_chunk(raw: bytes) -> _Chunk:
     """Parse one chunk: ``_PAD`` and then whole lines of the scan form, the
-    last ending in \\n.  Raises the ParseError of the chunk's first bad token."""
+    last ending in \\n.  Raises the ``_BadToken`` of its first bad token."""
     buf = np.frombuffer(raw, dtype=np.uint8)
     sep = (buf == ord(" ")) | (buf == ord("\n")) | (buf == ord("\t"))
     edges = np.flatnonzero(sep[1:] != sep[:-1]) + 1
@@ -217,7 +229,7 @@ def _scan_chunk(raw: bytes, lines_before: int) -> _Chunk:
     if got is not None and np.isfinite(got[label[todo]]).all():
         number[todo] = got
         for t in todo[~np.isfinite(got)][:1].tolist():
-            non_finite = (lines_before + int(line[t]) + 1, _token(raw, start[t], end[t]))
+            non_finite = (int(line[t]) + 1, _token(raw, start[t], end[t]))
     else:
         for t, a, b, is_label, ln in zip(todo.tolist(), start[todo].tolist(), end[todo].tolist(),
                                          label[todo].tolist(), line[todo].tolist()):
@@ -230,7 +242,7 @@ def _scan_chunk(raw: bytes, lines_before: int) -> _Chunk:
             else:
                 index[t], number[t] = got
                 if non_finite is None and not math.isfinite(got[1]):
-                    non_finite = (lines_before + ln + 1, token)
+                    non_finite = (ln + 1, token)
     wrong = feature & (index < 0)
     wrong[list(bad)] = True
     wrong[1:] |= feature[1:] & feature[:-1] & (index[1:] <= index[:-1])
@@ -238,18 +250,18 @@ def _scan_chunk(raw: bytes, lines_before: int) -> _Chunk:
         t = int(wrong.argmax())
         message = (bad.get(t) or (index[t] < 0 and f"feature index {index[t] + 1} below 1")
                    or "indices not increasing")
-        raise ParseError(lines_before + int(line[t]) + 1, message)
+        raise _BadToken(int(line[t]) + 1, message)
     rows = np.flatnonzero(label)
     y = number[rows]
     warnings = [
-        (lines_before + int(line[t]) + 1,
+        (int(line[t]) + 1,
          f"unusual label {_token(raw, start[t], end[t])} mapped to {'+1' if number[t] > 0 else '-1'}")
         for t in rows[(y != 1.0) & (y != -1.0) & (y != 0.0)].tolist()
     ]
     return _Chunk(
         labels=np.where(y > 0.0, 1, -1),
         counts=np.diff(np.append(rows, start.size)) - 1,
-        indices=index[feature], values=number[feature],
+        indices=index[feature], values=number[feature], lines=breaks.size,
         warnings=warnings, non_finite=non_finite,
     )
 
@@ -267,47 +279,61 @@ def _floats(raw: bytes, start: np.ndarray, end: np.ndarray) -> np.ndarray | None
         return None
 
 
-def _digits(buf: np.ndarray, start: np.ndarray, end: np.ndarray, width: int) -> tuple:
-    """The ``width`` bytes up to the end of each span buf[start:end], less
-    '0', one column per span; a byte before the span reads 0 (a leading
-    zero).  Also returns the span lengths.  ``buf`` starts with ``_PAD``,
-    so every column exists."""
-    length = end - start
+def _window(length: np.ndarray, limit: int) -> int:
+    """The smallest power of two that holds the longest span of ``length``
+    bytes (1 when there is none), at most ``limit``."""
+    return min(limit, 1 << (int(length.max(initial=1)) - 1).bit_length())
+
+
+def _digits(buf: np.ndarray, end: np.ndarray, length: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes up to the end of each span of ``length`` bytes
+    ending at ``end``, less '0', one column per span; a byte before the span
+    reads 0 (a leading zero).  ``buf`` starts with ``_PAD``, so every column
+    exists."""
     digit = buf[end + np.arange(-width, 0)[:, None]] - ord("0")
     column = np.arange(width, dtype=np.uint8)[:, None]
     digit *= column >= width - np.minimum(length, width).astype(np.uint8)
-    return digit, length
+    return digit
 
 
 def _integer(digit: np.ndarray) -> tuple:
     """Each column of ``_digits`` read as decimal integers of 16 digits,
-    one row per 16 rows (the most significant first), and its largest byte
-    (at most 9 when every byte is a digit)."""
+    one row per 16 rows (the most significant first), or as one integer
+    from fewer rows, and its largest byte (at most 9 when every byte is a
+    digit)."""
     m = digit
-    # sum by digit position, pairs of rows at a time (four halvings of each
-    # 16 rows), each widened first to an integer that holds its partial sums
-    # (so the result does not hang on numpy's scalar promotion rules)
+    # sum by digit position, pairs of rows at a time (up to four halvings of
+    # each 16 rows), each widened first to an integer that holds its partial
+    # sums (so the result does not hang on numpy's scalar promotion rules)
     for wide, scale in ((np.uint8, 10), (np.uint16, 100), (np.uint32, 10**4), (np.int64, 10**8)):
+        if len(m) == 1:
+            break
         m = m[0::2].astype(wide, copy=False) * scale + m[1::2]
     return m, digit.max(axis=0)
 
 
 def _index(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
     """Each span buf[start:end] read as an index, and whether it is plain:
-    1 to _WIDTH digits."""
-    digit, length = _digits(buf, start, end, _WIDTH)
-    j, top = _integer(digit)
-    return j[0], (length >= 1) & (length <= _WIDTH) & (top <= 9)
+    1 to _WIDTH digits.  The window is as wide as the longest span."""
+    length = end - start
+    j, top = _integer(_digits(buf, end, length, _window(length, _WIDTH)))
+    return j[0].astype(np.int64), (length >= 1) & (length <= _WIDTH) & (top <= 9)
+
+
+def _unsigned(buf: np.ndarray, start: np.ndarray) -> tuple:
+    """Whether each span starting at ``start`` is negative, and where it
+    starts after an optional sign."""
+    negative = buf[start] == ord("-")
+    return negative, start + (negative | (buf[start] == ord("+")))
 
 
 def _mantissa(buf: np.ndarray, start: np.ndarray, end: np.ndarray, width: int) -> tuple:
-    """Each span buf[start:end] read as an optional sign, then digits and
-    '.'s in a window of ``width`` bytes: whether it is negative, its digits
-    less the '.' as ``_integer`` reads them, the number k of digits after
-    the '.', the number of digits, and whether the span fits the window and
-    holds only digits and at most one '.'."""
-    negative = buf[start] == ord("-")
-    digit, length = _digits(buf, start + (negative | (buf[start] == ord("+"))), end, width)
+    """Each span buf[start:end] read as digits and '.'s in a window of
+    ``width`` bytes: its digits less the '.' as ``_integer`` reads them, the
+    number k of digits after the '.', the number of digits, and whether the
+    window holds only digits and at most one '.'."""
+    length = end - start
+    digit = _digits(buf, end, length, width)
     after = np.arange(width - 1, -1, -1, dtype=np.uint8)[:, None]   # bytes after each row
     dot = digit == _DOT
     dots = dot.sum(axis=0, dtype=np.uint8)
@@ -317,17 +343,19 @@ def _mantissa(buf: np.ndarray, start: np.ndarray, end: np.ndarray, width: int) -
     shifted = np.zeros_like(digit)
     shifted[1:] = digit[:-1]
     m, top = _integer(np.where(before, shifted, digit))
-    return negative, m, k, length - dots, (length <= width) & (dots <= 1) & (top <= 9)
+    return m, k, length - dots, (dots <= 1) & (top <= 9)
 
 
 def _decimal(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
     """Each span buf[start:end] read as a label or a value, and whether it
     is plain: an optional sign, then 1 to _VALUE_DIGITS digits and at most
-    one '.'."""
-    negative, m, k, digits, ok = _mantissa(buf, start, end, _WIDTH)
+    one '.'.  The window is as wide as the longest span after its sign."""
+    negative, start = _unsigned(buf, start)
+    length = end - start
+    m, k, digits, ok = _mantissa(buf, start, end, _window(length, _WIDTH))
     x = m[0] / _TENS[k]
     np.negative(x, out=x, where=negative)
-    return x, ok & (digits >= 1) & (digits <= _VALUE_DIGITS)
+    return x, ok & (length <= _WIDTH) & (digits >= 1) & (digits <= _VALUE_DIGITS)
 
 
 def _long_decimal(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
@@ -341,7 +369,8 @@ def _long_decimal(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
     arithmetic, exact modulo 2**64, gives it exactly; its quotient and
     remainder by 10**k move n to the nearest mantissa, ties to even.  A
     result outside (2**52, 2**53] would need another exponent: not plain."""
-    negative, (high, low), k, digits, ok = _mantissa(buf, start, end, _LONG)
+    negative, start = _unsigned(buf, start)
+    (high, low), k, digits, ok = _mantissa(buf, start, end, _LONG)
     m = high.astype(np.int64) * 10**16 + low
     f, exponent = np.frexp(m / _TENS[k])
     n = (f * 2.0**53).astype(np.int64)
@@ -352,7 +381,8 @@ def _long_decimal(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple:
     n += q + ((2 * r > p) | ((2 * r == p) & ((n + q) % 2 == 1)))
     x = np.ldexp(n.astype(np.float64), -e)
     np.negative(x, out=x, where=negative)
-    ok &= (digits >= 1) & (high < 100) & (k <= 18) & (e >= 0) & (n > 2**52) & (n <= 2**53)
+    ok &= (end - start <= _LONG) & (digits >= 1) & (high < 100) & (k <= 18)
+    ok &= (e >= 0) & (n > 2**52) & (n <= 2**53)
     return x, ok
 
 

@@ -461,7 +461,7 @@ class TestMainEntry:
         text, csv_text = summarize(str(out))
         assert csv_text.count("\n") == 2 and "\nsarah,uniform," in csv_text
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the patched cell function reaches the workers by fork")
     def test_worker_killed_mid_grid(self, tmp_path, capsys, monkeypatch):
         flags = ["--synthetic", "25,4,10", "--method", "sarah", "--scheme", "uniform",
@@ -550,6 +550,26 @@ class TestMainEntry:
                          "--out", str(tmp_path / f"w{workers}")]) == 0
         assert sizes == [2, 2]
         assert read_bytes_map(tmp_path / "w1") == read_bytes_map(tmp_path / "w8")
+
+    def test_pool_forks_whatever_the_default(self, tmp_path, monkeypatch):
+        import concurrent.futures
+        methods = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, mp_context=None, **kwargs):
+                methods.append(mp_context and mp_context.get_start_method())
+                super().__init__(*args, mp_context=mp_context, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        flags = ["run", "--synthetic", "25,4,10", "--method", "svrg,sarah", "--scheme", "uniform",
+                 "--batch", "2", "--epochs", "2", "--seed", "1,2,3"]
+        for workers in (1, 2, 7):
+            assert main([*flags, "--workers", str(workers),
+                         "--out", str(tmp_path / f"w{workers}")]) == 0
+        forks = "fork" in multiprocessing.get_all_start_methods()
+        assert methods == ["fork" if forks else multiprocessing.get_start_method()] * 2
+        assert read_bytes_map(tmp_path / "w1") == read_bytes_map(tmp_path / "w2")
+        assert read_bytes_map(tmp_path / "w1") == read_bytes_map(tmp_path / "w7")
 
     def test_grouping_and_workers_change_no_byte(self, tmp_path, monkeypatch):
         flags = ["run", "--synthetic", "30,4,10", "--method", "svrg,saga,sarah",

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 from array import array
 from unittest import mock
 
@@ -487,6 +488,45 @@ class TestParallelScan:
                 else:
                     assert 1 <= len(helped) <= count
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_late_chunk_line_numbers(self, count):
+        """Warnings and the first nan or inf value keep their line in the
+        file when a later chunk holds them."""
+        rows = b"# comment\n" + b"1 1:1 2:0.5\n" * 30 + b"\n" + b"3 1:1\n" + b"1 1:1\n" * 20
+        text = rows + b"-2.5 2:1\n" + b"1 1:1\n" * 5                # lines 33 and 54
+        with_inf = text + b"1 1:1 2:inf\n" + b"1 1:1\n" * 9 + b"1 1:nan\n"   # lines 60, 70
+        with mock.patch.object(dataio, "CHUNK_BYTES", 64), helpers(count):
+            got, bad = outcome(parse_libsvm, text), outcome(parse_libsvm, with_inf)
+        assert got[-1].warnings == [(33, "unusual label 3 mapped to +1"),
+                                    (54, "unusual label -2.5 mapped to -1")]
+        assert bad == ("error", 60, "line 60: bad feature token '2:inf'")
+        assert (got, bad) == (outcome(reference_parse_libsvm, text),
+                              outcome(reference_parse_libsvm, with_inf))
+
+    # One parse's traced peak above its start, per byte of a text shaped like
+    # the benchmark's (16 entries per row, indices below 2000, values of six
+    # decimals), 4.3 chunks long.  Measured (numpy 2.4, 2-vCPU VM): 4.17
+    # serial, and 5.2-6.2 with one helper, whose scan may overlap this
+    # thread's, so that two chunks' temporaries (3.3 each) are live at once.
+    @pytest.mark.parametrize("count, budget", [(0, 4.5), (1, 8.0)])
+    def test_peak_memory_per_file_byte(self, count, budget):
+        rng = np.random.default_rng(5)
+        n, k = 5000, 16
+        cols = np.sort(rng.integers(0, 2000 - k + 1, size=(n, k)), axis=1) + np.arange(k)
+        ds = csr_dataset(np.arange(0, n * k + 1, k), cols.ravel(),
+                         np.round(rng.standard_normal(n * k), 6), rng.choice([-1, 1], n), d=2000)
+        text = dumps_libsvm(ds).encode()
+        assert len(text) > 4 * dataio.CHUNK_BYTES
+        with helpers(count):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                parse_libsvm(text)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peak <= budget * len(text)
+
 
 def _near_midpoint(x: float, digits: int, rounding: str) -> str:
     """The midpoint between x and the next double up, rounded to ``digits``
@@ -508,6 +548,41 @@ LONG_VALUE = st.one_of(
     st.integers(2**51, 2**53).map(lambda n: f"{n}.5"),
     st.integers(2**50, 2**52).map(lambda n: f"{n}.{n % 4 * 25:02d}"),
 )
+
+
+# 1-digit and 16-digit plain indices, 1-byte and 15-digit values: rows of
+# only the short ones, only the long ones, or both, so that chunks and the
+# windows they read through differ in width
+MIXED_INDEX = {"short": st.integers(1, 9), "long": st.integers(10**15, 10**16 - 1)}
+MIXED_VALUE = {
+    "short": st.sampled_from("0123456789"),
+    "long": st.one_of(
+        st.integers(10**14, 10**15 - 1).map(str),
+        st.tuples(st.integers(10**14, 10**15 - 1), st.integers(0, 15)).map(
+            lambda t: str(t[0])[:t[1]] + "." + str(t[0])[t[1]:])),
+}
+
+
+@st.composite
+def mixed_width_row(draw):
+    kinds = draw(st.sampled_from([["short"], ["long"], ["short", "long"]]))
+    cols = sorted(draw(st.sets(st.one_of(*(MIXED_INDEX[kind] for kind in kinds)), max_size=5)))
+    tokens = [draw(st.sampled_from(["1", "-1", "+1", "0", "3"]))]
+    for j in cols:
+        value = draw(st.one_of(*(MIXED_VALUE[kind] for kind in kinds)))
+        tokens.append(f"{j}:{draw(st.sampled_from(['', '-', '+']))}{value}")
+    return " ".join(tokens)
+
+
+class TestWindows:
+    @settings(DIFFERENTIAL, max_examples=100)
+    @given(st.lists(mixed_width_row(), min_size=1, max_size=12))
+    def test_mixed_widths(self, rows):
+        text = "".join(row + "\n" for row in rows).encode()
+        want = outcome(reference_parse_libsvm, text)
+        for chunk, count in itertools.product((1, 64, dataio.CHUNK_BYTES), (0, 1, 3)):
+            with mock.patch.object(dataio, "CHUNK_BYTES", chunk), helpers(count):
+                assert outcome(parse_libsvm, text) == want
 
 
 class TestLongValues:

@@ -7,7 +7,8 @@ theorem-driven hyperparameter derivation and closed-form cost predictors.
 
 All runs are deterministic per seed: one substream drives the subset draws,
 a second drives the uniform-over-iterates output selection, so the iterate
-trajectory does not depend on whether an output is being selected.
+trajectory does not depend on whether an output is being selected.  A
+convex replicate, whose output is its last iterate, has only the first.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class RunConfig:
     d_refresh: float = 0.0     # expected memory-refresh size d = b/alpha
     seed: int = 0
     checkpoint_epochs: float = 1.0
-    replicates: int = 1        # convex single-sample variant
+    replicates: int = 1        # convex variant's runs, stepped together
     restarts: int = 0          # restart wrapper
 
 
@@ -470,7 +471,7 @@ class _Group:
     """R runs of one config, one per seed, stepped together from one start.
 
     ``x`` holds the runs' iterates end to end: run j's point is
-    ``x[j d:(j + 1) d]``.  Each run keeps its own draw and output streams and
+    ``x[j d:(j + 1) d]``.  Each run keeps its own streams and
     its own ``_Recorder``; the group does the per-step bookkeeping for all
     of them at once: the evaluation counts and the steps at which each run
     checkpoints, once per chunk (``plan``), and per step one screening dot
@@ -556,15 +557,15 @@ class _Group:
             raise _Diverged(j, exc) from None
 
 
-def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool = False):
-    """Check the config, then run ``body(problem, config, group, draw_rngs,
-    out_rngs)`` on a ``_Group`` of one run per seed, with each run's draw and
-    output streams, and return each run's RunTrace, or the DivergenceError
-    that stopped it, in seed order.  A run that diverges stops the group;
-    the other runs then start again without it: runs are pure functions of
-    their seeds, so each one's result is that of its run alone."""
-    if config.scheme is None or config.scheme.n != problem.dataset.n:
-        raise ConfigError("config.scheme must match the problem size")
+def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool = False,
+             streams=_streams):
+    """Check the config, then run ``body(problem, config, group, *rngs)`` on
+    a ``_Group`` of one run per seed, with each run's streams from
+    ``streams(seed)`` (by default its draw and output streams), and return
+    each run's result, or the DivergenceError that stopped it, in seed
+    order.  A run that diverges stops the group; the other runs then start
+    again without it: runs are pure functions of their seeds, so each one's
+    result is that of its run alone."""
     if not config.eta > 0.0:
         raise ConfigError("step size must be positive")
     if need_m and config.m < 1:
@@ -574,9 +575,9 @@ def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool 
     left = list(range(len(seeds)))
     while left:
         group = _Group(problem, x, len(left), config.checkpoint_epochs)
-        streams = zip(*(_streams(seeds[i]) for i in left))
+        rngs = zip(*(streams(seeds[i]) for i in left))
         try:
-            result.update(zip(left, body(problem, config, group, *streams)))
+            result.update(zip(left, body(problem, config, group, *rngs)))
             left = []
         except _Diverged as stop:
             result[left.pop(stop.index)] = stop.error
@@ -586,6 +587,8 @@ def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool 
 def _run(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool = False):
     """``_grouped`` over ``seeds``; without seeds, the one run of
     ``config.seed``, whose DivergenceError is raised."""
+    if config.scheme is None or config.scheme.n != problem.dataset.n:
+        raise ConfigError("config.scheme must match the problem size")
     if seeds is not None:
         return _grouped(body, problem, config, x0, list(seeds), need_m)
     (out,) = _grouped(body, problem, config, x0, [config.seed], need_m)
@@ -765,43 +768,41 @@ def run_sarah_convex(
 ) -> tuple[RunTrace, np.ndarray]:
     """Single-sample recursive variant with p_i proportional to L_i.
 
-    Runs ``config.replicates`` independent single-outer-loop trajectories and
-    returns the trace of the last one together with the replicate average of
-    ||v_t||^2 per step (the quantity whose geometric decay the convex theory
-    bounds).
+    Runs ``config.replicates`` independent single-outer-loop trajectories
+    together and returns the trace of the last one with the replicate
+    average of ||v_t||^2 per step (the quantity whose geometric decay the
+    convex theory bounds); raises the first one's DivergenceError.
     """
     if config.eta >= 2.0 / problem.Lbar:
         raise ConfigError(
             f"eta = {config.eta:g} violates eta < 2/Lbar = {2.0 / problem.Lbar:g}"
         )
-    if not config.eta > 0.0:
-        raise ConfigError("step size must be positive")
-    if config.m < 1:
-        raise ConfigError("m must be at least 1")
     if config.replicates < 1:
         raise ConfigError("replicates must be at least 1")
-    x_start = _start_iterate(problem, x0)
     p_cat = problem.L / problem.L.sum()
     # rng.choice(n, p=p_cat)'s picks, without re-checking p and rebuilding
     # the cdf on every step; k doubles in one call are those of k calls
     cdf = np.cumsum(p_cat)
     cdf /= cdf[-1]
-    vnorms = np.empty((config.replicates, config.m))
-    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.replicates)):
-        rng = np.random.default_rng(child)
-        group = _Group(problem, x_start, 1, config.checkpoint_epochs)
-        def draw_block(k, rng=rng):
-            return ((np.arange(k + 1), cdf.searchsorted(rng.random(k), side="right")),)
 
-        steps = _sarah_loop(problem, p_cat, group.x, config.eta, config.m,
-                            [draw_block], group, group.start)
-        try:
-            for t, (x, v) in enumerate(steps):
-                vnorms[r, t] = _sq_norm(v)
-            (trace,) = group.finish(x, x)
-        except _Diverged as stop:
-            raise stop.error from None
-    return trace, vnorms.mean(axis=0)
+    def draw_block(k, rng):
+        return ((np.arange(k + 1), cdf.searchsorted(rng.random(k), side="right")),)
+
+    def body(problem, config, group, rngs):
+        draws = [functools.partial(draw_block, rng=rng) for rng in rngs]
+        vnorms = np.empty((config.m, group.R))  # each run's _sq_norm(v), row by row
+        steps = _sarah_loop(problem, p_cat, group.x, config.eta, config.m, draws, group, group.start)
+        for t, (x, v) in enumerate(steps):
+            vnorms[t] = np.add.reduce((v * v).reshape(group.R, -1), axis=1)
+        return list(zip(group.finish(x, x), vnorms.T))
+
+    children = np.random.SeedSequence(config.seed).spawn(config.replicates)
+    outs = _grouped(body, problem, config, x0, children, need_m=True,
+                    streams=lambda child: (np.random.default_rng(child),))
+    for out in outs:
+        if isinstance(out, DivergenceError):
+            raise out
+    return outs[-1][0], np.array([vnorms for _, vnorms in outs]).mean(axis=0)
 
 
 def run_gd_wrapper(
@@ -882,7 +883,6 @@ def _wrapper_inner_config(
                               checkpoint_epochs=outer_cfg.checkpoint_epochs)
     cfg.outer = 1
     return cfg
-
 
 
 # ---------------------------------------------------------------------------

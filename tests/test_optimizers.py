@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -789,6 +790,50 @@ class TestGroups:
                               "sarah": "full_gradient"}[method]
         assert_same_trace(self.RUNNERS[method](prob, cfg, x0, seeds=[cfg.seed])[0], ref)
 
+    def test_convex_replicates_share_one_pass_at_the_start(self, monkeypatch):
+        # the R = 3 replicates' start checkpoints and full-gradient steps
+        # share one pass over all rows at x0, counted as above
+        prob = small_problem(n=20, d=4, seed=5, loss=LossKind.QUADRATIC, mu=0.2)
+        cfg = derive_sarah_convex_config(prob, m=30, replicates=3, seed=2, checkpoint_epochs=0.5)
+        x0 = np.full(4, 0.1)
+        at_start = []
+        margins = Dataset.margins
+
+        def counted(dataset, points):
+            at_start.extend(np.array_equal(x, x0) for x in points)
+            return margins(dataset, points)
+
+        monkeypatch.setattr(Dataset, "margins", counted)
+        run_sarah_convex(prob, cfg, x0)
+        assert at_start.count(True) == 1 and len(at_start) > 3
+
+    def test_convex_raises_the_first_replicate_divergence(self, monkeypatch):
+        # limits at which replicates 1, 2 and 3 of 6 stop and the others do
+        # not: the error raised is replicate 1's, as its run alone gives it
+        prob = small_problem(n=12, d=3, seed=2, loss=LossKind.QUADRATIC, mu=0.1)
+        x0 = np.full(3, 0.5)
+        monkeypatch.setattr(optimizers, "DIVERGENCE_LIMIT", 20.0)
+        monkeypatch.setattr(optimizers, "DIVERGENCE_SCREEN", 20.0)
+        assert abs(loss_value(prob, x0)) < optimizers.DIVERGENCE_LIMIT
+        cfg = derive_sarah_convex_config(prob, m=40, eta=1.95 / prob.Lbar, replicates=6,
+                                         seed=3, checkpoint_epochs=0.25)
+        singles = []
+        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.replicates):
+            with monkeypatch.context() as mp:
+                mp.setattr(np.random, "SeedSequence",
+                           lambda seed, child=child: SimpleNamespace(spawn=lambda k: [child]))
+                try:
+                    singles.append(run_sarah_convex(prob, dataclasses.replace(cfg, replicates=1), x0=x0))
+                except DivergenceError as exc:
+                    singles.append(exc)
+        stopped = [r for r, out in enumerate(singles) if isinstance(out, DivergenceError)]
+        assert stopped[0] > 0 and len(stopped) > 1 and len(stopped) < cfg.replicates
+        with pytest.raises(DivergenceError) as got:
+            run_sarah_convex(prob, cfg, x0=x0)
+        want = singles[stopped[0]]
+        assert str(got.value) == str(want)
+        assert_same_trace(got.value.trace, want.trace)
+
 
 class TestBufferOwnership:
     @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
@@ -1176,6 +1221,34 @@ class TestLookahead:
             assert view.cols.base is ch.block.cols and view.vals.base is ch.block.vals
             x = np.arange(5.0) - 2.0
             assert np.array_equal(view.margins(x), want.margins(x))
+
+    @pytest.mark.parametrize("runs", [1, 200])
+    def test_chunk_peak_memory_per_budgeted_entry(self, monkeypatch, runs):
+        # drawing and gathering one chunk of R single-sample runs peaks
+        # under 64 bytes per entry of the R LOOKAHEAD_ENTRIES budget
+        # (measured 46.6 at R = 1, 44.0 at R = 200); a 64-step block of these
+        # 256-entry rows holds 16 times that budget
+        monkeypatch.setattr(optimizers, "LOOKAHEAD_ENTRIES", 1 << 10)
+        prob = small_problem(n=50, d=256, seed=1, loss=LossKind.QUADRATIC, mu=0.1)
+        p = prob.L / prob.L.sum()
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+
+        def draw_block(k, rng):  # run_sarah_convex's draw
+            return ((np.arange(k + 1), cdf.searchsorted(rng.random(k), side="right")),)
+
+        draws = [functools.partial(draw_block, rng=np.random.default_rng(j)) for j in range(runs)]
+        chunks = optimizers._chunks(prob, p, optimizers.DRAW_STEPS, draws)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cost, ch = next(chunks)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert cost.shape[1] < optimizers.DRAW_STEPS  # the budget splits the block
+        assert ch.block.cols.size <= runs * optimizers.LOOKAHEAD_ENTRIES
+        assert peak <= 64 * runs * optimizers.LOOKAHEAD_ENTRIES
 
     def test_chunk_of_empty_steps(self):
         prob = self.split_problem()

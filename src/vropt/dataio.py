@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .common import ParseError
-from .problems import Dataset, csr_dataset
+from .problems import Dataset, _frozen_dataset
 
 
 @dataclass
@@ -151,8 +151,7 @@ def parse_libsvm(source) -> tuple[Dataset, ParseReport]:
     indices = np.concatenate(indices)
     values = np.concatenate(values)
     report.max_index_seen = int(indices.max()) + 1 if indices.size else 0
-    dataset = csr_dataset(indptr, indices, values, labels, d=report.max_index_seen)
-    return dataset, report
+    return _frozen_dataset(indptr, indices, values, labels, report.max_index_seen), report
 
 
 def _cpus() -> int:
@@ -452,7 +451,7 @@ def subsample(dataset: Dataset, n_keep: int, seed: int) -> Dataset:
     indptr = np.zeros(n_keep + 1, dtype=np.int64)
     np.cumsum(np.diff(dataset.indptr)[keep], out=indptr[1:])
     block = dataset.block(keep)
-    return csr_dataset(indptr, block.cols, block.vals, block.labels, d=dataset.d)
+    return _frozen_dataset(indptr, block.cols, block.vals, block.labels, dataset.d)
 
 
 def maxabs_scale(dataset: Dataset) -> Dataset:
@@ -461,4 +460,4 @@ def maxabs_scale(dataset: Dataset) -> Dataset:
     np.maximum.at(scale, dataset.indices, np.abs(dataset.data))
     scale[scale == 0.0] = 1.0
     data = dataset.data / scale[dataset.indices]
-    return csr_dataset(dataset.indptr, dataset.indices, data, dataset.labels, dataset.d)
+    return _frozen_dataset(dataset.indptr, dataset.indices, data, dataset.labels, dataset.d)

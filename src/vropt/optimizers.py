@@ -267,16 +267,6 @@ def take_snapshot(problem: Problem, x: np.ndarray, done: tuple | None = None) ->
     return SvrgSnapshot(x.copy(), *(done or full_pass(problem, x, value=False))[1:])
 
 
-def _runs(problem: Problem, x: np.ndarray, rows: np.ndarray) -> list:
-    """For each of the points end to end in x: (its coordinates, its part of
-    ``rows``), where ``rows`` lists the first point's rows, then the
-    second's, each offset by n times its point's index."""
-    n, d = problem.dataset.n, problem.dataset.d
-    bounds = np.searchsorted(rows, np.arange(x.size // d + 1) * n).tolist()
-    return [(slice(j * d, j * d + d), slice(a, b))
-            for j, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-
-
 def svrg_direction(
     problem: Problem, p: np.ndarray, x: np.ndarray, snap: SvrgSnapshot, subset,
     *, block: RowBlock | None = None, w: np.ndarray | None = None,
@@ -360,8 +350,13 @@ def sarah_increment(
     c = w * (s[0] - s[1])
     v = block.scatter(c, x.size)
     if problem.mu:
-        for run, part in _runs(problem, x, subset):
-            v[run] += problem.mu * w[part].sum() * (x[run] - x_prev[run])
+        # mu W_j (x_j - x_prev_j) for each run j (its rows offset by j n, see _Chunk).
+        # reduceat adds a segment's first term to the pairwise sum of the rest, so a
+        # 0 leads each segment: W_j has the bits of w[S_j].sum(), and 0 if S_j is empty
+        runs = np.arange(x.size // problem.dataset.d)
+        starts = np.searchsorted(subset, runs * problem.dataset.n)
+        W = np.add.reduceat(np.insert(w, starts, 0.0), starts + runs)
+        v += np.repeat(problem.mu * W, problem.dataset.d) * (x - x_prev)
     return v
 
 

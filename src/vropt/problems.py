@@ -48,9 +48,9 @@ class Dataset:
         term plus numpy's pairwise sum of the rest, in entry order.  A row
         without entries reads 0, and each point's margins are those of the
         point alone."""
-        # the indices lie in [0, d) (csr_dataset checks), so "clip" changes
-        # nothing; without the bounds test a five-point gather takes half
-        # the time
+        # the indices lie in [0, d) (checked by csr_dataset, guaranteed by the
+        # parser and the package's builders), so "clip" changes nothing;
+        # without the bounds test a five-point gather takes half the time
         terms = np.take(points, self.indices, axis=1, mode="clip")
         terms *= self.data
         starts, rows = self._segments
@@ -240,10 +240,15 @@ def csr_dataset(indptr, indices, data, labels, d: int | None = None) -> Dataset:
         d = max_idx + 1
     elif max_idx >= d:
         raise ValueError(f"row index {max_idx} outside feature dimension {d}")
+    return _frozen_dataset(indptr, indices, data, labels, d)
+
+
+def _frozen_dataset(indptr, indices, data, labels, d: int) -> Dataset:
+    """Freeze CSR arrays known valid (see ``csr_dataset``) into a Dataset, unchecked."""
     y = labels.astype(float)
     for a in (indptr, indices, data, y):
         a.setflags(write=False)
-    return Dataset(n=n, d=d, indptr=indptr, indices=indices, data=data, labels=y)
+    return Dataset(n=indptr.size - 1, d=d, indptr=indptr, indices=indices, data=data, labels=y)
 
 
 def synthesize(n: int, d: int, skew: float, seed: int) -> Dataset:
@@ -259,7 +264,7 @@ def synthesize(n: int, d: int, skew: float, seed: int) -> Dataset:
     A *= (np.sqrt(targets) / norms)[:, None]
     labels = rng.integers(0, 2, size=n) * 2 - 1
     indptr = np.arange(n + 1, dtype=np.int64) * d
-    return csr_dataset(indptr, np.tile(np.arange(d), n), A.ravel(), labels, d)
+    return _frozen_dataset(indptr, np.tile(np.arange(d, dtype=np.int64), n), A.ravel(), labels, d)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

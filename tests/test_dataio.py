@@ -210,6 +210,38 @@ def test_maxabs_scale():
     assert np.array_equal(scaled.rows[1][1], [-0.5])
 
 
+# CRLF line ends with a comment and a row without features; rows without
+# features first and last
+_CRLF = b"# header 1:1\r\n1 1:0.5 3:1e-05\r\n-1\r\n+1 2:2.5E+3\r\n"
+_EMPTY_ROWS = b"-1\n1 2:3 5:-0.25\n0 1:1.5\n1\n"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_libsvm(_CRLF)[0],
+    lambda: parse_libsvm(_EMPTY_ROWS)[0],
+    lambda: parse_libsvm(dumps_libsvm(synthesize(40, 6, 5.0, seed=2)).encode())[0],
+    lambda: subsample(parse_libsvm(_EMPTY_ROWS)[0], 3, seed=1),
+    lambda: subsample(synthesize(30, 4, 3.0, seed=5), 11, seed=6),
+    lambda: maxabs_scale(parse_libsvm(_EMPTY_ROWS)[0]),
+    lambda: maxabs_scale(synthesize(20, 3, 8.0, seed=7)),
+    lambda: synthesize(25, 4, 10.0, seed=8),
+    lambda: synthesize(1, 1, 1.0, seed=9),
+], ids=["parse-crlf", "parse-empty-rows", "parse-written", "subsample-parsed",
+        "subsample-synthetic", "maxabs-parsed", "maxabs-synthetic", "synthesize",
+        "synthesize-one"])
+def test_builders_make_what_csr_dataset_checks(build):
+    # the parser and the builders freeze their arrays unchecked: the result
+    # is csr_dataset's of the same arrays, float64 labels, every array read-only
+    ds = build()
+    want = csr_dataset(ds.indptr, ds.indices, ds.data, ds.labels, ds.d)
+    assert (ds.n, ds.d) == (want.n, want.d)
+    for name in ("indptr", "indices", "data", "labels"):
+        got, ref = getattr(ds, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert not got.flags.writeable
+    assert ds.labels.dtype == np.float64
+
+
 # The parser's former line-by-line loop, kept verbatim as the reference the
 # vectorised scan is checked against (only the names of its helpers differ).
 

@@ -393,6 +393,46 @@ class TestEstimatorsAgainstRowReference:
                         sarah_increment(prob, p, a, b, subset, block=block), ref
                     )
 
+    # per-run set sizes: empty, one, below, at and past numpy's 8-term
+    # pairwise block, and long
+    RUN_SIZES = (0, 1, 7, 8, 9, 40, 57)
+
+    def test_sarah_mu_term_of_runs_end_to_end(self):
+        # R runs' points end to end, as a runner's seed group steps them: each
+        # run's mu W_j (x_j - x_prev_j) has the bits of a loop over the runs
+        # that sums W_j = sum_{i in S_j} 1/(n p_i) as w[S_j].sum()
+        n, d, mu = 60, 5, 0.6
+        rng = np.random.default_rng(40)
+        mask = rng.random((n, d)) < 0.5
+        mask[::7] = False  # some rows without entries
+        rows = [(np.flatnonzero(m), rng.standard_normal(int(m.sum()))) for m in mask]
+        labels = rng.integers(0, 2, size=n) * 2 - 1
+        prob = build_problem(make_dataset(rows, labels, d=d), LossKind.QUADRATIC, mu)
+        ds = prob.dataset
+        p = rng.uniform(0.05, 1.0, size=n)
+        sizes = self.RUN_SIZES
+        for R in (1, 3, 8):
+            for first in range(len(sizes)):
+                ks = [sizes[(first + j) % len(sizes)] for j in range(R)]
+                sets = [rng.choice(n, size=k, replace=False) for k in ks]
+                x, x_prev = rng.standard_normal(R * d), rng.standard_normal(R * d)
+                ref = np.empty(R * d)
+                for j, S in enumerate(sets):
+                    run = slice(j * d, j * d + d)
+                    block = ds.block(S)
+                    w = 1.0 / (n * p[S])
+                    c = w * (row_slopes(prob, block, x[run]) - row_slopes(prob, block, x_prev[run]))
+                    ref[run] = block.scatter(c, d)
+                    ref[run] += mu * w.sum() * (x[run] - x_prev[run])
+                    assert np.array_equal(sarah_increment(prob, p, x[run], x_prev[run], S), ref[run])
+                # the runner's call: run j's rows offset by j n, its columns by j d
+                flat = np.concatenate(sets).astype(np.int64)
+                owner = np.repeat(np.arange(R), ks)
+                block = ds.block(flat, owner * d if R > 1 else None)
+                w = 1.0 / (n * p[flat])
+                v = sarah_increment(prob, p, x, x_prev, flat + owner * n, block=block, w=w)
+                assert np.array_equal(v, ref)
+
 
 class TestExactRegulariser:
     """SVRG and SAGA variance-reduce the data parts phi_i of

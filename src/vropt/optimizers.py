@@ -7,8 +7,10 @@ theorem-driven hyperparameter derivation and closed-form cost predictors.
 
 All runs are deterministic per seed: one substream drives the subset draws,
 a second drives the uniform-over-iterates output selection, so the iterate
-trajectory does not depend on whether an output is being selected.  A
-convex replicate, whose output is its last iterate, has only the first.
+trajectory does not depend on whether an output is being selected.  Each
+loop draws its output doubles before it starts (``_Group.choose``), and the
+group copies each run's point out at the step it chose.  A convex
+replicate, whose output is its last iterate, has only the first stream.
 """
 
 from __future__ import annotations
@@ -105,53 +107,6 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(s_draw), np.random.default_rng(s_out)
 
 
-class _Reservoir:
-    """Uniform pick over a stream of iterates in O(1) memory, for each run
-    that draws from one of ``rngs``.  Every run is offered the same number of
-    points, as one array of the runs' points end to end.
-
-    ``size`` is the number of offers to come.  The uniforms of up to
-    ``BLOCK`` of them are drawn per run at once, which gives the doubles of
-    as many single ``rng.random()`` calls, and never more than ``size`` in
-    all, so a run that draws from its stream after the last offer gets the
-    doubles it would get with single calls."""
-
-    BLOCK = 256
-
-    def __init__(self, *rngs: np.random.Generator, size: int = 1):
-        self.rngs = rngs
-        self.left = size
-        self.count = 0
-        self.value: np.ndarray | None = None
-        self.takes: list = []   # per offer still drawn: True, False or a mask
-
-    def offer(self, x: np.ndarray) -> None:
-        if not self.takes:
-            self._draw()
-        take = self.takes.pop()
-        self.count += 1
-        if take is True:
-            self.value = x.copy()
-        elif take is not False:
-            value = self.value.copy()
-            value.reshape(len(self.rngs), -1)[take] = x.reshape(len(self.rngs), -1)[take]
-            self.value = value
-
-    def _draw(self) -> None:
-        k = max(1, min(self.BLOCK, self.left))
-        self.left -= k
-        u = np.array([rng.random(k) for rng in self.rngs])
-        take = u < 1.0 / np.arange(self.count + 1, self.count + k + 1)
-        every, some = take.all(axis=0).tolist(), take.any(axis=0).tolist()
-        self.takes = [True if e else (s and take[:, i]) for i, (e, s) in enumerate(zip(every, some))]
-        self.takes.reverse()
-
-    def pick(self) -> np.ndarray:
-        if self.value is None:
-            raise RuntimeError("no iterates offered")
-        return self.value
-
-
 class _Recorder:
     """One run's checkpoints at epoch boundaries and its divergence guard;
     metric evaluations are diagnostic and never counted as stochastic
@@ -165,8 +120,10 @@ class _Recorder:
         self.n = problem.dataset.n
         if not (math.isfinite(checkpoint_epochs) and checkpoint_epochs > 0):
             raise ConfigError("checkpoint cadence must be positive and finite")
-        # a cadence under half a row still checkpoints once per evaluation
-        self.stride = max(1, int(round(checkpoint_epochs * self.n)))
+        # a cadence under half a row still checkpoints once per evaluation;
+        # one past 2^62 evaluations, which no run reaches, checkpoints only
+        # at the start and the end, with a stride that fits plan's int64 //
+        self.stride = max(1, int(round(min(checkpoint_epochs * self.n, 2.0**62))))
         self.rows: list[tuple[float, float, float, int, int]] = []
         self.t0 = time.perf_counter_ns()
         self.next_at = 0
@@ -469,12 +426,18 @@ class _Group:
     ``x[j d:(j + 1) d]``.  Each run keeps its own streams and
     its own ``_Recorder``; the group does the per-step bookkeeping for all
     of them at once: the evaluation counts and the steps at which each run
-    checkpoints, once per chunk (``plan``), and per step one screening dot
-    over every iterate (``step``).  A run that diverges raises
-    ``_Diverged``, which stops the group (see ``_grouped``)."""
+    checkpoints, once per chunk (``plan``), the step at which each run keeps
+    its output point, once per loop (``choose``), and per step one screening
+    dot over every iterate and the copies of the points kept (``step``).  A
+    run that diverges raises ``_Diverged``, which stops the group (see
+    ``_grouped``)."""
+
+    # the output doubles that ``choose`` holds per run at a time
+    BLOCK = 4096
 
     def __init__(self, problem: Problem, x: np.ndarray, runs: int, checkpoint_epochs: float):
         self.problem, self.R = problem, runs
+        self.offered, self.keep = 0, {}
         self.recs = [_Recorder(problem, checkpoint_epochs) for _ in range(runs)]
         self.evals = np.zeros(self.R, dtype=np.int64)
         # one pass at the start serves every run: its checkpoint at 0, and
@@ -488,6 +451,25 @@ class _Group:
     def due(self, cost: int) -> bool:
         """Whether some run checkpoints after ``cost`` more evaluations."""
         return any(e + cost >= rec.next_at for e, rec in zip(self.evals.tolist(), self.recs))
+
+    def choose(self, rngs, offers: int, x: np.ndarray) -> None:
+        """Choose each run's output among ``offers`` points: x, then its
+        point after each of the next ``offers - 1`` steps, which ``step``
+        copies into ``out`` as they come.  Run j draws one double u_i per
+        offer i from ``rngs[j]``, ``BLOCK`` at a time (k doubles in one call
+        are those of k calls), and keeps the last offer with u_i < 1/(i + 1),
+        which is uniform over the offers and is the point a one-point
+        reservoir fed the same doubles keeps."""
+        chosen = np.zeros(self.R, dtype=np.int64)
+        for a in range(0, offers, self.BLOCK):
+            i = np.arange(a, min(a + self.BLOCK, offers))
+            take = np.array([rng.random(i.size) for rng in rngs]) < 1.0 / (i + 1)
+            last = i[-1] - np.argmax(take[:, ::-1], axis=1)
+            chosen = np.where(take.any(axis=1), last, chosen)
+        self.out, self.offered, self.keep = x.copy(), 0, {}
+        for j, i in enumerate(chosen.tolist()):
+            if i:
+                self.keep.setdefault(i, []).append(j)
 
     def plan(self, cost: np.ndarray) -> None:
         """The next ``cost.shape[1]`` steps cost run j ``cost[j, t]``
@@ -505,8 +487,12 @@ class _Group:
         self.evals = counts[:, -1]
 
     def step(self, t: int, x: np.ndarray) -> None:
-        """Step t of the plan reached x: guard every run, then checkpoint
-        the runs due."""
+        """Step t of the plan reached x: keep the points chosen here, guard
+        every run, then checkpoint the runs due."""
+        self.offered += 1
+        kept = self.keep.get(self.offered)
+        if kept:
+            self.out.reshape(self.R, -1)[kept] = x.reshape(self.R, -1)[kept]
         # vdot is x @ x without numpy's overflow warning; NaN fails the test
         if not float(np.vdot(x, x)) <= DIVERGENCE_SCREEN:
             points = x.reshape(self.R, -1)
@@ -619,8 +605,7 @@ def run_svrg(problem: Problem, config: RunConfig, x0=None, seeds=None):
 def _svrg(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rngs) -> list:
     n, x = problem.dataset.n, group.x
     p = config.scheme.p
-    res = _Reservoir(*out_rngs, size=1 + config.outer * config.m)
-    res.offer(x)
+    group.choose(out_rngs, 1 + config.outer * config.m, x)
     done = group.start
     draws = _draws(draw_rngs, config.scheme)
     for _ in range(config.outer):
@@ -636,9 +621,8 @@ def _svrg(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
                 v = svrg_direction(problem, p, x, snap, rows, block=block, w=w)
                 v *= config.eta
                 x -= v
-                res.offer(x)
                 group.step(t, x)
-    return group.finish(x, res.pick())
+    return group.finish(x, group.out)
 
 
 def _saga_step(problem: Problem, mem: SagaMemory, x: np.ndarray, ch: _Chunk, t: int) -> np.ndarray:
@@ -685,8 +669,7 @@ def run_saga(problem: Problem, config: RunConfig, x0=None, seeds=None):
 def _saga(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rngs) -> list:
     n, x = problem.dataset.n, group.x
     p = config.scheme.p
-    res = _Reservoir(*out_rngs, size=1 + config.steps)
-    res.offer(x)
+    group.choose(out_rngs, 1 + config.steps, x)
     mem = init_saga_memory(problem, x, group.start)
     group.charge(n, x, group.start)
     refresh_prob = min(1.0, config.d_refresh / n)
@@ -700,10 +683,9 @@ def _saga(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
             x -= v
             if (t0 + t + 1) % n == 0:
                 mem.g = saga_recompute_average(problem, mem)
-            res.offer(x)
             group.step(t, x)
         t0 += cost.shape[1]
-    return group.finish(x, res.pick())
+    return group.finish(x, group.out)
 
 
 def _sarah_loop(problem: Problem, p: np.ndarray, x: np.ndarray, eta: float, m: int,
@@ -750,11 +732,10 @@ def _sarah(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rn
     x, done, p = group.x, group.start, config.scheme.p
     draws = _draws(draw_rngs, config.scheme)
     for _ in range(config.outer):
-        inner = _Reservoir(*out_rngs, size=config.m + 1)
-        inner.offer(x)
-        for x, _ in _sarah_loop(problem, p, x, config.eta, config.m, draws, group, done):
-            inner.offer(x)
-        x, done = inner.pick(), None
+        group.choose(out_rngs, config.m + 1, x)
+        for _ in _sarah_loop(problem, p, x, config.eta, config.m, draws, group, done):
+            pass
+        x, done = group.out, None
     return group.finish(x, x)
 
 

@@ -583,6 +583,24 @@ class TestMainEntry:
         assert len(want) == 19
         assert read_bytes_map(tmp_path / "w1") == want == read_bytes_map(tmp_path / "w3")
 
+    def test_cadence_past_the_budget_checkpoints_at_start_and_end(self, tmp_path):
+        # however large the cadence, the traces are those of 1e6 epochs:
+        # the checkpoint stride stays within int64's range
+        flags = ["run", "--synthetic", "20,3,10", "--method", "svrg,saga,sarah",
+                 "--scheme", "uniform", "--batch", "2", "--seed", "1", "--epochs", "2"]
+        got = {}
+        for cadence in ["1e6", "1e18", "1e300", "1e308"]:
+            out = tmp_path / cadence
+            assert main([*flags, "--cadence", cadence, "--out", str(out)]) == 0
+            traces = read_bytes_map(out)
+            del traces[MANIFEST_NAME]
+            rows = read_manifest(out / MANIFEST_NAME)
+            assert {float(row.pop("cadence")) for row in rows} == {float(cadence)}
+            got[cadence] = traces, rows
+        traces, rows = got["1e6"]
+        assert len(traces) == 3 and all(t.count(b"\n") == 3 for t in traces.values())
+        assert all(v == (traces, rows) for v in got.values())
+
     def test_summarize_csv_file(self, tmp_path, capsys):
         out = tmp_path / "t"
         run_experiment(tiny_spec(out))

@@ -783,21 +783,31 @@ class TestGroups:
                     kinds.append("ok")
         assert "diverged" in kinds and "ok" in kinds, kinds
 
-    @pytest.mark.parametrize("runs, size, offers",
-                             [(1, 1, 1), (1, 5, 5), (3, 300, 300), (2, 600, 700), (4, 1, 9)])
-    def test_reservoir_draws_as_single_calls(self, runs, size, offers):
-        # each run's picks, and what its stream draws after the last offer,
-        # are those of one rng.random() per offer
-        res = optimizers._Reservoir(*map(np.random.default_rng, range(runs)), size=size)
-        ref = [np.random.default_rng(seed) for seed in range(runs)]
-        picks = [None] * runs
-        for t, x in enumerate(np.random.default_rng(9).standard_normal((offers, runs, 2)), 1):
-            res.offer(x.ravel())
-            for j, rng in enumerate(ref):
-                if rng.random() < 1.0 / t:
-                    picks[j] = x[j]
-        assert np.array_equal(res.pick(), np.ravel(picks))
-        assert [rng.random() for rng in res.rngs] == [rng.random() for rng in ref]
+    BLOCK = optimizers._Group.BLOCK
+
+    @pytest.mark.parametrize("offers", [1, 5, 300, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("seeds", [(0,), (0, 1, 2), (0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10), (5, 2, 5)])
+    def test_choose_draws_as_single_calls(self, seeds, offers):
+        # each run's chosen point, and what its stream draws after the
+        # choice, are those of a reservoir fed one rng.random() per offer;
+        # runs 0 and 2 of seeds (5, 2, 5) choose the same offer
+        runs, d = len(seeds), 2
+        group = optimizers._Group(small_problem(n=5, d=d), np.zeros(d), runs, 1.0)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        points = np.random.default_rng(9).standard_normal((offers, runs * d))
+        group.choose(rngs, offers, points[0])
+        if offers > 1:
+            group.plan(np.zeros((runs, offers - 1), dtype=np.int64))  # no checkpoint
+        for t, x in enumerate(points[1:]):
+            group.step(t, x)
+        ref = [OnePointReservoir(np.random.default_rng(seed)) for seed in seeds]
+        for x in points.reshape(offers, runs, d):
+            for res, point in zip(ref, x):
+                res.offer(point)
+        assert np.array_equal(group.out, np.ravel([res.pick() for res in ref]))
+        assert [rng.random() for rng in rngs] == [res.rng.random() for res in ref]
+        if seeds == (5, 2, 5) and offers > 1:
+            assert [0, 2] in group.keep.values()
 
     @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
     def test_one_pass_at_the_start(self, monkeypatch, method):
@@ -878,25 +888,39 @@ class TestGroups:
 class TestBufferOwnership:
     @pytest.mark.parametrize("method", ["svrg", "saga", "sarah"])
     def test_kept_iterates_are_not_overwritten(self, monkeypatch, method):
-        # the runners update their iterate in place; a reservoir keeps a copy
-        kept = []
+        # the runners update their iterate in place; the group keeps a copy
+        # of each run's point at its chosen step, which stays as it was
+        # taken: it is each SARAH restart point and the output
+        loops = []  # per choice: the group's output array, the chosen steps
+        choose, step = optimizers._Group.choose, optimizers._Group.step
 
-        class Recording(optimizers._Reservoir):
-            def offer(self, x):
-                before = self.value
-                super().offer(x)
-                if self.value is not before:
-                    kept.append((self.value, x.copy()))
+        def choosing(group, rngs, offers, x):
+            choose(group, rngs, offers, x)
+            loops.append((group.out, dict(group.keep), [x.reshape(group.R, -1).copy()]))
 
-        monkeypatch.setattr(optimizers, "_Reservoir", Recording)
+        def stepping(group, t, x):
+            step(group, t, x)
+            loops[-1][2].append(x.reshape(group.R, -1).copy())  # a copy of each offer
+
+        monkeypatch.setattr(optimizers._Group, "choose", choosing)
+        monkeypatch.setattr(optimizers._Group, "step", stepping)
         prob = small_problem(n=20, d=4, seed=5)
         cfg = lookahead_config(method, uniform_minibatch(20, 2), eta=0.2)
         x0 = np.full(4, 0.1)
         x0.setflags(write=False)  # the runner updates a copy of its start
-        TestLookahead.RUNNERS[method](prob, cfg, x0=x0)
-        assert len(kept) > 1
-        for value, at_offer in kept:
-            assert np.array_equal(value, at_offer)
+        seeds = [13, 2, 5]
+        traces = TestLookahead.RUNNERS[method](prob, cfg, x0=x0, seeds=seeds)
+        assert len(loops) == (cfg.outer if method == "sarah" else 1)
+        chosen = []
+        for out, keep, offers in loops:
+            at = {j: i for i, runs in keep.items() for j in runs}
+            chosen.append(np.array([offers[at.get(j, 0)][j] for j in range(len(seeds))]))
+            assert np.array_equal(out, chosen[-1].ravel())
+        assert any(keep for _, keep, _ in loops)
+        for before, (_, _, offers) in zip(chosen, loops[1:]):
+            assert np.array_equal(offers[0], before)  # SARAH's restart points
+        for j, trace in enumerate(traces):
+            assert np.array_equal(trace.x_a, chosen[-1][j])
 
     def test_convex_replicates_equal_one_replicate_runs(self, monkeypatch):
         # the replicates share their start, which no replicate may write into
@@ -959,6 +983,22 @@ def scripted_draw(sets):
     return draw_block
 
 
+class OnePointReservoir:
+    """A uniform pick over a stream of points: one ``rng.random()`` per
+    offer, which keeps the t-th point offered if it is below 1/t."""
+
+    def __init__(self, rng):
+        self.rng, self.count, self.value = rng, 0, None
+
+    def offer(self, x):
+        self.count += 1
+        if self.rng.random() < 1.0 / self.count:
+            self.value = x.copy()
+
+    def pick(self):
+        return self.value
+
+
 def direct_run(method, prob, cfg, sizes):
     """The runners' arithmetic one step at a time, without look-ahead
     gathering: each estimator gathers its own rows.  The sets are drawn
@@ -980,7 +1020,7 @@ def direct_run(method, prob, cfg, sizes):
         return rows
 
     if method == "svrg":
-        res = optimizers._Reservoir(rng_out)
+        res = OnePointReservoir(rng_out)
         res.offer(x)
         for _ in range(cfg.outer):
             snap = take_snapshot(prob, x)
@@ -996,7 +1036,7 @@ def direct_run(method, prob, cfg, sizes):
         rec.record(evals, x)
         return rec.trace(res.pick(), evals)
     if method == "saga":
-        res = optimizers._Reservoir(rng_out)
+        res = OnePointReservoir(rng_out)
         res.offer(x)
         mem = init_saga_memory(prob, x)
         evals = n
@@ -1020,7 +1060,7 @@ def direct_run(method, prob, cfg, sizes):
         rec.record(evals, x)
         return rec.trace(res.pick(), evals)
     for _ in range(cfg.outer):
-        inner = optimizers._Reservoir(rng_out)
+        inner = OnePointReservoir(rng_out)
         inner.offer(x)
         v = full_gradient(prob, x)
         evals += n

@@ -11,6 +11,12 @@ trajectory does not depend on whether an output is being selected.  Each
 loop draws its output doubles before it starts (``_Group.choose``), and the
 group copies each run's point out at the step it chose.  A convex
 replicate, whose output is its last iterate, has only the first stream.
+
+The runs of one config are stepped together as one ``_Group``, which alone
+keeps each run's bookkeeping: its count of stochastic-gradient evaluations,
+its checkpoints (at the start, at each step or anchor whose count reaches
+the next multiple of the stride, and at the end) and its divergence guard,
+which also screens the start point.
 """
 
 from __future__ import annotations
@@ -105,85 +111,6 @@ class RunTrace:
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     s_draw, s_out = np.random.SeedSequence(seed).spawn(2)
     return np.random.default_rng(s_draw), np.random.default_rng(s_out)
-
-
-class _Recorder:
-    """One run's checkpoints at epoch boundaries and its divergence guard;
-    metric evaluations are diagnostic and never counted as stochastic
-    gradient work.  ``step``, ``maybe`` and ``finish`` take a run one step
-    at a time, counting its evaluations in ``evals``, as the tests' reference
-    loops do; the runners' ``_Group`` counts and decides the steps of all of
-    its runs at once and calls ``record`` and ``guard``."""
-
-    def __init__(self, problem: Problem, checkpoint_epochs: float = 1.0):
-        self.problem = problem
-        self.n = problem.dataset.n
-        if not (math.isfinite(checkpoint_epochs) and checkpoint_epochs > 0):
-            raise ConfigError("checkpoint cadence must be positive and finite")
-        # a cadence under half a row still checkpoints once per evaluation;
-        # one past 2^62 evaluations, which no run reaches, checkpoints only
-        # at the start and the end, with a stride that fits plan's int64 //
-        self.stride = max(1, int(round(min(checkpoint_epochs * self.n, 2.0**62))))
-        self.rows: list[tuple[float, float, float, int, int]] = []
-        self.t0 = time.perf_counter_ns()
-        self.next_at = 0
-        self.evals = 0
-
-    def step(self, cost: int, x: np.ndarray) -> None:
-        """A step to x that cost ``cost`` evaluations: guard x, then
-        checkpoint if one is due."""
-        self.evals += cost
-        self.guard(x, self.evals)
-        self.maybe(self.evals, x)
-
-    def finish(self, x: np.ndarray, x_a: np.ndarray) -> RunTrace:
-        """The last checkpoint, at x, then the trace with output ``x_a``."""
-        self.record(self.evals, x)
-        return self.trace(x_a, self.evals)
-
-    def maybe(self, evals: int, x: np.ndarray) -> None:
-        if evals >= self.next_at:
-            self.record(evals, x)
-
-    def record(self, evals: int, x: np.ndarray, done: tuple | None = None) -> None:
-        """Checkpoint at x, from ``done`` if the pass at x was already made."""
-        if self.rows and evals == self.rows[-1][3]:
-            return
-        (f,), _, g = done or full_pass(self.problem, x)
-        gnorm = _sq_norm(g)
-        if not (math.isfinite(f) and math.isfinite(gnorm)) or abs(f) > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"objective diverged at {evals} evaluations",
-                self.trace(np.full(x.shape, np.nan), evals),
-            )
-        self.rows.append(
-            (evals / self.n, f, gnorm, evals, time.perf_counter_ns() - self.t0)
-        )
-        self.next_at = (evals // self.stride + 1) * self.stride
-
-    def guard(self, x: np.ndarray, evals: int) -> None:
-        # vdot is x @ x without numpy's overflow warning; NaN fails the test
-        if float(np.vdot(x, x)) <= DIVERGENCE_SCREEN:
-            return
-        m = float(max(x.max(), -x.min())) if x.size else 0.0  # NaN if x has one
-        if not math.isfinite(m) or m > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"iterate diverged at {evals} evaluations",
-                self.trace(np.full(x.shape, np.nan), evals),
-            )
-
-    def trace(self, x_a: np.ndarray, evals: int) -> RunTrace:
-        rows = self.rows or [(0.0, math.nan, math.nan, 0, 0)]
-        cols = list(zip(*rows))
-        return RunTrace(
-            epoch=np.array(cols[0]),
-            loss=np.array(cols[1]),
-            grad_norm_sq=np.array(cols[2]),
-            sgrad_evals=np.array(cols[3], dtype=np.int64),
-            wall_ns=np.array(cols[4], dtype=np.int64),
-            x_a=np.asarray(x_a, dtype=float),
-            total_sgrad_evals=evals,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +338,16 @@ def _start_iterate(problem: Problem, x0) -> np.ndarray:
     return x
 
 
+def _diverged(x: np.ndarray) -> bool:
+    """Whether an entry of x is NaN, infinite or past DIVERGENCE_LIMIT in
+    absolute value: one screening dot, and the exact test behind it."""
+    # vdot is x @ x without numpy's overflow warning; NaN fails the screen,
+    # and an empty x passes it
+    if float(np.vdot(x, x)) <= DIVERGENCE_SCREEN:
+        return False
+    return not float(max(x.max(), -x.min())) <= DIVERGENCE_LIMIT
+
+
 class _Diverged(Exception):
     """Run ``index`` of a group stopped with ``error``, a DivergenceError."""
 
@@ -423,34 +360,45 @@ class _Group:
     """R runs of one config, one per seed, stepped together from one start.
 
     ``x`` holds the runs' iterates end to end: run j's point is
-    ``x[j d:(j + 1) d]``.  Each run keeps its own streams and
-    its own ``_Recorder``; the group does the per-step bookkeeping for all
-    of them at once: the evaluation counts and the steps at which each run
-    checkpoints, once per chunk (``plan``), the step at which each run keeps
-    its output point, once per loop (``choose``), and per step one screening
-    dot over every iterate and the copies of the points kept (``step``).  A
-    run that diverges raises ``_Diverged``, which stops the group (see
-    ``_grouped``)."""
+    ``x[j d:(j + 1) d]``.  Each run keeps its own streams; the group keeps
+    every run's bookkeeping, on one clock: its evaluation count (``evals``),
+    its checkpoint rows and its divergence guard.  Metric evaluations are
+    diagnostic and never counted.  A run checkpoints at the start, at each
+    step whose count // stride rises (``plan``, once per chunk; ``charge``
+    plans an anchor pass as one step), and at the end (``finish``).  The
+    group also picks the step at which each run keeps its output point, once
+    per loop (``choose``), and per step guards every iterate with one
+    screening dot and copies the points kept (``step``).  A run that
+    diverges raises ``_Diverged``, which stops the group (see ``_grouped``);
+    a start that diverges raises its DivergenceError, since the runs share
+    it."""
 
     # the output doubles that ``choose`` holds per run at a time
     BLOCK = 4096
 
     def __init__(self, problem: Problem, x: np.ndarray, runs: int, checkpoint_epochs: float):
+        if not (math.isfinite(checkpoint_epochs) and checkpoint_epochs > 0):
+            raise ConfigError("checkpoint cadence must be positive and finite")
         self.problem, self.R = problem, runs
+        # a cadence under half a row still checkpoints once per evaluation;
+        # one past 2^62 evaluations, which no run reaches, checkpoints only
+        # at the start and the end, with a stride that fits plan's int64 //
+        self.stride = max(1, int(round(min(checkpoint_epochs * problem.dataset.n, 2.0**62))))
+        self.rows = [[] for _ in range(runs)]  # each run's (epoch, f, ||grad f||^2, evals, wall_ns)
+        self.evals = np.zeros(runs, dtype=np.int64)
         self.offered, self.keep = 0, {}
-        self.recs = [_Recorder(problem, checkpoint_epochs) for _ in range(runs)]
-        self.evals = np.zeros(self.R, dtype=np.int64)
+        self.t0 = time.perf_counter_ns()
+        if _diverged(x):
+            raise self._stop(0, "iterate", 0).error
         # one pass at the start serves every run: its checkpoint at 0, and
         # the first anchor (``start``, in the runs' end-to-end form)
         f, slopes, g = full_pass(problem, x)
-        for rec in self.recs:
-            rec.record(0, x, (f, slopes, g))
-        self.start = (f * self.R, np.tile(slopes, self.R), np.tile(g, self.R))
-        self.x = np.tile(x, self.R)
-
-    def due(self, cost: int) -> bool:
-        """Whether some run checkpoints after ``cost`` more evaluations."""
-        return any(e + cost >= rec.next_at for e, rec in zip(self.evals.tolist(), self.recs))
+        self.start = (f * runs, np.tile(slopes, runs), np.tile(g, runs))
+        self.x = np.tile(x, runs)
+        try:
+            self.checkpoint(range(runs), self.evals, self.x, self.start)
+        except _Diverged as stop:
+            raise stop.error from None
 
     def choose(self, rngs, offers: int, x: np.ndarray) -> None:
         """Choose each run's output among ``offers`` points: x, then its
@@ -473,18 +421,20 @@ class _Group:
 
     def plan(self, cost: np.ndarray) -> None:
         """The next ``cost.shape[1]`` steps cost run j ``cost[j, t]``
-        evaluations at step t: each run's counts, and at which steps it
-        checkpoints (when its count reaches its next multiple of the
-        stride, as ``_Recorder.maybe`` decides one step at a time)."""
-        stride = self.recs[0].stride
+        evaluations at step t: each run's counts, and the steps at which it
+        checkpoints, those at which its count // stride rises (once, however
+        many multiples of the stride the step passes)."""
         counts = self.evals[:, None] + np.cumsum(cost, axis=1)
-        after = counts // stride
-        before = np.empty_like(after)
-        before[:, 0] = [rec.next_at // stride - 1 for rec in self.recs]
-        before[:, 1:] = after[:, :-1]
-        self.counts, self.checks = counts, after > before
+        marks = np.concatenate(((self.evals // self.stride)[:, None], counts // self.stride), axis=1)
+        self.counts, self.checks = counts, np.diff(marks, axis=1) > 0
         self.checks_at = self.checks.any(axis=0).tolist()
         self.evals = counts[:, -1]
+
+    def charge(self, cost: int) -> bool:
+        """Plan an anchor pass that costs each run ``cost`` evaluations, as
+        one step; whether some run checkpoints there (``checkpoint_due``)."""
+        self.plan(np.full((self.R, 1), cost))
+        return self.checks_at[0]
 
     def step(self, t: int, x: np.ndarray) -> None:
         """Step t of the plan reached x: keep the points chosen here, guard
@@ -493,49 +443,61 @@ class _Group:
         kept = self.keep.get(self.offered)
         if kept:
             self.out.reshape(self.R, -1)[kept] = x.reshape(self.R, -1)[kept]
-        # vdot is x @ x without numpy's overflow warning; NaN fails the test
-        if not float(np.vdot(x, x)) <= DIVERGENCE_SCREEN:
+        if _diverged(x):
             points = x.reshape(self.R, -1)
-            for j, rec in enumerate(self.recs):
-                self._guarded(j, rec.guard, points[j], int(self.counts[j, t]))
-        if self.checks_at[t]:
-            self.checkpoint(np.flatnonzero(self.checks[:, t]), self.counts[:, t], x)
+            j = next(j for j in range(self.R) if _diverged(points[j]))
+            raise self._stop(j, "iterate", int(self.counts[j, t]))
+        self.checkpoint_due(t, x)
 
-    def charge(self, cost: int, x: np.ndarray, done: tuple) -> None:
-        """An anchor pass at x that cost each run ``cost`` evaluations:
-        checkpoint the runs due, from ``done``, the pass made there."""
-        self.evals = self.evals + cost
-        due = [j for j, rec in enumerate(self.recs) if self.evals[j] >= rec.next_at]
-        if due:
-            self.checkpoint(due, self.evals, x, done)
+    def checkpoint_due(self, t: int, x: np.ndarray, done: tuple | None = None) -> None:
+        """Checkpoint at x the runs due at step t of the plan, from ``done``
+        if the pass at x was already made."""
+        if self.checks_at[t]:
+            self.checkpoint(np.flatnonzero(self.checks[:, t]), self.counts[:, t], x, done)
 
     def checkpoint(self, runs, counts: np.ndarray, x: np.ndarray, done: tuple | None = None):
         """Checkpoint each of ``runs`` at its count, from one pass over
-        their points (or from ``done``, a pass at all of x)."""
+        their points (or from ``done``, a pass at all of x); a run whose f
+        or ||grad f||^2 left the finite range diverges."""
         points = x.reshape(self.R, -1)
         if done is None:
             f, _, g = full_pass(self.problem, points[runs])
         else:
             f, g = [done[0][j] for j in runs], done[2].reshape(self.R, -1)[runs]
-        for i, j in enumerate(runs):
-            self._guarded(j, self.recs[j].record, int(counts[j]), points[j], ([f[i]], None, g[i]))
+        for fj, gj, j in zip(f, g, runs):
+            evals, gnorm = int(counts[j]), _sq_norm(gj)
+            if not (math.isfinite(fj) and math.isfinite(gnorm)) or abs(fj) > DIVERGENCE_LIMIT:
+                raise self._stop(j, "objective", evals)
+            self.rows[j].append((evals / self.problem.dataset.n, fj, gnorm, evals,
+                                 time.perf_counter_ns() - self.t0))
 
     def finish(self, x: np.ndarray, x_a: np.ndarray) -> list:
         """The last checkpoints, at x, then each run's trace with its output
         point from ``x_a``."""
-        last = [j for j, rec in enumerate(self.recs)
-                if not (rec.rows and rec.rows[-1][3] == self.evals[j])]
+        last = [j for j in range(self.R) if self.rows[j][-1][3] != self.evals[j]]
         if last:
             self.checkpoint(last, self.evals, x)
         out = x_a.reshape(self.R, -1)
-        return [rec.trace(out[j], int(self.evals[j])) for j, rec in enumerate(self.recs)]
+        return [self.trace(j, out[j], int(self.evals[j])) for j in range(self.R)]
 
-    @staticmethod
-    def _guarded(j: int, call, *args) -> None:
-        try:
-            call(*args)
-        except DivergenceError as exc:
-            raise _Diverged(j, exc) from None
+    def trace(self, j: int, x_a: np.ndarray, evals: int) -> RunTrace:
+        """Run j's checkpoints so far, its output x_a and its count."""
+        cols = list(zip(*(self.rows[j] or [(0.0, math.nan, math.nan, 0, 0)])))
+        return RunTrace(
+            epoch=np.array(cols[0]),
+            loss=np.array(cols[1]),
+            grad_norm_sq=np.array(cols[2]),
+            sgrad_evals=np.array(cols[3], dtype=np.int64),
+            wall_ns=np.array(cols[4], dtype=np.int64),
+            x_a=np.asarray(x_a, dtype=float),
+            total_sgrad_evals=evals,
+        )
+
+    def _stop(self, j: int, what: str, evals: int) -> _Diverged:
+        """Run j's ``what`` left the finite range at ``evals`` evaluations:
+        its trace keeps the checkpoints before, and its output is NaN."""
+        trace = self.trace(j, np.full(self.problem.dataset.d, np.nan), evals)
+        return _Diverged(j, DivergenceError(f"{what} diverged at {evals} evaluations", trace))
 
 
 def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool = False,
@@ -546,7 +508,8 @@ def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool 
     each run's result, or the DivergenceError that stopped it, in seed
     order.  A run that diverges stops the group; the other runs then start
     again without it: runs are pure functions of their seeds, so each one's
-    result is that of its run alone."""
+    result is that of its run alone.  A start that diverges raises its
+    DivergenceError: every run shares it."""
     if not config.eta > 0.0:
         raise ConfigError("step size must be positive")
     if need_m and config.m < 1:
@@ -610,9 +573,10 @@ def _svrg(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
     draws = _draws(draw_rngs, config.scheme)
     for _ in range(config.outer):
         # the anchor's pass also gives the checkpoints due at the anchor
-        done = done or full_pass(problem, x, value=group.due(n))
+        due = group.charge(n)
+        done = done or full_pass(problem, x, value=due)
         snap = take_snapshot(problem, x, done)
-        group.charge(n, x, done)
+        group.checkpoint_due(0, x, done)
         done = None
         for cost, ch in _chunks(problem, p, config.m, draws):
             group.plan(cost)
@@ -671,7 +635,8 @@ def _saga(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
     p = config.scheme.p
     group.choose(out_rngs, 1 + config.steps, x)
     mem = init_saga_memory(problem, x, group.start)
-    group.charge(n, x, group.start)
+    group.charge(n)
+    group.checkpoint_due(0, x, group.start)
     refresh_prob = min(1.0, config.d_refresh / n)
     draws = _draws(draw_rngs, config.scheme, refresh_prob)
     t0 = 0
@@ -700,7 +665,7 @@ def _sarah_loop(problem: Problem, p: np.ndarray, x: np.ndarray, eta: float, m: i
     keeps."""
     v = full_gradient(problem, x, done)
     x_prev, x = x.copy(), x - eta * v
-    group.plan(np.full((group.R, 1), problem.dataset.n))
+    group.charge(problem.dataset.n)
     group.step(0, x)
     yield x, v
     for cost, ch in _chunks(problem, p, m - 1, draws):
@@ -804,20 +769,24 @@ def run_gd_wrapper(
     scheme = config.scheme
     if scheme is None or scheme.n != problem.dataset.n:
         raise ConfigError("config.scheme must match the problem size")
-    rec = _Recorder(problem)  # holds the per-restart rows only
-    rec.record(0, x)
-    best = rec.rows[-1][1]
+    group = _Group(problem, x, 1, 1.0)  # holds the per-restart rows only
+    rows = group.rows[0]
+    best = rows[-1][1]
     gaps = [0.0]
     for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
         seed = int(child.generate_state(1)[0])
         t = runs[inner](problem, _wrapper_inner_config(problem, inner, scheme, seed, config), x0=x)
         x = t.x_a
-        rec.evals += t.total_sgrad_evals
-        rec.record(rec.evals, x)
-        f = rec.rows[-1][1]
+        group.evals += t.total_sgrad_evals
+        try:
+            group.checkpoint([0], group.evals, x)
+        except _Diverged as stop:
+            raise stop.error from None
+        f = rows[-1][1]
         best = min(best, float(t.loss.min()), f)
         gaps.append(f - best)
-    return rec.trace(x, rec.evals), np.array(gaps)
+    (trace,) = group.finish(x, x)
+    return trace, np.array(gaps)
 
 
 def _wrapper_inner_config(

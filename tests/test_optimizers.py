@@ -586,13 +586,40 @@ class TestRunSvrg:
         assert err.value.trace.epoch.size >= 1
 
     def test_guard_rejects_nan_inf_and_huge_entries(self):
-        rec = optimizers._Recorder(small_problem(n=6, d=3, seed=11))
         for bad in (np.nan, np.inf, -np.inf, 2e100, -2e100):
-            x = np.array([0.5, bad, -1.0])
-            with pytest.raises(DivergenceError):
-                rec.guard(x, 0)
-        rec.guard(np.array([1e100, -1e100, 0.0]), 0)
-        rec.guard(np.array([-np.inf, np.nan])[:0], 0)
+            assert optimizers._diverged(np.array([0.5, bad, -1.0]))
+        assert not optimizers._diverged(np.array([1e100, -1e100, 0.0]))
+        assert not optimizers._diverged(np.array([-np.inf, np.nan])[:0])
+
+    @pytest.mark.parametrize("loss", [LossKind.SIGMOID_SQUARED, LossKind.QUADRATIC])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2 * optimizers.DIVERGENCE_LIMIT])
+    def test_bad_start_rejected_before_the_start_pass(self, monkeypatch, loss, bad):
+        # a start that diverges is rejected before any pass over the rows,
+        # so no numpy warning is raised either; the runs of a group share it
+        prob = small_problem(n=20, d=3, seed=11, loss=loss, mu=0.1 if loss is LossKind.QUADRATIC else 0.0)
+        scheme = uniform_minibatch(20, 2)
+        x0 = np.array([0.5, bad, -1.0])
+        cfgs = {run_svrg: RunConfig(scheme, eta=0.1, m=5, outer=2),
+                run_saga: RunConfig(scheme, eta=0.1, steps=9, d_refresh=2.0),
+                run_sarah: RunConfig(scheme, eta=0.1, m=5, outer=2)}
+        calls = [
+            lambda: run_sarah_convex(prob, derive_sarah_convex_config(prob, m=5, replicates=2), x0=x0),
+            *(lambda inner=inner: run_gd_wrapper(prob, inner, 1.0, RunConfig(scheme, eta=0.1, restarts=2), x0=x0)
+              for inner in ("svrg", "saga", "sarah")),
+        ]
+        for run, cfg in cfgs.items():
+            calls += [functools.partial(run, prob, cfg, x0=x0),
+                      functools.partial(run, prob, cfg, x0=x0, seeds=[3, 1, 4])]
+        passes = []
+        monkeypatch.setattr(optimizers, "full_pass", lambda *args, **kwargs: passes.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DivergenceError, match="^iterate diverged at 0 evaluations$") as err:
+                    call()
+                assert err.value.trace.total_sgrad_evals == 0
+                assert err.value.trace.x_a.shape == (3,) and np.isnan(err.value.trace.x_a).all()
+        assert passes == []
 
     def test_divergence_guard_other_methods(self):
         prob = small_problem(n=6, d=3, seed=11, loss=LossKind.QUADRATIC)
@@ -983,6 +1010,60 @@ def scripted_draw(sets):
     return draw_block
 
 
+class ReferenceRecorder:
+    """One run's checkpoints and divergence guard, kept one step at a time
+    from the public ``loss_value`` and ``full_gradient``: a checkpoint at
+    the start, at each step or anchor pass whose count reaches the next
+    multiple of the stride max(1, round(cadence n)), and at the end.  The
+    start and each step's iterate must pass the exact test: every entry
+    finite and at most DIVERGENCE_LIMIT in absolute value."""
+
+    def __init__(self, prob, x, checkpoint_epochs=1.0):
+        self.prob, self.n = prob, prob.dataset.n
+        self.stride = max(1, round(checkpoint_epochs * self.n))
+        self.rows, self.evals, self.next_at = [], 0, 0
+        self.guard(x, 0)
+        self.record(x)
+
+    def guard(self, x, evals):
+        if not np.all(np.isfinite(x)) or np.any(np.abs(x) > optimizers.DIVERGENCE_LIMIT):
+            self.stop("iterate", evals)
+
+    def record(self, x):
+        f, g = loss_value(self.prob, x), full_gradient(self.prob, x)
+        gnorm = float(np.sum(g * g))
+        if not (math.isfinite(f) and math.isfinite(gnorm)) or abs(f) > optimizers.DIVERGENCE_LIMIT:
+            self.stop("objective", self.evals)
+        self.rows.append((self.evals / self.n, f, gnorm, self.evals))
+        self.next_at = (self.evals // self.stride + 1) * self.stride
+
+    def anchor(self, cost, x):
+        """A pass at x that cost ``cost`` evaluations."""
+        self.evals += cost
+        if self.evals >= self.next_at:
+            self.record(x)
+
+    def step(self, cost, x):
+        """A step to x that cost ``cost`` evaluations."""
+        self.guard(x, self.evals + cost)
+        self.anchor(cost, x)
+
+    def finish(self, x, x_a):
+        if self.rows[-1][3] != self.evals:
+            self.record(x)
+        return self.trace(x_a, self.evals)
+
+    def trace(self, x_a, evals):
+        epoch, loss, gnorm, counts = zip(*(self.rows or [(0.0, math.nan, math.nan, 0)]))
+        return optimizers.RunTrace(np.array(epoch), np.array(loss), np.array(gnorm),
+                                   np.array(counts, dtype=np.int64), np.zeros(len(counts), dtype=np.int64),
+                                   np.asarray(x_a, dtype=float), evals)
+
+    def stop(self, what, evals):
+        raise DivergenceError(f"{what} diverged at {evals} evaluations",
+                              self.trace(np.full(self.prob.dataset.d, np.nan), evals))
+
+
 class OnePointReservoir:
     """A uniform pick over a stream of points: one ``rng.random()`` per
     offer, which keeps the t-th point offered if it is below 1/t."""
@@ -1010,10 +1091,8 @@ def direct_run(method, prob, cfg, sizes):
     s_draw, s_out = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_draw = np.random.default_rng(s_draw)
     rng_out = np.random.default_rng(s_out)
-    rec = optimizers._Recorder(prob, cfg.checkpoint_epochs)
     x = np.zeros(prob.dataset.d)
-    rec.record(0, x)
-    evals = 0
+    rec = ReferenceRecorder(prob, x, cfg.checkpoint_epochs)
 
     def drawn(rows):
         sizes.append(rows.size)
@@ -1024,23 +1103,18 @@ def direct_run(method, prob, cfg, sizes):
         res.offer(x)
         for _ in range(cfg.outer):
             snap = take_snapshot(prob, x)
-            evals += n
-            rec.maybe(evals, x)
+            rec.anchor(n, x)
             for (subset,) in chunked(lambda k: (draw(scheme, rng_draw, steps=k),), cfg.m):
                 subset = drawn(subset)
                 x = x - eta * svrg_direction(prob, p, x, snap, subset)
-                evals += subset.size
                 res.offer(x)
-                rec.guard(x, evals)
-                rec.maybe(evals, x)
-        rec.record(evals, x)
-        return rec.trace(res.pick(), evals)
+                rec.step(subset.size, x)
+        return rec.finish(x, res.pick())
     if method == "saga":
         res = OnePointReservoir(rng_out)
         res.offer(x)
         mem = init_saga_memory(prob, x)
-        evals = n
-        rec.maybe(evals, x)
+        rec.anchor(n, x)
 
         def draw_block(k):
             return draw(scheme, rng_draw, steps=k), bernoulli_subset(n, q, rng_draw, steps=k)
@@ -1051,36 +1125,28 @@ def direct_run(method, prob, cfg, sizes):
             x_prev = x
             x = x - eta * v
             saga_refresh(prob, mem, x_prev, refresh)
-            evals += subset.size + refresh.size
             if (t + 1) % n == 0:
                 mem.g = saga_recompute_average(prob, mem)
             res.offer(x)
-            rec.guard(x, evals)
-            rec.maybe(evals, x)
-        rec.record(evals, x)
-        return rec.trace(res.pick(), evals)
+            rec.step(subset.size + refresh.size, x)
+        return rec.finish(x, res.pick())
     for _ in range(cfg.outer):
         inner = OnePointReservoir(rng_out)
         inner.offer(x)
         v = full_gradient(prob, x)
-        evals += n
         x_prev = x
         x = x - eta * v
         inner.offer(x)
-        rec.guard(x, evals)
-        rec.maybe(evals, x)
+        rec.step(n, x)
         for (subset,) in chunked(lambda k: (draw(scheme, rng_draw, steps=k),), cfg.m - 1):
             subset = drawn(subset)
             v = v + sarah_increment(prob, p, x, x_prev, subset)
             x_prev = x
             x = x - eta * v
-            evals += 2 * subset.size
             inner.offer(x)
-            rec.guard(x, evals)
-            rec.maybe(evals, x)
+            rec.step(2 * subset.size, x)
         x = inner.pick()
-    rec.record(evals, x)
-    return rec.trace(x, evals)
+    return rec.finish(x, x)
 
 
 def assert_same_trace(a, b):
@@ -1204,9 +1270,8 @@ class TestLookahead:
         picks, vnorms = [], []
         for child in np.random.SeedSequence(cfg.seed).spawn(cfg.replicates):
             rng = np.random.default_rng(child)
-            rec = optimizers._Recorder(prob, cfg.checkpoint_epochs)
             x = np.zeros(d)
-            rec.record(0, x)
+            rec = ReferenceRecorder(prob, x, cfg.checkpoint_epochs)
             v = full_gradient(prob, x)
             norms = [float(np.sum(v * v))]
             x_prev, x = x, x - cfg.eta * v
@@ -1383,14 +1448,19 @@ class TestRecorder:
         prob = empty_row_problem(loss, mu)
         rng = np.random.default_rng(5)
         d = prob.dataset.d
-        rec = optimizers._Recorder(prob)
-        for k, x in enumerate((np.zeros(d), rng.standard_normal(d), 30.0 * rng.standard_normal(d))):
-            rec.record(k, x)
-            _, f, gnorm, evals, _ = rec.rows[-1]
+        points = (np.zeros(d), rng.standard_normal(d), 30.0 * rng.standard_normal(d))
+        group = optimizers._Group(prob, np.zeros(d), 3, 1.0)
+        x = np.concatenate(points)
+        # each point alone, then all three from one pass, then from a pass made at x
+        for k, runs in enumerate([[0], [1], [2], [0, 1, 2], [2, 1, 0]]):
+            group.checkpoint(runs, np.full(3, k + 1), x, None if k < 4 else optimizers.full_pass(prob, x))
+        for j, x in enumerate(points):
+            rows = group.rows[j][1:]
             g = full_gradient(prob, x)
-            assert evals == k
-            assert f == loss_value(prob, x)
-            assert gnorm == float(np.sum(g * g))  # a fixed-order sum, not a BLAS dot
+            assert [row[3] for row in rows] == [j + 1, 4, 5]
+            for _, f, gnorm, _, _ in rows:
+                assert f == loss_value(prob, x)
+                assert gnorm == float(np.sum(g * g))  # a fixed-order sum, not a BLAS dot
 
     LIMIT = optimizers.DIVERGENCE_LIMIT
 
@@ -1415,12 +1485,27 @@ class TestRecorder:
         assert rejected == (not np.all(np.isfinite(x)) or np.any(np.abs(x) > self.LIMIT))
         if x.size == 10**4:
             assert not float(x @ x) <= optimizers.DIVERGENCE_SCREEN
-        rec = optimizers._Recorder(small_problem(n=6, d=3, seed=11))
-        if rejected:
-            with pytest.raises(DivergenceError, match="^iterate diverged at 17 evaluations$"):
-                rec.guard(x, 17)
-        else:
-            rec.guard(x, 17)
+        assert optimizers._diverged(x) == rejected
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_step_stops_the_run_that_diverged(self, j):
+        # the group's guard names run j, at its own count, with its trace
+        # so far; every other run's point is past the screen, in range
+        prob = small_problem(n=6, d=3, seed=11)
+        group = optimizers._Group(prob, np.zeros(3), 3, 0.5)
+        group.plan(np.array([[2, 9], [5, 1], [4, 13]]))
+        group.step(0, np.zeros(9))
+        x = np.full(9, 0.99 * self.LIMIT)
+        x[3 * j + 1] = np.nan
+        with pytest.raises(optimizers._Diverged) as stop:
+            group.step(1, x)
+        assert stop.value.index == j
+        error = stop.value.error
+        assert isinstance(error, DivergenceError)
+        assert str(error) == f"iterate diverged at {[11, 6, 17][j]} evaluations"
+        assert error.trace.sgrad_evals.tolist() == [[0], [0, 5], [0, 4]][j]
+        assert error.trace.total_sgrad_evals == [11, 6, 17][j]
+        assert np.isnan(error.trace.x_a).all() and error.trace.x_a.shape == (3,)
 
 
 class TestSarahConvex:

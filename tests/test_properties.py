@@ -1,7 +1,8 @@
 """Property tests: the LIBSVM round trip, the optimal probabilities' KKT
 form, the ESO certificate of every sampling scheme, the CSR shape of chunk
-draws, the divergence guard's screen, and seeds stepped together against
-their runs alone, on random inputs."""
+draws, the divergence guard's screen, a group's checkpoint schedule against
+the one-step reference, and seeds stepped together against their runs
+alone, on random inputs."""
 
 import dataclasses
 import warnings
@@ -25,6 +26,7 @@ from vropt.sampling import (
     uniform_minibatch,
     verify_eso,
 )
+from test_optimizers import ReferenceRecorder
 
 # fixed examples per run, so the suite's time and outcome do not vary
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -166,13 +168,46 @@ def test_guard_screen_matches_exact_predicate(values, repeat):
     # repeats push the sum of squares past the screen with every entry in range
     x = np.tile(np.array(values, dtype=float), repeat)
     rejected = not np.all(np.isfinite(x)) or bool(np.any(np.abs(x) > LIMIT))
-    rec = optimizers._Recorder(build_problem(synthesize(4, 3, 2.0, 0), LossKind.SIGMOID_SQUARED))
-    try:
-        rec.guard(x, 3)
-    except optimizers.DivergenceError as exc:
-        assert rejected and str(exc) == "iterate diverged at 3 evaluations"
-    else:
-        assert not rejected
+    assert optimizers._diverged(x) == rejected
+
+
+STEP_COSTS = st.integers(0, 3) | st.integers(0, 40)
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.sampled_from([1e-3, 0.1, 0.25, 1.0, 2.5, 1e18]),
+       st.lists(STEP_COSTS.filter(bool) | st.lists(st.lists(STEP_COSTS, min_size=3, max_size=3),
+                                                   min_size=1, max_size=6), max_size=8))
+def test_group_schedule_matches_reference(runs, cadence, events):
+    # each run checkpoints at the start, at each step or anchor pass whose
+    # count reaches the next multiple of the stride (once, however many it
+    # passes), and at the end; steps cost 0 to 40 evaluations, anchors
+    # (the single costs) 1 to 40, and a cadence of 1e-3 epochs makes the
+    # stride one row
+    prob = build_problem(synthesize(8, 3, 2.0, 0), LossKind.SIGMOID_SQUARED)
+    x = np.array([0.3, -0.2, 0.1])
+    group = optimizers._Group(prob, x, runs, cadence)
+    refs = [ReferenceRecorder(prob, x, cadence) for _ in range(runs)]
+    xs = np.tile(x, runs)
+    for event in events:
+        if isinstance(event, int):
+            assert group.charge(event) == any(ref.evals + event >= ref.next_at for ref in refs)
+            group.checkpoint_due(0, xs)
+            for ref in refs:
+                ref.anchor(event, x)
+            continue
+        cost = np.array(event, dtype=np.int64)[:, :runs].T  # (runs, steps)
+        group.plan(cost)
+        for t in range(cost.shape[1]):
+            group.step(t, xs)
+            for ref, c in zip(refs, cost[:, t].tolist()):
+                ref.step(c, x)
+    for got, ref in zip(group.finish(xs, xs), refs, strict=True):
+        want = ref.finish(x, x)
+        assert got.sgrad_evals.tolist() == want.sgrad_evals.tolist()
+        assert got.total_sgrad_evals == want.total_sgrad_evals
+        for field in ("epoch", "loss", "grad_norm_sq", "x_a"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def group_problem(kind, seed):

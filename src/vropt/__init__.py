@@ -6,8 +6,9 @@ so ``import vropt`` alone loads neither numpy nor a numeric module.
 
 import importlib
 
-_SUBMODULES = ("dataio", "optimizers", "problems", "sampling")
-# public name -> the submodule that defines it
+_SUBMODULES = ("bruteforce", "dataio", "optimizers", "problems", "sampling")
+# public name -> the submodule that defines it; the CLI binds its numeric
+# names from here too (cli._load)
 _SOURCES = {
     **dict.fromkeys(
         (
@@ -33,7 +34,9 @@ _SOURCES = {
         ),
         "optimizers",
     ),
-    **dict.fromkeys(("ParseReport", "parse_libsvm", "subsample", "write_libsvm"), "dataio"),
+    **dict.fromkeys(
+        ("ParseReport", "maxabs_scale", "parse_libsvm", "subsample", "write_libsvm"), "dataio"
+    ),
     **dict.fromkeys(("LossKind", "ParseError"), "common"),
 }
 

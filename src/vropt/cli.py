@@ -21,24 +21,21 @@ from pathlib import Path
 
 from .common import LossKind, ParseError
 
-# The numeric names this module calls, each with its module and attribute
-# (None: the module itself).  _load binds them on first use, so each command
-# imports only what it runs: summarize imports no numpy.  Call sites look the
-# names up as module globals at call time, and _load never replaces a value
-# already bound, so a wrapper swapped onto one of them stays in place.
-_SOURCES = {
-    "np": ("numpy", None),
-    "bruteforce": (".bruteforce", None),
-    **{name: (".dataio", name) for name in ("maxabs_scale", "parse_libsvm", "subsample")},
-    **{name: (".optimizers", name) for name in (
-        "DivergenceError", "derive_saga_config", "derive_sarah_config", "derive_svrg_config",
-        "run_saga", "run_sarah", "run_svrg")},
-    **{name: (".problems", name) for name in (
-        "build_problem", "component_gradient", "full_gradient", "synthesize")},
-    **{name: (".sampling", name) for name in (
-        "approximate_independent", "compute_alpha", "independent", "optimal_probabilities",
-        "probability_matrix", "uniform_minibatch", "verify_eso")},
-}
+# what _run_group calls, besides build_scheme
+_CELL_NAMES = ("derive_svrg_config", "run_svrg", "derive_saga_config", "run_saga",
+               "derive_sarah_config", "run_sarah", "compute_alpha", "DivergenceError")
+# what the three verification suites call
+_VERIFY_NAMES = ("np", "bruteforce", "approximate_independent", "compute_alpha", "independent",
+                 "optimal_probabilities", "probability_matrix", "uniform_minibatch", "verify_eso",
+                 "build_problem", "component_gradient", "full_gradient", "synthesize")
+# Every numeric name this module calls: numpy as np, and the rest from the
+# package, whose _SOURCES says which submodule defines each.  _load binds them
+# on first use, so each command imports only what it runs: summarize imports
+# no numpy, and verify neither the data reader nor the runners.  Call sites
+# look the names up as module globals at call time, and _load never replaces
+# a value already bound, so a wrapper swapped onto one of them stays in place.
+_SOURCES = (*_CELL_NAMES, *_VERIFY_NAMES, "maxabs_scale", "parse_libsvm", "subsample")
+_package = importlib.import_module(__package__)
 
 
 def _load(*names) -> None:
@@ -46,9 +43,8 @@ def _load(*names) -> None:
     bound = globals()
     for name in names:
         if name not in bound:
-            module, attr = _SOURCES[name]
-            value = importlib.import_module(module, __package__)
-            bound[name] = value if attr is None else getattr(value, attr)
+            bound[name] = (importlib.import_module("numpy") if name == "np"
+                           else getattr(_package, name))
 
 
 def __getattr__(name):
@@ -220,10 +216,6 @@ def _failed(row: dict, exc: Exception) -> tuple:
     row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
     return row, None
 
-
-# what _run_group calls, besides build_scheme
-_CELL_NAMES = ("derive_svrg_config", "run_svrg", "derive_saga_config", "run_saga",
-               "derive_sarah_config", "run_sarah", "compute_alpha", "DivergenceError")
 
 # Most seeds stepped together in one group, so that a group's look-ahead
 # holds at most this many times the entries of one run's (optimizers._chunks).
@@ -521,7 +513,7 @@ def _verify_unbiased_suite(report) -> bool:
 
 
 def run_verification(suite: str, stream=None) -> bool:
-    _load(*_SOURCES)
+    _load(*_VERIFY_NAMES)
     stream = stream or sys.stdout
 
     def report(msg):

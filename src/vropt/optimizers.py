@@ -500,10 +500,10 @@ class _Group:
         return _Diverged(j, DivergenceError(f"{what} diverged at {evals} evaluations", trace))
 
 
-def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool = False,
-             streams=_streams):
-    """Check the config, then run ``body(problem, config, group, *rngs)`` on
-    a ``_Group`` of one run per seed, with each run's streams from
+def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, counts, streams=_streams):
+    """Check the config, whose fields named in ``counts`` are loop counts
+    (each at least 1), then run ``body(problem, config, group, *rngs)`` on a
+    ``_Group`` of one run per seed, with each run's streams from
     ``streams(seed)`` (by default its draw and output streams), and return
     each run's result, or the DivergenceError that stopped it, in seed
     order.  A run that diverges stops the group; the other runs then start
@@ -512,8 +512,9 @@ def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool 
     DivergenceError: every run shares it."""
     if not config.eta > 0.0:
         raise ConfigError("step size must be positive")
-    if need_m and config.m < 1:
-        raise ConfigError("m must be at least 1")
+    for name in counts:
+        if getattr(config, name) < 1:
+            raise ConfigError(f"{name} must be at least 1")
     x = _start_iterate(problem, x0)
     result = {}
     left = list(range(len(seeds)))
@@ -528,14 +529,14 @@ def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool 
     return [result[i] for i in range(len(seeds))]
 
 
-def _run(body, problem: Problem, config: RunConfig, x0, seeds, need_m: bool = False):
+def _run(body, problem: Problem, config: RunConfig, x0, seeds, counts):
     """``_grouped`` over ``seeds``; without seeds, the one run of
     ``config.seed``, whose DivergenceError is raised."""
     if config.scheme is None or config.scheme.n != problem.dataset.n:
         raise ConfigError("config.scheme must match the problem size")
     if seeds is not None:
-        return _grouped(body, problem, config, x0, list(seeds), need_m)
-    (out,) = _grouped(body, problem, config, x0, [config.seed], need_m)
+        return _grouped(body, problem, config, x0, list(seeds), counts)
+    (out,) = _grouped(body, problem, config, x0, [config.seed], counts)
     if isinstance(out, DivergenceError):
         raise out
     return out
@@ -562,7 +563,7 @@ def run_svrg(problem: Problem, config: RunConfig, x0=None, seeds=None):
     read), all stepped together, and returns each one's RunTrace, or the
     DivergenceError that stopped it, in seed order: each bit for bit the
     result of that seed's run alone."""
-    return _run(_svrg, problem, config, x0, seeds, need_m=True)
+    return _run(_svrg, problem, config, x0, seeds, ("m", "outer"))
 
 
 def _svrg(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rngs) -> list:
@@ -627,7 +628,7 @@ def run_saga(problem: Problem, config: RunConfig, x0=None, seeds=None):
     n = problem.dataset.n
     if not 0.0 < config.d_refresh <= n:
         raise ConfigError(f"d_refresh must lie in (0, {n}]")
-    return _run(_saga, problem, config, x0, seeds)
+    return _run(_saga, problem, config, x0, seeds, ("steps",))
 
 
 def _saga(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rngs) -> list:
@@ -690,7 +691,7 @@ def run_sarah(problem: Problem, config: RunConfig, x0=None, seeds=None):
     read), all stepped together, and returns each one's RunTrace, or the
     DivergenceError that stopped it, in seed order: each bit for bit the
     result of that seed's run alone."""
-    return _run(_sarah, problem, config, x0, seeds, need_m=True)
+    return _run(_sarah, problem, config, x0, seeds, ("m", "outer"))
 
 
 def _sarah(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rngs) -> list:
@@ -738,7 +739,7 @@ def run_sarah_convex(
         return list(zip(group.finish(x, x), vnorms.T))
 
     children = np.random.SeedSequence(config.seed).spawn(config.replicates)
-    outs = _grouped(body, problem, config, x0, children, need_m=True,
+    outs = _grouped(body, problem, config, x0, children, ("m",),
                     streams=lambda child: (np.random.default_rng(child),))
     for out in outs:
         if isinstance(out, DivergenceError):

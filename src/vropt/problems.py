@@ -213,7 +213,8 @@ def make_dataset(rows, labels, d: int | None = None) -> Dataset:
 
 def csr_dataset(indptr, indices, data, labels, d: int | None = None) -> Dataset:
     """Validate CSR arrays and freeze them into a Dataset (see make_dataset);
-    ``d`` defaults to the largest index plus one."""
+    ``d``, a whole number above every index, defaults to the largest index
+    plus one."""
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
     data = np.asarray(data, dtype=float)
@@ -238,9 +239,11 @@ def csr_dataset(indptr, indices, data, labels, d: int | None = None) -> Dataset:
     max_idx = int(indices.max()) if indices.size else -1
     if d is None:
         d = max_idx + 1
+    elif not float(d).is_integer():
+        raise ValueError(f"feature dimension must be a whole number, got {d}")
     elif max_idx >= d:
         raise ValueError(f"row index {max_idx} outside feature dimension {d}")
-    return _frozen_dataset(indptr, indices, data, labels, d)
+    return _frozen_dataset(indptr, indices, data, labels, int(d))
 
 
 def _frozen_dataset(indptr, indices, data, labels, d: int) -> Dataset:

@@ -109,9 +109,18 @@ def _readonly(arr) -> np.ndarray:
     return out
 
 
+def _check_finite(values: np.ndarray, name: str) -> None:
+    """Reject the first NaN or infinite entry of ``values``, as ``name``_i."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"{name}_{i} = {values[i]} is not finite")
+
+
 def _check_proper(p: np.ndarray) -> None:
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probability vector must be a non-empty 1-d array")
+    _check_finite(p, "inclusion probability p")
     if np.any(p <= 0.0):
         raise ValueError("sampling must be proper: all p_i > 0")
     if np.any(p > 1.0):
@@ -136,8 +145,8 @@ def uniform_minibatch(n: int, b) -> SamplingScheme:
     with certificate v_i = (n - b)/(n - 1) (0 when n = 1)."""
     if n < 1:
         raise ValueError("n must be positive")
-    if float(b) != int(b):
-        raise ValueError("uniform minibatch sampling requires an integer b")
+    if not float(b).is_integer():
+        raise ValueError(f"uniform minibatch sampling requires an integer b, got {b}")
     b = int(b)
     if not 1 <= b <= n:
         raise ValueError(f"minibatch size must lie in [1, {n}], got {b}")
@@ -220,6 +229,7 @@ def optimal_probabilities(L, b) -> np.ndarray:
         raise ValueError("empty smoothness vector")
     if not 0.0 < float(b) <= n:
         raise ValueError(f"minibatch size must lie in (0, {n}], got {b}")
+    _check_finite(L, "smoothness constant L")
     if np.any(L <= 0.0):
         raise ValueError("all smoothness constants must be positive")
     L = floor_smoothness(L)

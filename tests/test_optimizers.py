@@ -495,6 +495,14 @@ class TestExactRegulariser:
          ConfigError, "d_refresh must lie in (0, 6]"),
         (lambda prob, s: run_sarah_convex(prob, derive_sarah_convex_config(prob, m=0)),
          ConfigError, "m must be at least 1"),
+        (lambda prob, s: run_svrg(prob, RunConfig(s, eta=0.1, m=3, outer=0)),
+         ConfigError, "outer must be at least 1"),
+        (lambda prob, s: run_sarah(prob, RunConfig(s, eta=0.1, m=3, outer=-1), seeds=[1, 2]),
+         ConfigError, "outer must be at least 1"),
+        (lambda prob, s: run_saga(prob, RunConfig(s, eta=0.1, steps=0, d_refresh=2.0)),
+         ConfigError, "steps must be at least 1"),
+        (lambda prob, s: run_saga(prob, RunConfig(s, eta=0.1, steps=-2, d_refresh=2.0), seeds=[1]),
+         ConfigError, "steps must be at least 1"),
         (lambda prob, s: run_gd_wrapper(prob, "svrg", 1.0,
                                         RunConfig(uniform_minibatch(5, 2), eta=0.1, restarts=1)),
          ConfigError, "config.scheme must match the problem size"),
@@ -620,6 +628,30 @@ class TestRunSvrg:
                 assert err.value.trace.total_sgrad_evals == 0
                 assert err.value.trace.x_a.shape == (3,) and np.isnan(err.value.trace.x_a).all()
         assert passes == []
+
+    def test_start_whose_objective_diverges(self):
+        # every entry inside the iterate guard, f past DIVERGENCE_LIMIT: the
+        # start checkpoint stops the run at 0 evaluations, with no row kept
+        prob = small_problem(n=20, d=3, seed=11, loss=LossKind.QUADRATIC)
+        scheme = uniform_minibatch(20, 2)
+        x0 = np.full(3, 1e60)
+        assert not optimizers._diverged(x0)
+        assert loss_value(prob, x0) > optimizers.DIVERGENCE_LIMIT
+        calls = [
+            lambda: run_svrg(prob, RunConfig(scheme, eta=0.1, m=5, outer=2), x0=x0),
+            lambda: run_saga(prob, RunConfig(scheme, eta=0.1, steps=9, d_refresh=2.0), x0=x0,
+                             seeds=[3, 1]),
+            lambda: run_sarah_convex(prob, derive_sarah_convex_config(prob, m=5), x0=x0),
+            lambda: run_gd_wrapper(prob, "sarah", 1.0, RunConfig(scheme, eta=0.1, restarts=2), x0=x0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DivergenceError, match="^objective diverged at 0 evaluations$") as err:
+                    call()
+                trace = err.value.trace
+                assert trace.total_sgrad_evals == 0 and trace.sgrad_evals.tolist() == [0]
+                assert np.isnan(trace.loss).all() and np.isnan(trace.x_a).all()
 
     def test_divergence_guard_other_methods(self):
         prob = small_problem(n=6, d=3, seed=11, loss=LossKind.QUADRATIC)
@@ -1685,6 +1717,31 @@ class TestGdWrapper:
         trace, gaps = run_gd_wrapper(prob, "sarah", tau=2.0 / prob.mu, config=cfg)
         assert trace.sgrad_evals.tolist() == [0, 50, 100, 150]
         assert np.all(np.diff(trace.loss) < 0)
+
+    def test_restart_whose_objective_diverges(self, monkeypatch):
+        # the second restart point, 1e60 in every entry, has f past
+        # DIVERGENCE_LIMIT: its checkpoint stops the wrapper at the
+        # evaluations of both inner runs, with the rows before it
+        prob = small_problem(n=6, d=3, seed=26, loss=LossKind.QUADRATIC, mu=0.4)
+        points = iter([(np.full(3, 0.1), 20), (np.full(3, 1e60), 17)])
+
+        def inner(problem, config, x0=None):
+            x_a, evals = next(points)
+            zero = np.zeros(1, dtype=np.int64)
+            return optimizers.RunTrace(
+                epoch=np.zeros(1), loss=np.array([loss_value(problem, x0)]),
+                grad_norm_sq=np.zeros(1), sgrad_evals=zero, wall_ns=zero, x_a=x_a,
+                total_sgrad_evals=evals)
+
+        monkeypatch.setattr(optimizers, "run_svrg", inner)
+        cfg = RunConfig(uniform_minibatch(6, 2), eta=0.0, restarts=3, seed=0)
+        with pytest.raises(DivergenceError, match="^objective diverged at 37 evaluations$") as err:
+            run_gd_wrapper(prob, "svrg", tau=2.0 / prob.mu, config=cfg)
+        trace = err.value.trace
+        assert trace.sgrad_evals.tolist() == [0, 20] and trace.total_sgrad_evals == 37
+        assert trace.loss.tolist() == [loss_value(prob, np.zeros(3)),
+                                       loss_value(prob, np.full(3, 0.1))]
+        assert np.isnan(trace.x_a).all()
 
     def test_restart_streams_pinned(self):
         # restart k runs on the k-th child of SeedSequence(seed): a change to

@@ -364,11 +364,21 @@ class TestDatasetValidation:
              "row indices must be strictly increasing and >= 0"),
             (lambda: csr_dataset([0, 1], [5], [1.0], [1], d=3),
              "row index 5 outside feature dimension 3"),
+            (lambda: csr_dataset([0, 1], [0], [1.0], [1], d=1.5),
+             "feature dimension must be a whole number, got 1.5"),
+            (lambda: make_dataset([([0], [1.0])], [1], d=2.5),
+             "feature dimension must be a whole number, got 2.5"),
+            (lambda: make_dataset([([0], [1.0])], [1], d=math.inf),
+             "feature dimension must be a whole number, got inf"),
         ],
     )
     def test_input_checks(self, call, fragment):
         with pytest.raises(ValueError, match=re.escape(fragment)):
             call()
+
+    def test_whole_float_dimension_is_an_int(self):
+        ds = make_dataset([([0], [1.0])], [1], d=3.0)
+        assert ds.d == 3 and type(ds.d) is int
 
     def test_sigmoid_rejects_mu(self):
         ds = synthesize(3, 2, 1.0, seed=16)

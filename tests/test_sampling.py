@@ -605,6 +605,15 @@ class TestChunkDraws:
          "inclusion probability must lie in (0, 1], got 1.5"),
         (lambda: independent([0.5, 1.5, 0.2]), "inclusion probabilities must satisfy p_i <= 1"),
         (lambda: independent([0.5, 0.0]), "sampling must be proper: all p_i > 0"),
+        (lambda: independent([0.5, np.nan]), "inclusion probability p_1 = nan is not finite"),
+        (lambda: approximate_independent([0.5, np.nan, 0.2]),
+         "inclusion probability p_1 = nan is not finite"),
+        (lambda: optimal_probabilities([1.0, np.nan], 1),
+         "smoothness constant L_1 = nan is not finite"),
+        (lambda: optimal_probabilities([1.0, np.inf], 1),
+         "smoothness constant L_1 = inf is not finite"),
+        (lambda: uniform_minibatch(10, np.inf), "requires an integer b, got inf"),
+        (lambda: uniform_minibatch(10, np.nan), "requires an integer b, got nan"),
     ],
 )
 def test_input_checks(call, fragment):

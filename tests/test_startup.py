@@ -94,6 +94,29 @@ def test_run_loads_only_what_it_runs(tmp_path):
         assert run_cli([command, "-h"], block_numpy=True).returncode == 0, command
 
 
+def test_verify_loads_only_what_its_suites_call(capsys):
+    done = run_cli(["verify", "all"])
+    assert done.returncode == 0, done.stderr
+    loaded = done.stderr.strip()
+    assert "'vropt.bruteforce'" in loaded and "'numpy'" in loaded
+    for name in ("vropt.dataio", "vropt.optimizers", "concurrent"):
+        assert f"'{name}" not in loaded, name
+    # the report of the eso, alpha and unbiased suites, every check passed
+    lines = done.stdout.splitlines()
+    assert len(lines) == 60 + 4 + 3 and all(line.endswith(": PASS") for line in lines)
+    assert cli.main(["verify", "all"]) == 0
+    assert capsys.readouterr().out == done.stdout
+
+
+def test_package_resolves_bruteforce_and_maxabs_scale():
+    code = ("import vropt\n"
+            "print(vropt.bruteforce.__name__, vropt.maxabs_scale is vropt.dataio.maxabs_scale)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "vropt.bruteforce True\n"
+
+
 def read_tree(directory):
     return {str(p.relative_to(directory)): p.read_bytes()
             for p in sorted(Path(directory).rglob("*")) if p.is_file()}
@@ -140,14 +163,14 @@ def test_public_names_unchanged():
     assert sorted(vropt.__all__) == [
         "ComplexityConstants", "ConfigError", "Dataset", "DivergenceError", "LossKind",
         "ParseError", "ParseReport", "Problem", "RunConfig", "RunTrace", "SamplingKind",
-        "SamplingScheme", "approximate_independent", "bernoulli_subset", "build_problem",
-        "component_gradient", "compute_alpha", "dataio", "derive_saga_config",
+        "SamplingScheme", "approximate_independent", "bernoulli_subset", "bruteforce",
+        "build_problem", "component_gradient", "compute_alpha", "dataio", "derive_saga_config",
         "derive_sarah_config", "derive_sarah_convex_config", "derive_svrg_config", "draw",
-        "full_gradient", "independent", "loss_value", "make_dataset", "optimal_probabilities",
-        "optimizers", "parse_libsvm", "predict_complexity", "probability_matrix", "problems",
-        "run_gd_wrapper", "run_saga", "run_sarah", "run_sarah_convex", "run_svrg", "sampling",
-        "smoothness_constants", "subsample", "synthesize", "uniform_minibatch", "verify_eso",
-        "write_libsvm",
+        "full_gradient", "independent", "loss_value", "make_dataset", "maxabs_scale",
+        "optimal_probabilities", "optimizers", "parse_libsvm", "predict_complexity",
+        "probability_matrix", "problems", "run_gd_wrapper", "run_saga", "run_sarah",
+        "run_sarah_convex", "run_svrg", "sampling", "smoothness_constants", "subsample",
+        "synthesize", "uniform_minibatch", "verify_eso", "write_libsvm",
     ]
     namespace = {}
     exec("from vropt import *", namespace)

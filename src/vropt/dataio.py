@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import ParseError
+from .common import ParseError, whole
 from .problems import Dataset, _frozen_dataset
 
 
@@ -442,6 +442,7 @@ def dumps_libsvm(dataset: Dataset) -> str:
 
 def subsample(dataset: Dataset, n_keep: int, seed: int) -> Dataset:
     """Uniformly random n_keep rows, original order preserved, seeded."""
+    n_keep = whole(n_keep, "n_keep must be a whole number")
     if not 1 <= n_keep <= dataset.n:
         raise ValueError(f"n_keep must lie in [1, {dataset.n}], got {n_keep}")
     if n_keep == dataset.n:

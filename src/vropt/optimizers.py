@@ -5,6 +5,11 @@ gradient estimators with importance-weighted minibatches, a restart wrapper
 for gradient-dominated objectives, the single-sample convex SARAH variant,
 theorem-driven hyperparameter derivation and closed-form cost predictors.
 
+SVRG and SAGA share one anchor type, ``SagaMemory``, and one estimator,
+``svrg_direction``: they differ only in where each row's anchor sits and when
+it moves (SVRG's at one point, all moved once per outer loop; SAGA's row by
+row, to the iterate of the step that refreshes them).
+
 All runs are deterministic per seed: one substream drives the subset draws,
 a second drives the uniform-over-iterates output selection, so the iterate
 trajectory does not depend on whether an output is being selected.  Each
@@ -25,10 +30,11 @@ import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .common import whole
 from .problems import (
     Problem,
     RowBlock,
@@ -123,16 +129,6 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 # ``_chunks``); the anchor state then holds the runs' states end to end too.
 
 
-@dataclass
-class SvrgSnapshot:
-    """Anchor state: anchor point, cached per-row loss slopes there, and the
-    full gradient; lets an inner step reuse the anchor pass for free."""
-
-    x: np.ndarray
-    slopes: np.ndarray
-    g: np.ndarray
-
-
 def _weighted_block(problem: Problem, p: np.ndarray, subset,
                     block: RowBlock | None = None, w: np.ndarray | None = None):
     """The rows of ``subset`` (``block`` if given), their indices and
@@ -145,35 +141,12 @@ def _weighted_block(problem: Problem, p: np.ndarray, subset,
     return block, rows, w
 
 
-def take_snapshot(problem: Problem, x: np.ndarray, done: tuple | None = None) -> SvrgSnapshot:
-    """The anchor at x (one point, or several end to end), from the pass
-    ``done`` if it was already made there."""
-    return SvrgSnapshot(x.copy(), *(done or full_pass(problem, x, value=False))[1:])
-
-
-def svrg_direction(
-    problem: Problem, p: np.ndarray, x: np.ndarray, snap: SvrgSnapshot, subset,
-    *, block: RowBlock | None = None, w: np.ndarray | None = None,
-) -> np.ndarray:
-    """sum_{i in S} (grad phi_i(x) - grad phi_i(anchor)) / (n p_i) + g
-    + mu (x - anchor), with f_i = phi_i + (mu/2)||x||^2: the data parts
-    are variance-reduced and the regulariser's gradient mu x is exact."""
-    if block is None or w is None:
-        block, subset, w = _weighted_block(problem, p, subset, block, w)
-    c = w * (row_slopes(problem, block, x) - snap.slopes[subset])
-    v = block.scatter(c, x.size)
-    v += snap.g
-    if problem.mu:
-        v += problem.mu * (x - snap.x)
-    return v
-
-
 @dataclass
 class SagaMemory:
     """Anchor state: the loss slopes at a_i . anchor_i, which reconstruct the
     anchor gradients of the data parts phi_i of linear-composite losses
-    exactly, and ``g``, the running average of those gradients, re-synced by
-    ``run_saga`` every n steps.  The regulariser's gradient mu x is exact, so
+    exactly, and ``g``, their average (kept running by ``run_saga``, which
+    re-syncs it every n steps).  The regulariser's gradient mu x is exact, so
     the memory holds no anchor vectors."""
 
     slopes: np.ndarray
@@ -188,17 +161,26 @@ def init_saga_memory(problem: Problem, x: np.ndarray, done: tuple | None = None)
     return SagaMemory(slopes, g - problem.mu * x if problem.mu else g)
 
 
-def saga_direction(
-    problem: Problem, p: np.ndarray, x: np.ndarray, mem: SagaMemory, subset
+def svrg_direction(
+    problem: Problem, p: np.ndarray, x: np.ndarray, mem: SagaMemory, subset,
+    *, block: RowBlock | None = None, w: np.ndarray | None = None,
 ) -> np.ndarray:
     """sum_{i in S} (grad phi_i(x) - grad phi_i(anchor_i)) / (n p_i) + g
-    + mu x, with f_i = phi_i + (mu/2)||x||^2."""
-    block, rows, w = _weighted_block(problem, p, subset)
-    c = w * (row_slopes(problem, block, x) - mem.slopes[rows])
-    v = block.scatter(c, problem.dataset.d) + mem.g
+    + mu x, with f_i = phi_i + (mu/2)||x||^2: the data parts are
+    variance-reduced and the regulariser's gradient mu x is exact."""
+    if block is None or w is None:
+        block, subset, w = _weighted_block(problem, p, subset, block, w)
+    c = w * (row_slopes(problem, block, x) - mem.slopes[subset])
+    v = block.scatter(c, x.size)
+    v += mem.g
     if problem.mu:
         v += problem.mu * x
     return v
+
+
+# the names under which the benchmark's tracer counts SVRG's anchors and SAGA's steps
+take_snapshot = init_saga_memory
+saga_direction = svrg_direction
 
 
 def saga_refresh(problem: Problem, mem: SagaMemory, x: np.ndarray, refresh) -> None:
@@ -502,19 +484,25 @@ class _Group:
 
 def _grouped(body, problem: Problem, config: RunConfig, x0, seeds, counts, streams=_streams):
     """Check the config, whose fields named in ``counts`` are loop counts
-    (each at least 1), then run ``body(problem, config, group, *rngs)`` on a
-    ``_Group`` of one run per seed, with each run's streams from
-    ``streams(seed)`` (by default its draw and output streams), and return
-    each run's result, or the DivergenceError that stopped it, in seed
-    order.  A run that diverges stops the group; the other runs then start
-    again without it: runs are pure functions of their seeds, so each one's
-    result is that of its run alone.  A start that diverges raises its
+    (each a whole number, at least 1), then run ``body(problem, config,
+    group, *rngs)`` on a ``_Group`` of one run per seed, with each run's
+    streams from ``streams(seed)`` (by default its draw and output streams),
+    and return each run's result, or the DivergenceError that stopped it, in
+    seed order.  A run that diverges stops the group; the other runs then
+    start again without it: runs are pure functions of their seeds, so each
+    one's result is that of its run alone.  A start that diverges raises its
     DivergenceError: every run shares it."""
     if not config.eta > 0.0:
         raise ConfigError("step size must be positive")
+    loops = {}
     for name in counts:
-        if getattr(config, name) < 1:
+        try:
+            loops[name] = whole(getattr(config, name), f"{name} must be a whole number")
+        except ValueError as err:
+            raise ConfigError(*err.args) from None
+        if loops[name] < 1:
             raise ConfigError(f"{name} must be at least 1")
+    config = replace(config, **loops)
     x = _start_iterate(problem, x0)
     result = {}
     left = list(range(len(seeds)))
@@ -576,14 +564,14 @@ def _svrg(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
         # the anchor's pass also gives the checkpoints due at the anchor
         due = group.charge(n)
         done = done or full_pass(problem, x, value=due)
-        snap = take_snapshot(problem, x, done)
+        mem = take_snapshot(problem, x, done)
         group.checkpoint_due(0, x, done)
         done = None
         for cost, ch in _chunks(problem, p, config.m, draws):
             group.plan(cost)
             for t in range(cost.shape[1]):
                 rows, block, w = ch.step(t)
-                v = svrg_direction(problem, p, x, snap, rows, block=block, w=w)
+                v = svrg_direction(problem, p, x, mem, rows, block=block, w=w)
                 v *= config.eta
                 x -= v
                 group.step(t, x)
@@ -591,15 +579,15 @@ def _svrg(problem: Problem, config: RunConfig, group: _Group, draw_rngs, out_rng
 
 
 def _saga_step(problem: Problem, mem: SagaMemory, x: np.ndarray, ch: _Chunk, t: int) -> np.ndarray:
-    """Return saga_direction(x, S) and apply saga_refresh(x, R) to ``mem``,
-    for step t of chunk ``ch``: S is its first ``ch.ks[t]`` rows and R the
-    rest.  One margin and slope pass over the step's rows at the pre-step
-    iterate x, and one ``np.bincount`` over 2D bins, D = ``x.size``: the
-    direction's scatter in [0, D), the refresh's change of the average in
-    [D, 2D).  Rows in both S and R use the memory slopes from before the
-    refresh, as the two calls do; every sum adds the same terms in the same
-    order, so the result is bit-identical to them, run by run when x holds
-    several runs' points (see ``_chunks``)."""
+    """Return svrg_direction(x, S), the estimator SVRG and SAGA share, and
+    apply saga_refresh(x, R) to ``mem``, for step t of chunk ``ch``: S is its
+    first ``ch.ks[t]`` rows and R the rest.  One margin and slope pass over
+    the step's rows at the pre-step iterate x, and one ``np.bincount`` over
+    2D bins, D = ``x.size``: the direction's scatter in [0, D), the refresh's
+    change of the average in [D, 2D).  Rows in both S and R use the memory
+    slopes from before the refresh, as the two calls do; every sum adds the
+    same terms in the same order, so the result is bit-identical to them, run
+    by run when x holds several runs' points (see ``_chunks``)."""
     n, D, k = problem.dataset.n, x.size, ch.ks[t]
     rows, block, w = ch.step(t)
     slopes = row_slopes(problem, block, x)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import LossKind
+from .common import LossKind, whole
 from .sampling import floor_smoothness
 
 # Largest |second derivative| of z -> (1 - y*sigmoid(z))^2 over z in R and
@@ -239,11 +239,12 @@ def csr_dataset(indptr, indices, data, labels, d: int | None = None) -> Dataset:
     max_idx = int(indices.max()) if indices.size else -1
     if d is None:
         d = max_idx + 1
-    elif not float(d).is_integer():
-        raise ValueError(f"feature dimension must be a whole number, got {d}")
-    elif max_idx >= d:
+    d = whole(d, "feature dimension must be a whole number")
+    if d >= 2**63:
+        raise ValueError(f"feature dimension {d} does not fit in int64")
+    if max_idx >= d:
         raise ValueError(f"row index {max_idx} outside feature dimension {d}")
-    return _frozen_dataset(indptr, indices, data, labels, int(d))
+    return _frozen_dataset(indptr, indices, data, labels, d)
 
 
 def _frozen_dataset(indptr, indices, data, labels, d: int) -> Dataset:
@@ -256,6 +257,7 @@ def _frozen_dataset(indptr, indices, data, labels, d: int) -> Dataset:
 
 def synthesize(n: int, d: int, skew: float, seed: int) -> Dataset:
     """Seeded Gaussian rows rescaled so ||a_i||^2 spans [1, skew] geometrically."""
+    n, d = whole(n, "n must be a whole number"), whole(d, "d must be a whole number")
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     if not 1.0 <= skew < math.inf:
@@ -359,6 +361,8 @@ def build_problem(dataset: Dataset, loss: LossKind, mu: float = 0.0) -> Problem:
         i = int(bad[0])
         raise ValueError(f"row {i} (counting from 0): smoothness constant L_{i} = {L[i]:g} "
                          "is too large (each L_i^2 and their sum must be finite)")
+    if not L.any():
+        raise ValueError("every smoothness constant is 0: no row stores a nonzero value")
     L.setflags(write=False)
     return Problem(
         dataset=dataset,

@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .common import whole
+
 MATRIX_CAP = 64          # dense probability matrices are for verification only
 PSD_TOL = 1e-10          # absolute tolerance on the smallest eigenvalue
 SMOOTHNESS_FLOOR = 1e-12  # L_i below floor*max(L) are lifted before use
@@ -143,11 +145,10 @@ def floor_smoothness(L) -> np.ndarray:
 def uniform_minibatch(n: int, b) -> SamplingScheme:
     """Uniform law over all b-subsets of {0,...,n-1} (fixed cardinality),
     with certificate v_i = (n - b)/(n - 1) (0 when n = 1)."""
+    n = whole(n, "n must be a whole number")
     if n < 1:
         raise ValueError("n must be positive")
-    if not float(b).is_integer():
-        raise ValueError(f"uniform minibatch sampling requires an integer b, got {b}")
-    b = int(b)
+    b = whole(b, "uniform minibatch sampling requires an integer b")
     if not 1 <= b <= n:
         raise ValueError(f"minibatch size must lie in [1, {n}], got {b}")
     p = np.full(n, b / n)

@@ -351,6 +351,8 @@ class TestMainEntry:
         good.write_text("1 1:0.5 2:1\n-1 1:1\n1 2:0.3\n", encoding="utf-8")
         huge = tmp_path / "huge.libsvm"
         huge.write_text("1 1:0.5 2:1\n-1 1:1e300\n1 2:0.3\n", encoding="utf-8")
+        labels = tmp_path / "labels.libsvm"  # rows that store no nonzero value
+        labels.write_text("1\n-1\n1\n", encoding="utf-8")
         for argv in (
             ["alpha"],
             ["alpha", *syn, "--mu", "0.5"],
@@ -397,6 +399,8 @@ class TestMainEntry:
             ["alpha", *syn, "--loss", "quadratic", "--mu", "1e308"],
             ["run", "--dataset", str(huge)],
             ["alpha", "--dataset", str(huge)],
+            ["run", "--dataset", str(labels)],
+            ["alpha", "--dataset", str(labels)],
         ):
             if argv[0] == "run":
                 argv = [*argv, "--out", str(out)]
@@ -405,6 +409,8 @@ class TestMainEntry:
             assert err.startswith("usage error:"), argv
             if "1e308" in argv or str(huge) in argv:
                 assert re.search(r"row \d+ \(counting from 0\): smoothness constant L_\d+ = ", err), err
+            if str(labels) in argv:
+                assert "every smoothness constant is 0" in err, err
             if "--data-seed" in argv:
                 assert "data seed" in err, argv
         assert not out.exists()

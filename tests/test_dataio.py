@@ -187,6 +187,8 @@ class TestSubsample:
             subsample(ds, 0, seed=0)
         with pytest.raises(ValueError):
             subsample(ds, 6, seed=0)
+        with pytest.raises(ValueError, match=re.escape("n_keep must be a whole number, got 2.5")):
+            subsample(ds, 2.5, seed=0)
 
     def test_row_frequencies(self):
         ds = synthesize(10, 2, 1.0, seed=9)

@@ -503,6 +503,12 @@ class TestExactRegulariser:
          ConfigError, "steps must be at least 1"),
         (lambda prob, s: run_saga(prob, RunConfig(s, eta=0.1, steps=-2, d_refresh=2.0), seeds=[1]),
          ConfigError, "steps must be at least 1"),
+        (lambda prob, s: run_svrg(prob, RunConfig(s, eta=0.1, m=2.5, outer=1)),
+         ConfigError, "m must be a whole number, got 2.5"),
+        (lambda prob, s: run_sarah(prob, RunConfig(s, eta=0.1, m=3, outer=1.5)),
+         ConfigError, "outer must be a whole number, got 1.5"),
+        (lambda prob, s: run_saga(prob, RunConfig(s, eta=0.1, steps=3.5, d_refresh=2.0)),
+         ConfigError, "steps must be a whole number, got 3.5"),
         (lambda prob, s: run_gd_wrapper(prob, "svrg", 1.0,
                                         RunConfig(uniform_minibatch(5, 2), eta=0.1, restarts=1)),
          ConfigError, "config.scheme must match the problem size"),
@@ -883,15 +889,15 @@ class TestGroups:
             at_start.extend(np.array_equal(x, x0) for x in points)
             return margins(dataset, points)
 
-        def anchor(fn):
+        def anchor(name, fn):
             def wrapper(*args, **kwargs):
-                anchors.append(fn.__name__)
+                anchors.append(name)
                 return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(Dataset, "margins", counted)
         for name in ("take_snapshot", "init_saga_memory", "full_gradient"):
-            monkeypatch.setattr(optimizers, name, anchor(getattr(optimizers, name)))
+            monkeypatch.setattr(optimizers, name, anchor(name, getattr(optimizers, name)))
         ref = self.RUNNERS[method](prob, cfg, x0)
         assert at_start.count(True) == 1 and len(at_start) > 3
         monkeypatch.undo()

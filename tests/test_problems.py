@@ -272,6 +272,15 @@ class TestSmoothness:
         L2 = smoothness_constants(doubled, LossKind.SIGMOID_SQUARED)
         assert np.allclose(L2, 4.0 * L1, rtol=1e-12)
 
+    def test_data_with_no_nonzero_value(self):
+        # label-only rows: every L_i is 0, and no step size or sampling exists;
+        # with the quadratic loss's mu > 0 each L_i is mu
+        ds = csr_dataset([0, 0, 0, 0], [], [], [1, -1, 1])
+        for loss in LossKind:
+            with pytest.raises(ValueError, match="every smoothness constant is 0"):
+                build_problem(ds, loss)
+        assert build_problem(ds, LossKind.QUADRATIC, 0.5).L.tolist() == [0.5] * 3
+
     def test_curvature_rederivation(self):
         rederived = max_sigmoid_sq_curvature()
         assert abs(rederived - SIGMOID_SQ_CURVATURE) <= 1e-10 * SIGMOID_SQ_CURVATURE
@@ -370,6 +379,12 @@ class TestDatasetValidation:
              "feature dimension must be a whole number, got 2.5"),
             (lambda: make_dataset([([0], [1.0])], [1], d=math.inf),
              "feature dimension must be a whole number, got inf"),
+            (lambda: csr_dataset([0, 1], [0], [1.0], [1], d=10**400),
+             "does not fit in int64"),
+            (lambda: csr_dataset([0, 1], [0], [1.0], [1], d=2**63),
+             "feature dimension 9223372036854775808 does not fit in int64"),
+            (lambda: synthesize(2.5, 3, 1.0, 0), "n must be a whole number, got 2.5"),
+            (lambda: synthesize(4, 3.5, 1.0, 0), "d must be a whole number, got 3.5"),
         ],
     )
     def test_input_checks(self, call, fragment):

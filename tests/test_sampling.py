@@ -370,10 +370,12 @@ class TestDraw:
         ]:
             rng = np.random.default_rng(3)
             P = probability_matrix(s)
-            # one indicator row per draw; M^T M counts how often i and j co-occur
+            # one indicator row per set, drawn 64 sets a call as the runners
+            # draw them; M^T M counts how often i and j co-occur
             M = np.zeros((trials, s.n))
-            for t in range(trials):
-                M[t, draw(s, rng)] = 1.0
+            for start in range(0, trials, 64):
+                indptr, indices = draw(s, rng, steps=64)
+                M[start + np.repeat(np.arange(64), np.diff(indptr)), indices] = 1.0
             freq = (M.T @ M) / trials
             sigma = np.sqrt(P * (1 - P) / trials)
             assert np.all(np.abs(freq - P) <= 3 * sigma + 1e-9)
@@ -614,6 +616,8 @@ class TestChunkDraws:
          "smoothness constant L_1 = inf is not finite"),
         (lambda: uniform_minibatch(10, np.inf), "requires an integer b, got inf"),
         (lambda: uniform_minibatch(10, np.nan), "requires an integer b, got nan"),
+        (lambda: uniform_minibatch(10, 10**400), "minibatch size must lie in [1, 10], got 1000"),
+        (lambda: uniform_minibatch(10.5, 2), "n must be a whole number, got 10.5"),
     ],
 )
 def test_input_checks(call, fragment):

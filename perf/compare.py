@@ -2,7 +2,7 @@
 """Compare the benchmark's end-to-end metrics between a base tree and this one.
 
     git archive BASE_REV | tar -x -C BASE_DIR
-    python3 perf/compare.py BASE_DIR --pairs 8 --seconds 10 --out BENCH_label.json
+    python3 perf/compare.py BASE_DIR --pairs 8 --out BENCH_label.json
 
 BASE_DIR holds the base tree (made with ``git archive``, as above).  The
 script copies the ``bench/`` and ``src/`` of three trees into one fresh
@@ -12,9 +12,10 @@ paths of equal length: two clones of one commit, at paths of different
 lengths, once read ``grid-checkpoint`` ``run_s`` 0.406 against 0.457 s in 10
 of 10 pairs.
 
-For each workload it runs ``bench/run.py --trace 0`` once in each tree per
-round: base, head, ctrl in even rounds and ctrl, head, base in odd ones, so
-each pair of sides alternates which goes first.  Per workload and end-to-end
+For each workload it runs ``bench/run.py --seed 1 --trace 0`` once in each
+tree per round, for the ``run_seconds`` that ``BENCHMARK.json`` fixes: base,
+head, ctrl in even rounds and ctrl, head, base in odd ones, so each pair of
+sides alternates which goes first.  Per workload and end-to-end
 metric, scaled by host speed and as measured, it reports each side's median
 and quartiles, how many rounds head beat base and ctrl beat head (ties count
 for neither), whether head's median is within the bound ``BENCHMARK.json``
@@ -43,6 +44,8 @@ SIDES = ("base", "head", "ctrl")
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+SECONDS = BENCHMARK["run_seconds"]
+SEED = 1
 RUN_TIMEOUT_S = 600
 
 
@@ -53,12 +56,12 @@ def stage(tree: Path, dest: Path) -> None:
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str) -> dict:
     """One untraced ``bench/run.py`` run in ``tree``: its scaled metrics, the
     times as measured, correctness and machine."""
     proc = subprocess.run(
         [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
     )
     lines = proc.stdout.splitlines()
@@ -130,8 +133,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_dir", type=Path, help="the base tree, made with git archive")
     parser.add_argument("--pairs", type=int, default=8, help="rounds per workload")
-    parser.add_argument("--seconds", type=float, default=10.0, help="bench/run.py --seconds")
-    parser.add_argument("--seed", type=int, default=1, help="bench/run.py --seed, every run")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="a workload to run (repeatable; default: all)")
     parser.add_argument("--out", type=Path, required=True, help="the JSON record to write")
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2")
     workloads = args.workload or WORKLOADS
 
-    record = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+    record = {"seed": SEED, "seconds": SECONDS, "pairs": args.pairs, "machine": None,
               "base_dir": base_dir.name, "head_git": git_revision(), "workloads": {}}
     ok = True
     with tempfile.TemporaryDirectory(prefix="vropt-compare-") as tmp:
@@ -155,9 +156,11 @@ def main(argv=None) -> int:
             runs = {s: [] for s in SIDES}
             for i in range(args.pairs):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    res = run_once(trees[side], workload, args.seed, args.seconds)
+                    res = run_once(trees[side], workload)
                     res["round"] = i
-                    record.setdefault("machine", res.pop("machine", None))
+                    machine = res.pop("machine", None)
+                    if record["machine"] is None:
+                        record["machine"] = machine
                     runs[side].append(res)
                     if not res["correct"]:
                         ok = False

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,19 @@ def test_worse_by_more_than_the_bound_and_control_outside_noise():
     assert not summary["head_vs_base"]["within_bound"]
     assert summary["head_vs_base"]["head_won"] == 0
     assert not summary["ctrl_vs_head"]["within_noise"]
+
+
+def test_record_keeps_the_first_machine_a_run_reports(tmp_path, monkeypatch):
+    for part in ("bench/run.py", "src/vropt/__init__.py"):
+        (tmp_path / part).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / part).write_text("")
+    results = iter([{"correct": False, "error": "exit 1"}]
+                   + [{"correct": True, "scaled": {}, "as_measured": {}, "machine": {"nproc": 2}}] * 5)
+    monkeypatch.setattr(compare, "stage", lambda tree, dest: None)
+    monkeypatch.setattr(compare, "run_once", lambda tree, workload: dict(next(results)))
+    out = tmp_path / "record.json"
+    assert compare.main([str(tmp_path), "--pairs", "2", "--workload", "sparse-large",
+                         "--out", str(out)]) == 1
+    record = json.loads(out.read_text())
+    assert record["machine"] == {"nproc": 2}
+    assert (record["seed"], record["seconds"]) == (1, compare.BENCHMARK["run_seconds"])

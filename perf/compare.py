@@ -2,7 +2,7 @@
 """Compare the benchmark's end-to-end metrics between a base tree and this one.
 
     git archive BASE_REV | tar -x -C BASE_DIR
-    python3 perf/compare.py BASE_DIR --pairs 8 --out BENCH_label.json
+    python3 perf/compare.py BASE_DIR --out BENCH_label.json
 
 BASE_DIR holds the base tree (made with ``git archive``, as above).  The
 script copies the ``bench/`` and ``src/`` of three trees into one fresh
@@ -12,11 +12,12 @@ paths of equal length: two clones of one commit, at paths of different
 lengths, once read ``grid-checkpoint`` ``run_s`` 0.406 against 0.457 s in 10
 of 10 pairs.
 
-For each workload it runs ``bench/run.py --seed 1 --trace 0`` once in each
-tree per round, for the ``run_seconds`` that ``BENCHMARK.json`` fixes: base,
-head, ctrl in even rounds and ctrl, head, base in odd ones, so each pair of
-sides alternates which goes first.  Per workload and end-to-end
-metric, scaled by host speed and as measured, it reports each side's median
+For each workload, in each of ten rounds, it runs ``bench/run.py --seed 1
+--trace 0`` once in each tree, for the ``run_seconds`` that ``BENCHMARK.json``
+fixes (at 50 s, about an hour for both workloads): base, head, ctrl in even
+rounds and ctrl, head, base in odd ones, so each pair of sides alternates
+which goes first.  Per workload and end-to-end metric, scaled by host speed
+and as measured, it reports each side's median
 and quartiles, how many rounds head beat base and ctrl beat head (ties count
 for neither), whether head's median is within the bound ``BENCHMARK.json``
 fixes, and whether the control pair (the same code from two paths) reads
@@ -46,6 +47,7 @@ WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 METRICS = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 SEED = 1
+PAIRS = 10
 RUN_TIMEOUT_S = 600
 
 
@@ -132,19 +134,13 @@ def git_revision() -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_dir", type=Path, help="the base tree, made with git archive")
-    parser.add_argument("--pairs", type=int, default=8, help="rounds per workload")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="a workload to run (repeatable; default: all)")
     parser.add_argument("--out", type=Path, required=True, help="the JSON record to write")
     args = parser.parse_args(argv)
     base_dir = args.base_dir.resolve()
     if not (base_dir / "bench" / "run.py").is_file() or not (base_dir / "src" / "vropt").is_dir():
         parser.error(f"{base_dir} holds no bench/run.py and src/vropt")
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
-    workloads = args.workload or WORKLOADS
 
-    record = {"seed": SEED, "seconds": SECONDS, "pairs": args.pairs, "machine": None,
+    record = {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS, "machine": None,
               "base_dir": base_dir.name, "head_git": git_revision(), "workloads": {}}
     ok = True
     with tempfile.TemporaryDirectory(prefix="vropt-compare-") as tmp:
@@ -152,9 +148,9 @@ def main(argv=None) -> int:
         for side, source in zip(SIDES, (base_dir, ROOT, ROOT)):
             stage(source, trees[side])
         record["tree_path_length"] = len(str(trees["base"]))
-        for workload in workloads:
+        for workload in WORKLOADS:
             runs = {s: [] for s in SIDES}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     res = run_once(trees[side], workload)
                     res["round"] = i
@@ -179,8 +175,8 @@ def main(argv=None) -> int:
             print(f"{workload:<16} {name:<12} base {m['base']['median']:.6g} "
                   f"[{m['base']['q1']:.6g}, {m['base']['q3']:.6g}]  head {m['head']['median']:.6g} "
                   f"[{m['head']['q1']:.6g}, {m['head']['q3']:.6g}]  head/base {hb['ratio']:.3f} "
-                  f"won {hb['head_won']}/{args.pairs} within bound {hb['within_bound']}  "
-                  f"ctrl/head {ch['ratio']:.3f} won {ch['ctrl_won']}/{args.pairs} "
+                  f"won {hb['head_won']}/{PAIRS} within bound {hb['within_bound']}  "
+                  f"ctrl/head {ch['ratio']:.3f} won {ch['ctrl_won']}/{PAIRS} "
                   f"within noise {ch['within_noise']}")
     return 0 if ok else 1
 

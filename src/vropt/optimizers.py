@@ -6,11 +6,10 @@ for gradient-dominated objectives, the single-sample convex SARAH variant,
 theorem-driven hyperparameter derivation and closed-form cost predictors.
 
 SVRG and SAGA share one anchor type, ``SagaMemory``, and one estimator,
-``svrg_direction``, which SAGA's runner computes in ``_saga_step``, fused with
-``saga_refresh`` and bit-identical to the two calls.  They differ only in where
-each row's anchor sits and when it moves (SVRG's at one point, all moved once
-per outer loop; SAGA's row by row, to the iterate of the step that refreshes
-them).
+``svrg_direction`` (SAGA's runner fuses it with ``saga_refresh`` in
+``_saga_step``, bit for bit); they differ only in where each row's anchor
+sits and when it moves (SVRG's at one point, all moved once per outer loop;
+SAGA's row by row, to the iterate of the step that refreshes them).
 
 All runs are deterministic per seed: one substream drives the subset draws,
 a second drives the uniform-over-iterates output selection, so the iterate

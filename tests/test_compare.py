@@ -55,12 +55,12 @@ def test_record_keeps_the_first_machine_a_run_reports(tmp_path, monkeypatch):
         (tmp_path / part).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / part).write_text("")
     results = iter([{"correct": False, "error": "exit 1"}]
-                   + [{"correct": True, "scaled": {}, "as_measured": {}, "machine": {"nproc": 2}}] * 5)
+                   + [{"correct": True, "scaled": {}, "as_measured": {}, "machine": {"nproc": 2}}]
+                   * (3 * compare.PAIRS * len(compare.WORKLOADS) - 1))
     monkeypatch.setattr(compare, "stage", lambda tree, dest: None)
     monkeypatch.setattr(compare, "run_once", lambda tree, workload: dict(next(results)))
     out = tmp_path / "record.json"
-    assert compare.main([str(tmp_path), "--pairs", "2", "--workload", "sparse-large",
-                         "--out", str(out)]) == 1
+    assert compare.main([str(tmp_path), "--out", str(out)]) == 1
     record = json.loads(out.read_text())
     assert record["machine"] == {"nproc": 2}
     assert (record["seed"], record["seconds"]) == (1, compare.BENCHMARK["run_seconds"])
